@@ -270,7 +270,14 @@ def fit_predict_evaluate(
         if task == CLASSIFICATION:
             labels = np.array([str(v) for v in y_train])
             model.fit(X_train, labels)
-            predictions = model.predict(X_test)
+            confidence = None
+            if hasattr(model, "predict_proba"):
+                # predict is classes_[argmax(predict_proba)]: score once
+                proba = model.predict_proba(X_test)
+                predictions = model.classes_[np.argmax(proba, axis=1)]
+                confidence = proba.max(axis=1).tolist()
+            else:
+                predictions = model.predict(X_test)
             truth = [str(v) for v in y_test]
             report = classification_report(truth, predictions.tolist())
             precision, recall, f1 = macro_averages(report)
@@ -281,10 +288,6 @@ def fit_predict_evaluate(
                 macro_f1=f1,
                 per_class=report,
             )
-            confidence = None
-            if hasattr(model, "predict_proba"):
-                proba = model.predict_proba(X_test)
-                confidence = proba.max(axis=1).tolist()
             return ModelResult(
                 spec=spec,
                 status=STATUS_OK,

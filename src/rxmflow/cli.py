@@ -12,6 +12,7 @@ import sys
 
 from .backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
 from .errors import DataLoadError, EngineError
+from .models.iforest import valid_contamination
 from .runner import EXIT_DATA_ERROR, WorkflowConfig, WorkflowRunner
 
 API_KEY_ENV = "RXMFLOW_API_KEY"
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model-name", default="qwen3:4b",
                         help="model name passed to the backend")
     parser.add_argument("--contamination", default="auto",
-                        help="isolation forest contamination: auto or a fraction")
+                        help="isolation forest contamination: auto or a fraction in (0, 0.5]")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--auto-approve", action="store_true",
                         help="skip the interactive review gate")
@@ -70,10 +71,13 @@ def main(argv=None) -> int:
     )
     contamination = args.contamination
     if contamination != "auto":
+        usage = "--contamination must be 'auto' or a fraction in (0, 0.5]"
         try:
             contamination = float(contamination)
         except ValueError:
-            raise SystemExit("--contamination must be 'auto' or a fraction")
+            raise SystemExit(usage)
+        if not valid_contamination(contamination):
+            raise SystemExit(usage)
 
     config = WorkflowConfig(
         data_path=args.data,

@@ -26,6 +26,11 @@ AUTO_SCORE_THRESHOLD = 0.6
 _EULER_GAMMA = 0.5772156649015329
 
 
+def valid_contamination(q: float) -> bool:
+    """An explicit contamination fraction must lie in (0, 0.5]."""
+    return 0.0 < q <= 0.5
+
+
 def average_path_length(m: int | np.ndarray) -> np.ndarray:
     """c(m): expected path length of an unsuccessful BST search."""
     m = np.atleast_1d(np.asarray(m, dtype=float))

@@ -144,8 +144,8 @@ class _TreeBuilder:
         return feature, threshold, gain
 
 
-def _predict_values(root, X, width):
-    out = np.empty((X.shape[0], width)) if width > 1 else np.empty(X.shape[0])
+def _predict_values(root, X, out):
+    """Fill `out` (one row per row of X) with the leaf value each row reaches."""
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
@@ -190,7 +190,8 @@ class DecisionTreeClassifier:
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
-        return _predict_values(self.root_, X, len(self.classes_))
+        # always 2-D, also for a tree that saw a single class
+        return _predict_values(self.root_, X, np.empty((X.shape[0], len(self.classes_))))
 
     def predict(self, X):
         proba = self.predict_proba(X)
@@ -224,4 +225,4 @@ class DecisionTreeRegressor:
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)
-        return _predict_values(self.root_, X, 1)
+        return _predict_values(self.root_, X, np.empty(X.shape[0]))

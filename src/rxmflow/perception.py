@@ -5,6 +5,12 @@ numeric-looking fields, None for empty fields, str for everything else.
 Column dtype is decided later by inspect_frame so stray tokens in an
 otherwise numeric column degrade to missing values instead of flipping the
 whole column to text.
+
+Each profile also carries the column's date share: the fraction of its
+non-missing cells that parse as dates. The date parser runs once per
+distinct text value, and its verdict is weighted by that value's count.
+Schema discovery reads the share from the profile rather than scanning the
+cells again.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -58,6 +65,7 @@ class ColumnProfile:
     max: float | None = None
     parse_failure_count: int = 0
     integer_valued: bool = False
+    date_share: float = 0.0      # date-parsing cells / non-missing cells
 
 
 @dataclass
@@ -166,6 +174,10 @@ def _profile_column(name: str, cells: list, n_rows: int, cfg: QualityConfig) -> 
     texts = [c for c in non_missing if isinstance(c, str)]
     missing_count = n_rows - len(non_missing)
     parse_failures = 0
+    date_cells = sum(
+        count for text, count in Counter(texts).items() if _parse_datetime(text)
+    )
+    date_share = date_cells / len(non_missing) if non_missing else 0.0
 
     unique_count = len({str(c) for c in non_missing})
     if unique_count <= 1:
@@ -175,10 +187,7 @@ def _profile_column(name: str, cells: list, n_rows: int, cfg: QualityConfig) -> 
         # stray text in a numeric column degrades to missing
         parse_failures = len(texts)
         missing_count += parse_failures
-    elif texts and (
-        sum(1 for t in texts if _parse_datetime(t)) / len(non_missing)
-        >= cfg.datetime_parse_threshold
-    ):
+    elif texts and date_share >= cfg.datetime_parse_threshold:
         dtype = DATETIME
     else:
         dtype = CATEGORICAL
@@ -192,6 +201,7 @@ def _profile_column(name: str, cells: list, n_rows: int, cfg: QualityConfig) -> 
         unique_count=unique_count,
         uniqueness_ratio=(unique_count / effective_non_missing) if effective_non_missing else 0.0,
         parse_failure_count=parse_failures,
+        date_share=date_share,
     )
     if numbers and dtype in (NUMERIC, CONSTANT):
         arr = np.asarray(numbers, dtype=float)
@@ -224,14 +234,13 @@ def inspect_frame(frame: DatasetFrame, cfg: QualityConfig | None = None) -> Data
     memory = 8 * frame.n_rows * numeric_cols + text_bytes
 
     preview = [frame.row(i) for i in range(min(5, frame.n_rows))]
-    seen = set()
-    duplicates = 0
-    for i in range(frame.n_rows):
-        key = tuple(str(v) for v in frame.row(i))
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
+    # rows compare by the text of each cell; coding each column's distinct
+    # texts as ints keeps the row keys small
+    coded = []
+    for cells in frame.columns:
+        codes: dict[str, int] = {}
+        coded.append([codes.setdefault(str(v), len(codes)) for v in cells])
+    duplicates = frame.n_rows - len(set(zip(*coded)))
 
     return DatasetMetadata(
         n_rows=frame.n_rows,

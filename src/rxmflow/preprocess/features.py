@@ -18,6 +18,7 @@ from ..config import PlanConfig
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
 from ..perception import DatasetFrame
+from .pipeline import most_frequent
 from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
 
 REASON_CONSTANT = "constant"
@@ -35,16 +36,12 @@ class FeatureReport:
     target_name: str | None = None
 
 
-def pearson(x_cells: list, y_cells: list) -> float | None:
-    """Pearson r with pairwise missing dropping; None when degenerate."""
-    pairs = [
-        (x, y) for x, y in zip(x_cells, y_cells)
-        if isinstance(x, float) and isinstance(y, float)
-    ]
-    if len(pairs) < 2:
+def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson r over the rows where neither value is NaN; None when degenerate."""
+    both = ~(np.isnan(x) | np.isnan(y))
+    if np.count_nonzero(both) < 2:
         return None
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
+    x, y = x[both], y[both]
     sx, sy = x.std(), y.std()
     if sx == 0.0 or sy == 0.0:
         return None
@@ -77,47 +74,30 @@ def _is_numeric_cell(cell) -> bool:
     return isinstance(cell, float)
 
 
-def _mode(values: list[str]) -> str:
-    """Most frequent value; ties break to the lexicographically smallest."""
-    if not values:
-        return ""
-    counts: dict[str, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return min(counts, key=lambda v: (-counts[v], v))
+def _float_column(cells: list) -> np.ndarray:
+    """Numeric cells as floats; NaN where a cell is missing or text."""
+    return np.array([c if _is_numeric_cell(c) else np.nan for c in cells], dtype=float)
 
 
-def _discrete_codes(cells: list, numeric: bool, n_bins: int):
-    """(row_indices, codes) for non-missing cells of one column."""
-    if numeric:
-        rows = [i for i, c in enumerate(cells) if _is_numeric_cell(c)]
-        values = np.array([cells[i] for i in rows], dtype=float)
-        if rows:
-            codes = equal_frequency_bins(values, n_bins)
-        else:
-            codes = np.array([], dtype=int)
+def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.ndarray:
+    """Per-row codes of one column, -1 where a cell is missing.
+
+    A numeric column passes its float array and is cut into equal-frequency
+    bins; a categorical one passes None and codes its sorted distinct values.
+    """
+    codes = np.full(len(cells), -1)
+    if floats is not None:
+        present = ~np.isnan(floats)
+        if present.any():
+            codes[present] = equal_frequency_bins(floats[present], n_bins)
     else:
         rows = [i for i, c in enumerate(cells) if c is not None]
         vocab = {v: k for k, v in enumerate(sorted({str(cells[i]) for i in rows}))}
-        codes = np.array([vocab[str(cells[i])] for i in rows], dtype=int)
-    return rows, codes
+        codes[rows] = [vocab[str(cells[i])] for i in rows]
+    return codes
 
 
-def _mi_against_target(frame, feature, numeric, target, target_numeric, n_bins):
-    f_rows, f_codes = _discrete_codes(frame.column(feature), numeric, n_bins)
-    t_rows, t_codes = _discrete_codes(frame.column(target), target_numeric, n_bins)
-    f_map = dict(zip(f_rows, f_codes.tolist()))
-    t_map = dict(zip(t_rows, t_codes.tolist()))
-    shared = sorted(set(f_rows) & set(t_rows))
-    if not shared:
-        return 0.0
-    return mutual_information(
-        np.array([f_map[i] for i in shared]),
-        np.array([t_map[i] for i in shared]),
-    )
-
-
-def _advisory_importances(frame, kept, schema, cfg, seed):
+def _advisory_importances(frame, kept, schema, floats, cfg, seed):
     """25-tree depth-8 forest on a 50% row subsample; advisory only."""
     target = schema.chosen_target
     target_cells = frame.column(target)
@@ -129,15 +109,14 @@ def _advisory_importances(frame, kept, schema, cfg, seed):
     for name in kept:
         cells = frame.column(name)
         if schema.roles[name] == FEATURE_NUMERIC:
-            values = [c for c in cells if _is_numeric_cell(c)]
-            fill = float(np.median(values)) if values else 0.0
-            columns.append([
-                c if _is_numeric_cell(c) else fill for c in cells
-            ])
+            missing = np.isnan(floats[name])
+            present = floats[name][~missing]
+            fill = float(np.median(present)) if present.size else 0.0
+            columns.append(np.where(missing, fill, floats[name]))
         else:
             present = [str(c) for c in cells if c is not None]
             vocab = {v: float(k) for k, v in enumerate(sorted(set(present)))}
-            fill = vocab.get(_mode(present), 0.0)
+            fill = vocab.get(most_frequent(present), 0.0)
             columns.append([
                 vocab[str(c)] if c is not None else fill for c in cells
             ])
@@ -191,25 +170,31 @@ def analyze_features(
         c for c in features
         if schema.roles[c] == FEATURE_NUMERIC and c not in removed
     ]
+    # each numeric column is read once; pearson, MI and the forest share it
+    floats = {name: _float_column(frame.column(name)) for name in numeric}
     for i, a in enumerate(numeric):
         for b in numeric[i + 1:]:
-            r = pearson(frame.column(a), frame.column(b))
+            r = pearson(floats[a], floats[b])
             if r is not None:
                 report.pearson_correlations[(a, b)] = r
 
     target = schema.chosen_target
     if target is not None:
+        target_cells = frame.column(target)
         target_numeric = all(
-            _is_numeric_cell(c)
-            for c in frame.column(target) if c is not None
+            _is_numeric_cell(c) for c in target_cells if c is not None
+        )
+        target_codes = _discrete_codes(
+            target_cells, _float_column(target_cells) if target_numeric else None,
+            cfg.mi_bins,
         )
         for name in features:
             if name in removed:
                 continue
-            report.mutual_information[name] = _mi_against_target(
-                frame, name, schema.roles[name] == FEATURE_NUMERIC,
-                target, target_numeric, cfg.mi_bins,
-            )
+            codes = _discrete_codes(frame.column(name), floats.get(name), cfg.mi_bins)
+            shared = (codes >= 0) & (target_codes >= 0)
+            report.mutual_information[name] = mutual_information(
+                codes[shared], target_codes[shared])
 
     # redundancy pass in deterministic column order
     for (a, b), r in sorted(
@@ -240,6 +225,6 @@ def analyze_features(
 
     if target is not None and report.kept:
         report.importances = _advisory_importances(
-            frame, report.kept, schema, cfg, seed
+            frame, report.kept, schema, floats, cfg, seed
         )
     return report

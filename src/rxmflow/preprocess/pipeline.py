@@ -45,7 +45,9 @@ def _category_key(cell) -> str:
     return str(cell)
 
 
-def _mode(values: list[str]) -> str:
+def most_frequent(values: list[str]) -> str:
+    """Most frequent value; ties break to the lexicographically smallest,
+    and an empty input gives ""."""
     counts: dict[str, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
@@ -176,7 +178,7 @@ def fit_pipeline(
             keys = [
                 _category_key(cells[i]) for i in train if cells[i] is not None
             ]
-            fit.impute_value = _mode(keys)
+            fit.impute_value = most_frequent(keys)
             if directive.encoding == ENCODE_ONE_HOT:
                 fit.vocabulary = sorted(set(keys))
                 feature_names.extend(f"{name}={cat}" for cat in fit.vocabulary)
@@ -299,7 +301,7 @@ def _knn_lookup(pipeline, fit, query_coords):
     chosen = candidates[order[:k]]
     if fit.numeric:
         return float(np.mean(raw[chosen].astype(float)))
-    return _mode([str(v) for v in raw[chosen]])
+    return most_frequent([str(v) for v in raw[chosen]])
 
 
 def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):

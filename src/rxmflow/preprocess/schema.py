@@ -5,6 +5,11 @@ candidate, then feature by dtype. Non-chosen target candidates stay out of
 the feature set on purpose: a sibling label column (say a failure
 probability next to a priority label) would leak the outcome into the
 model.
+
+Date parsing is not repeated here: a column is a timestamp when the date
+share on its perception profile reaches the schema's own cutoff, which is
+lower than perception's, so a column perception calls categorical can
+still hold timestamps.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from ..config import PatternConfig
 from ..errors import AmbiguousTargetError
 from ..perception import (
     CATEGORICAL, CONSTANT, DATETIME, NUMERIC,
-    DatasetFrame, DatasetMetadata, _parse_datetime,
+    DatasetFrame, DatasetMetadata,
 )
 
 IDENTIFIER = "identifier"
@@ -119,7 +124,7 @@ def discover_schema(
         elif ts_pattern:
             roles[name] = TIMESTAMP
             evidence[name] = f"name token starts with {ts_pattern!r}"
-        elif _mostly_dates(frame.column(name), cfg):
+        elif profile.date_share >= cfg.datetime_parse_cutoff:
             roles[name] = TIMESTAMP
             evidence[name] = "most non-missing cells parse as dates"
         elif target_pattern:
@@ -164,10 +169,3 @@ def resolve_ambiguous_target(
     """Rule-based fallback: pick the last matching column as the target."""
     return discover_schema(frame, metadata, target_hint=candidates[-1], cfg=cfg)
 
-
-def _mostly_dates(cells: list, cfg: PatternConfig) -> bool:
-    non_missing = [c for c in cells if c is not None]
-    if not non_missing:
-        return False
-    parsed = sum(1 for c in non_missing if isinstance(c, str) and _parse_datetime(c))
-    return parsed / len(non_missing) >= cfg.datetime_parse_cutoff

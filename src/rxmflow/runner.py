@@ -26,6 +26,7 @@ from .errors import (
     AllModelsFailedError, AmbiguousTargetError, DataLoadError,
     SinkUnwritableError,
 )
+from .models.iforest import valid_contamination
 from .orchestrator import TriggerConfig, plan_next_step, slm_advise
 from .perception import flag_quality_issues, inspect_frame, load_csv
 from .preprocess import (
@@ -383,6 +384,8 @@ class WorkflowRunner:
             value = float(answer)
         except ValueError:
             return "auto" if answer == "auto" else config.contamination
+        if not valid_contamination(value):
+            return config.contamination
         self.audit.append("human", "parameter_approved", {
             "parameter": "contamination", "value": value,
         })

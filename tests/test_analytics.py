@@ -153,6 +153,23 @@ def test_fit_predict_evaluate_classification(rng):
     assert len(result.prediction_confidence) == len(test)
 
 
+@pytest.mark.parametrize("family", ["random_forest_clf", "logistic_regression"])
+def test_classification_predictions_equal_model_predict(rng, family):
+    # overlapping classes, so argmax ties and close calls do occur
+    X = np.vstack([rng.normal(loc=c, size=(100, 2)) for c in (-0.5, 0.0, 0.5)])
+    y = ["lo"] * 100 + ["mid"] * 100 + ["hi"] * 100
+    train, test = split_train_test(300, CLASSIFICATION, y, 0.8, seed=1)
+    spec = next(
+        s for s in select_candidates(CLASSIFICATION, 300) if s.family == family
+    )
+    labels = [y[i] for i in train]
+    result = fit_predict_evaluate(
+        X[train], labels, X[test], [y[i] for i in test], spec, CLASSIFICATION,
+    )
+    model = analytics._build_model(spec).fit(X[train], np.array(labels))
+    assert result.test_predictions == model.predict(X[test]).tolist()
+
+
 def test_fit_predict_evaluate_regression_attaches_train_stats(rng):
     X = rng.normal(size=(200, 2))
     y = (X @ np.array([2.0, -1.0]) + 5.0).tolist()

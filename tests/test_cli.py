@@ -80,6 +80,12 @@ def test_contamination_must_be_fraction_or_auto():
         main(["--data", "x.csv", "--contamination", "lots"])
 
 
+@pytest.mark.parametrize("value", ["2", "-1", "0", "0.51", "nan"])
+def test_contamination_outside_the_range_is_rejected(value):
+    with pytest.raises(SystemExit, match=r"in \(0, 0\.5\]"):
+        main(["--data", "x.csv", "--contamination", value])
+
+
 def test_anomaly_flag_maps_to_task(csv_path, tmp_path):
     code = main([
         "--data", csv_path, "--task", "anomaly", "--contamination", "0.02",

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rxmflow.errors import NoFeaturesError
 from rxmflow.perception import inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    equal_frequency_bins, mutual_information, pearson,
+    _float_column, equal_frequency_bins, mutual_information, pearson,
 )
 from rxmflow.synth import maintenance_frame
 
@@ -39,14 +41,44 @@ def brute_force_mi(x_codes, y_codes):
 
 
 def test_pearson_of_identical_columns_is_one():
-    x = [float(i) for i in range(50)]
+    x = np.arange(50, dtype=float)
     assert pearson(x, x) == pytest.approx(1.0)
 
 
 def test_pearson_pairwise_drops_missing():
-    x = [1.0, 2.0, None, 4.0, 5.0]
-    y = [2.0, 4.0, 100.0, 8.0, 10.0]
+    x = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+    y = np.array([2.0, 4.0, 100.0, 8.0, 10.0])
     assert pearson(x, y) == pytest.approx(1.0)
+
+
+def pearson_over_cells(x_cells, y_cells):
+    """Reference: Pearson r over the list of pairs where both cells are floats."""
+    pairs = [
+        (x, y) for x, y in zip(x_cells, y_cells)
+        if isinstance(x, float) and isinstance(y, float)
+    ]
+    if len(pairs) < 2:
+        return None
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    sx, sy = x.std(), y.std()
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+feature_cell = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6), st.none(), st.just("n/a"),
+)
+
+
+@given(st.lists(st.tuples(feature_cell, feature_cell), max_size=40))
+def test_pearson_matches_the_per_cell_reference(pairs):
+    x_cells = [x for x, _ in pairs]
+    y_cells = [y for _, y in pairs]
+    assert pearson(_float_column(x_cells), _float_column(y_cells)) == (
+        pearson_over_cells(x_cells, y_cells)
+    )
 
 
 def test_identical_columns_deduplicated():

@@ -1,10 +1,14 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rxmflow.errors import EmptyFrameError, FileMissingError, MalformedCsvError
 from rxmflow.perception import (
-    CATEGORICAL, CONSTANT, NUMERIC, flag_quality_issues, inspect_frame,
-    load_csv,
+    _DATETIME_FORMATS, CATEGORICAL, CONSTANT, NUMERIC, _parse_datetime,
+    flag_quality_issues, inspect_frame, load_csv,
 )
 from rxmflow.synth import maintenance_frame, network_frame, write_csv
 
@@ -196,3 +200,47 @@ def test_memory_estimate_formula():
     })
     metadata = inspect_frame(frame)
     assert metadata.estimated_memory_bytes == 8 * 3 * 1 + 3
+
+
+date_texts = st.builds(
+    datetime.strftime,
+    st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2040, 12, 31)),
+    st.sampled_from(_DATETIME_FORMATS),
+)
+any_cell = st.one_of(
+    date_texts,
+    st.text(max_size=12),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.none(),
+)
+
+
+@st.composite
+def repetitive_columns(draw):
+    """Columns drawn from a small pool of cells, so values repeat."""
+    pool = draw(st.lists(any_cell, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@given(repetitive_columns())
+def test_date_share_matches_a_per_cell_count(cells):
+    profile = inspect_frame(make_frame({"c": cells})).profile("c")
+    non_missing = [c for c in cells if c is not None]
+    dates = sum(1 for c in non_missing if isinstance(c, str) and _parse_datetime(c))
+    expected = dates / len(non_missing) if non_missing else 0.0
+    assert profile.date_share == expected
+
+
+look_alike_cell = st.sampled_from([0.0, -0.0, 1.0, "1.0", 2.5, "a", "None", None])
+
+
+@given(st.lists(st.tuples(look_alike_cell, look_alike_cell, look_alike_cell),
+                min_size=1, max_size=30))
+def test_duplicate_rows_match_a_row_text_reference(rows):
+    frame = make_frame({f"c{j}": [row[j] for row in rows] for j in range(3)})
+    seen, duplicates = set(), 0
+    for row in rows:
+        key = tuple(str(v) for v in row)
+        duplicates += key in seen
+        seen.add(key)
+    assert inspect_frame(frame).duplicate_row_count == duplicates

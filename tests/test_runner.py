@@ -166,6 +166,20 @@ def test_anomaly_override_skips_target_prompt(tmp_path):
     assert runner.artifacts.review_outcome.status == "approved"
 
 
+@pytest.mark.parametrize("answer, approved", [
+    ("2", 0.01), ("-1", 0.01), ("0", 0.01), ("lots", 0.01), ("0.5", 0.5),
+])
+def test_reviewer_contamination_must_be_in_range(
+        maintenance_csv, tmp_path, answer, approved):
+    config = config_for(maintenance_csv, tmp_path, contamination=0.01,
+                        auto_approve=False)
+    runner = WorkflowRunner(
+        config, io=ReviewIO(io.StringIO(answer + "\n"), io.StringIO()),
+        clock=TickClock(),
+    )
+    assert runner._approve_contamination() == approved
+
+
 def test_anomaly_run_produces_advisories(tmp_path):
     path = tmp_path / "network.csv"
     write_csv(network_frame(n_rows=2000, seed=13, n_outliers=20), path)

@@ -1,7 +1,7 @@
 import pytest
 
 from rxmflow.errors import AmbiguousTargetError
-from rxmflow.perception import inspect_frame
+from rxmflow.perception import CATEGORICAL, CONSTANT, inspect_frame
 from rxmflow.preprocess import discover_schema
 from rxmflow.preprocess.schema import (
     FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, TARGET_CANDIDATE,
@@ -67,6 +67,28 @@ def test_date_parsing_detects_unnamed_timestamp():
         "x": [float(i % 5) for i in range(20)],
     })
     assert schema.roles["recorded"] == TIMESTAMP
+
+
+def test_constant_date_column_is_still_a_timestamp():
+    frame = make_frame({
+        "recorded": ["2025-03-01"] * 20,
+        "x": [float(i % 5) for i in range(20)],
+    })
+    metadata = inspect_frame(frame)
+    assert metadata.profile("recorded").inferred_dtype == CONSTANT
+    assert discover_schema(frame, metadata).roles["recorded"] == TIMESTAMP
+
+
+def test_mostly_dates_is_categorical_in_perception_but_a_timestamp():
+    # 46 of 50 cells are dates: below perception's 0.95, above schema's 0.90
+    days = [f"2025-03-{d:02d}" for d in (1, 2, 3, 4, 5)]
+    cells = [days[i % 5] for i in range(46)] + ["n/a"] * 4
+    frame = make_frame({"recorded": cells, "x": [float(i % 5) for i in range(50)]})
+    metadata = inspect_frame(frame)
+    profile = metadata.profile("recorded")
+    assert profile.date_share == pytest.approx(0.92)
+    assert profile.inferred_dtype == CATEGORICAL
+    assert discover_schema(frame, metadata).roles["recorded"] == TIMESTAMP
 
 
 def test_remaining_columns_become_features_by_dtype():

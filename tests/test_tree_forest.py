@@ -94,3 +94,27 @@ def test_forest_regressor_learns_smooth_signal(rng):
     ss_res = float(np.sum((pred - y) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     assert 1.0 - ss_res / ss_tot >= 0.9
+
+
+def test_single_class_tree_returns_one_probability_column(rng):
+    X = rng.normal(size=(50, 3))
+    tree = DecisionTreeClassifier().fit(X, np.array(["a"] * 50))
+    assert tree.predict_proba(X).shape == (50, 1)
+    assert tree.predict(X).tolist() == ["a"] * 50
+
+
+def test_single_class_forest_predicts(rng):
+    X = rng.normal(size=(50, 3))
+    forest = RandomForestClassifier(n_estimators=5, seed=0).fit(X, np.array(["a"] * 50))
+    assert forest.predict_proba(X).shape == (50, 1)
+    assert forest.predict(X).tolist() == ["a"] * 50
+
+
+def test_forest_with_a_tree_that_missed_the_rare_class(rng):
+    X = rng.normal(size=(50, 3))
+    forest = RandomForestClassifier(n_estimators=20, seed=0).fit(
+        X, np.array(["a"] * 49 + ["b"]))
+    assert any(len(tree.classes_) == 1 for tree in forest.trees_)
+    proba = forest.predict_proba(X)
+    assert proba.shape == (50, 2)
+    assert np.allclose(proba.sum(axis=1), 1.0)
