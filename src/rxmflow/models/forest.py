@@ -1,9 +1,11 @@
 """Random forests over the CART trees.
 
-Each tree gets its own rng seeded seed + tree_index, so results are
-bit-identical regardless of how the trees would be scheduled. Per-split
-feature subsampling defaults to sqrt(p) for classification and p // 3 for
-regression; bootstrap resampling is on by default.
+Both forests share one fit loop; they differ only in the tree estimator
+and in how tree outputs combine. Each tree gets its own rng seeded
+seed + tree_index, so results are bit-identical regardless of how the
+trees would be scheduled. Per-split feature subsampling defaults to
+sqrt(p) for classification and p // 3 for regression; bootstrap
+resampling is on by default.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ def _combine_importances(trees):
     return mean / mean.sum()
 
 
-class RandomForestClassifier:
-    def __init__(self, n_estimators=100, max_depth=None, min_samples_split=2,
-                 max_features="sqrt", bootstrap=True, seed=0):
+class _Forest:
+    def __init__(self, n_estimators, max_depth, min_samples_split, max_features,
+                 bootstrap, seed):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -42,26 +44,35 @@ class RandomForestClassifier:
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def fit(self, X, y):
+    def _fit_trees(self, X, y, tree_class):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        self.classes_ = np.array(sorted(set(y.tolist())))
         n = X.shape[0]
         max_features = _resolve_max_features(self.max_features, X.shape[1])
         self.trees_ = []
         for i in range(self.n_estimators):
             rng = np.random.default_rng(self.seed + i)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTreeClassifier(
+            tree = tree_class(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 max_features=max_features,
                 seed=self.seed + i,
             )
-            tree.fit(X[idx], y[idx])
-            self.trees_.append(tree)
+            self.trees_.append(tree.fit(X[idx], y[idx]))
         self.feature_importances_ = _combine_importances(self.trees_)
         return self
+
+
+class RandomForestClassifier(_Forest):
+    def __init__(self, n_estimators=100, max_depth=None, min_samples_split=2,
+                 max_features="sqrt", bootstrap=True, seed=0):
+        super().__init__(n_estimators, max_depth, min_samples_split,
+                         max_features, bootstrap, seed)
+
+    def fit(self, X, y):
+        y = np.asarray(y)
+        self.classes_ = np.array(sorted(set(y.tolist())))
+        return self._fit_trees(X, y, DecisionTreeClassifier)
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
@@ -78,35 +89,14 @@ class RandomForestClassifier:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(_Forest):
     def __init__(self, n_estimators=100, max_depth=None, min_samples_split=2,
                  max_features="third", bootstrap=True, seed=0):
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.bootstrap = bootstrap
-        self.seed = seed
+        super().__init__(n_estimators, max_depth, min_samples_split,
+                         max_features, bootstrap, seed)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n = X.shape[0]
-        max_features = _resolve_max_features(self.max_features, X.shape[1])
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            rng = np.random.default_rng(self.seed + i)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=max_features,
-                seed=self.seed + i,
-            )
-            tree.fit(X[idx], y[idx])
-            self.trees_.append(tree)
-        self.feature_importances_ = _combine_importances(self.trees_)
-        return self
+        return self._fit_trees(X, np.asarray(y, dtype=float), DecisionTreeRegressor)
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)

@@ -1,10 +1,19 @@
 """CART decision trees: Gini impurity for classification, variance
 reduction for regression.
 
-Split search is vectorized per node: each candidate feature is sorted once
-and impurity is evaluated at every boundary between distinct values via
-cumulative sums. Left branch takes x <= threshold, where the threshold is
-the midpoint between the two straddling values.
+A fitted tree is five flat arrays indexed by node id, in depth-first
+order with the root at 0: `feature_` (-1 at a leaf), `threshold_`,
+`left_`, `right_` (child ids) and `value_` (class-probability rows, or the
+leaf means). Rows go left when x <= threshold, where the threshold is the
+midpoint between the two straddling values.
+
+Split search scores all of a node's drawn features in one pass: their
+values are gathered as one (features, rows) array, each row is sorted
+stably, and the impurity at every position comes from cumulative class
+counts (or sums of y and y*y). Positions between equal values are ruled
+out, the first best boundary is taken per feature and the first best
+feature in draw order wins. A classification split hands its left and
+right class counts down to the children.
 """
 
 from __future__ import annotations
@@ -12,217 +21,176 @@ from __future__ import annotations
 import numpy as np
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples")
+class _Grower:
+    """Grows one tree depth-first into flat node lists."""
 
-    def __init__(self, value, n_samples):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value          # class-probability vector or mean target
-        self.n_samples = n_samples
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
-def _gini_from_counts(counts, totals):
-    # counts: (boundaries, classes); totals: (boundaries,)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = counts / totals[:, None]
-    return 1.0 - np.nansum(p * p, axis=1)
-
-
-class _TreeBuilder:
-    def __init__(self, classification, n_classes, max_depth, min_samples_split,
+    def __init__(self, X, y, n_classes, max_depth, min_samples_split,
                  max_features, rng):
-        self.classification = classification
-        self.n_classes = n_classes
+        self.XT = np.ascontiguousarray(X.T)     # feature-major
+        self.y = y
+        self.n_classes = n_classes              # 0 for regression
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.rng = rng
-        self.importances = None
-
-    def build(self, X, y):
-        self.X = X
-        self.y = y
-        self.n_total = X.shape[0]
         self.importances = np.zeros(X.shape[1])
-        return self._grow(np.arange(X.shape[0]), depth=0)
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
-    def _leaf_value(self, idx):
-        if self.classification:
-            counts = np.bincount(self.y[idx], minlength=self.n_classes)
-            return counts / counts.sum()
-        return float(self.y[idx].mean())
+    def grow(self, idx, depth, counts=None):
+        """Add the subtree over rows `idx`; return its node id.
 
-    def _node_impurity(self, idx):
-        if self.classification:
-            counts = np.bincount(self.y[idx], minlength=self.n_classes)
-            p = counts / counts.sum()
-            return 1.0 - float(np.sum(p * p))
-        return float(self.y[idx].var())
-
-    def _grow(self, idx, depth):
-        node = _Node(self._leaf_value(idx), len(idx))
+        `counts` are the rows' class counts when the parent's split search
+        already has them.
+        """
+        node = len(self.feature)
+        if self.n_classes:
+            if counts is None:
+                counts = np.bincount(self.y[idx], minlength=self.n_classes)
+            value = p = counts / counts.sum()
+        else:
+            value = float(self.y[idx].mean())
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
         if len(idx) < self.min_samples_split:
             return node
         if self.max_depth is not None and depth >= self.max_depth:
             return node
-        impurity = self._node_impurity(idx)
+        impurity = 1.0 - float((p * p).sum()) if self.n_classes else float(self.y[idx].var())
         if impurity <= 0.0:
             return node
 
         split = self._best_split(idx, impurity)
         if split is None:
             return node
-        feature, threshold, gain = split
-        mask = self.X[idx, feature] <= threshold
+        feature, threshold, gain, n_left, left_counts, right_counts = split
+        mask = self.XT[feature, idx] <= threshold
         left_idx = idx[mask]
         right_idx = idx[~mask]
         if len(left_idx) == 0 or len(right_idx) == 0:
             return node
+        if len(left_idx) != n_left:
+            # the midpoint rounded onto the upper value: recount the children
+            left_counts = right_counts = None
 
-        self.importances[feature] += (len(idx) / self.n_total) * gain
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(left_idx, depth + 1)
-        node.right = self._grow(right_idx, depth + 1)
+        self.importances[feature] += (len(idx) / len(self.y)) * gain
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = self.grow(left_idx, depth + 1, left_counts)
+        self.right[node] = self.grow(right_idx, depth + 1, right_counts)
         return node
 
     def _best_split(self, idx, parent_impurity):
-        n_features = self.X.shape[1]
+        """(feature, threshold, gain, rows left, left counts, right counts) or None.
+
+        Returns scalars and fresh count rows only, so the per-position
+        arrays are freed before the caller recurses.
+        """
+        n_features = self.XT.shape[0]
         if self.max_features is None or self.max_features >= n_features:
             feats = np.arange(n_features)
         else:
             feats = self.rng.choice(n_features, size=self.max_features, replace=False)
 
         n = len(idx)
-        best = None   # (gain, feature, threshold)
-        y = self.y[idx]
-        for f in feats:
-            x = self.X[idx, f]
-            order = np.argsort(x, kind="mergesort")
-            xs = x[order]
-            boundaries = np.nonzero(xs[1:] != xs[:-1])[0]
-            if boundaries.size == 0:
-                continue
-            n_left = boundaries + 1
-            n_right = n - n_left
-            if self.classification:
-                onehot = np.zeros((n, self.n_classes))
-                onehot[np.arange(n), y[order]] = 1.0
-                cum = np.cumsum(onehot, axis=0)
-                left_counts = cum[boundaries]
-                right_counts = cum[-1] - left_counts
-                imp_left = _gini_from_counts(left_counts, n_left.astype(float))
-                imp_right = _gini_from_counts(right_counts, n_right.astype(float))
-            else:
-                ys = y[order].astype(float)
-                s1 = np.cumsum(ys)
-                s2 = np.cumsum(ys * ys)
-                lmean = s1[boundaries] / n_left
-                imp_left = s2[boundaries] / n_left - lmean * lmean
-                rsum = s1[-1] - s1[boundaries]
-                rsq = s2[-1] - s2[boundaries]
-                rmean = rsum / n_right
-                imp_right = rsq / n_right - rmean * rmean
-            weighted = (n_left * imp_left + n_right * imp_right) / n
-            i = int(np.argmin(weighted))
-            gain = parent_impurity - float(weighted[i])
-            if gain <= 1e-15:
-                continue
-            if best is None or gain > best[0]:
-                b = boundaries[i]
-                best = (gain, int(f), float((xs[b] + xs[b + 1]) / 2.0))
-        if best is None:
+        drawn = feats[:, None]
+        order = idx[self.XT[drawn, idx].argsort(axis=1, kind="mergesort")]
+        xs = self.XT[drawn, order]                       # (features, rows), sorted
+        ys = self.y[order]
+        # position b splits the sorted rows into b + 1 left and n - b - 1 right
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        if self.n_classes:
+            cum = np.cumsum(ys[..., None] == np.arange(self.n_classes), axis=1)
+            left = cum[:, :-1]
+            right = cum[:, -1:] - left
+            p_left = left / n_left[:, None]
+            p_right = right / n_right[:, None]
+            imp_left = 1.0 - (p_left * p_left).sum(axis=2)
+            imp_right = 1.0 - (p_right * p_right).sum(axis=2)
+        else:
+            s1 = np.cumsum(ys, axis=1)
+            s2 = np.cumsum(ys * ys, axis=1)
+            lmean = s1[:, :-1] / n_left
+            imp_left = s2[:, :-1] / n_left - lmean * lmean
+            rmean = (s1[:, -1:] - s1[:, :-1]) / n_right
+            imp_right = (s2[:, -1:] - s2[:, :-1]) / n_right - rmean * rmean
+        weighted = (n_left * imp_left + n_right * imp_right) / n
+        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf      # not a boundary
+        at = weighted.argmin(axis=1)
+        gains = parent_impurity - weighted[np.arange(len(feats)), at]
+        j = int(gains.argmax())
+        if gains[j] <= 1e-15:
             return None
-        gain, feature, threshold = best
-        return feature, threshold, gain
+        b = int(at[j])
+        threshold = float((xs[j, b] + xs[j, b + 1]) / 2.0)
+        if not self.n_classes:
+            return int(feats[j]), threshold, float(gains[j]), b + 1, None, None
+        return (int(feats[j]), threshold, float(gains[j]), b + 1,
+                cum[j, b].copy(), cum[j, -1] - cum[j, b])
 
 
-def _predict_values(root, X, out):
-    """Fill `out` (one row per row of X) with the leaf value each row reaches."""
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+class _Tree:
+    """Shared fit and prediction of the two CART estimators."""
 
-
-class DecisionTreeClassifier:
     def __init__(self, max_depth=None, min_samples_split=2, max_features=None, seed=0):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.seed = seed
 
-    def fit(self, X, y):
+    def _fit(self, X, y, n_classes):
         X = np.asarray(X, dtype=float)
+        grower = _Grower(
+            X, y, n_classes, self.max_depth, self.min_samples_split,
+            self.max_features, np.random.default_rng(self.seed),
+        )
+        grower.grow(np.arange(X.shape[0]), depth=0)
+        self.feature_ = np.array(grower.feature, dtype=np.intp)
+        self.threshold_ = np.array(grower.threshold, dtype=float)
+        self.left_ = np.array(grower.left, dtype=np.intp)
+        self.right_ = np.array(grower.right, dtype=np.intp)
+        self.value_ = np.array(grower.value, dtype=float)
+        total = grower.importances.sum()
+        self.feature_importances_ = (
+            grower.importances / total if total > 0 else grower.importances
+        )
+        return self
+
+    def _predict_values(self, X):
+        """The leaf value each row of X reaches, one tree level at a time."""
+        X = np.asarray(X, dtype=float)
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.feature_[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = X[active, self.feature_[at]] <= self.threshold_[at]
+            node[active] = np.where(goes_left, self.left_[at], self.right_[at])
+            active = active[self.feature_[node[active]] >= 0]
+        return self.value_[node]
+
+
+class DecisionTreeClassifier(_Tree):
+    def fit(self, X, y):
         y = np.asarray(y)
         self.classes_ = np.array(sorted(set(y.tolist())))
         lookup = {c: i for i, c in enumerate(self.classes_.tolist())}
         y_enc = np.array([lookup[v] for v in y.tolist()], dtype=int)
-        builder = _TreeBuilder(
-            classification=True,
-            n_classes=len(self.classes_),
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            rng=np.random.default_rng(self.seed),
-        )
-        self.root_ = builder.build(X, y_enc)
-        total = builder.importances.sum()
-        self.feature_importances_ = (
-            builder.importances / total if total > 0 else builder.importances
-        )
-        return self
+        return self._fit(X, y_enc, len(self.classes_))
 
     def predict_proba(self, X):
-        X = np.asarray(X, dtype=float)
         # always 2-D, also for a tree that saw a single class
-        return _predict_values(self.root_, X, np.empty((X.shape[0], len(self.classes_))))
+        return self._predict_values(X)
 
     def predict(self, X):
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
 
-class DecisionTreeRegressor:
-    def __init__(self, max_depth=None, min_samples_split=2, max_features=None, seed=0):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.seed = seed
-
+class DecisionTreeRegressor(_Tree):
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        builder = _TreeBuilder(
-            classification=False,
-            n_classes=0,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            rng=np.random.default_rng(self.seed),
-        )
-        self.root_ = builder.build(X, y)
-        total = builder.importances.sum()
-        self.feature_importances_ = (
-            builder.importances / total if total > 0 else builder.importances
-        )
-        return self
+        return self._fit(X, np.asarray(y, dtype=float), 0)
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        return _predict_values(self.root_, X, np.empty(X.shape[0]))
+        return self._predict_values(X)

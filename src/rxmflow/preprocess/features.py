@@ -74,6 +74,24 @@ def _is_numeric_cell(cell) -> bool:
     return isinstance(cell, float)
 
 
+def _is_constant(cells: list) -> bool:
+    """At most one distinct text among the non-missing cells.
+
+    Stops at the first text that differs from the first one, so a varying
+    column costs a few `str` calls, not one per cell.
+    """
+    first = None
+    for cell in cells:
+        if cell is None:
+            continue
+        text = str(cell)
+        if first is None:
+            first = text
+        elif text != first:
+            return False
+    return True
+
+
 def _float_column(cells: list) -> np.ndarray:
     """Numeric cells as floats; NaN where a cell is missing or text."""
     return np.array([c if _is_numeric_cell(c) else np.nan for c in cells], dtype=float)
@@ -151,8 +169,13 @@ def analyze_features(
     schema: SchemaMap,
     cfg: PlanConfig | None = None,
     seed: int = 0,
+    supervised: bool = True,
 ) -> FeatureReport:
-    """Partition features into kept and removed with full evidence."""
+    """Partition features into kept and removed with full evidence.
+
+    The advisory forest is fitted only for a supervised task with a target;
+    an anomaly run that still names a target gets no importances.
+    """
     cfg = cfg or PlanConfig()
     features = [c for c in frame.column_names if c in schema.feature_columns()]
     if not features:
@@ -162,8 +185,7 @@ def analyze_features(
     removed: dict[str, str] = {}
 
     for name in features:
-        distinct = {str(c) for c in frame.column(name) if c is not None}
-        if len(distinct) <= 1:
+        if _is_constant(frame.column(name)):
             removed[name] = REASON_CONSTANT
 
     numeric = [
@@ -223,7 +245,7 @@ def analyze_features(
     report.removed = [(name, removed[name]) for name in features if name in removed]
     report.kept = [name for name in features if name not in removed]
 
-    if target is not None and report.kept:
+    if supervised and target is not None and report.kept:
         report.importances = _advisory_importances(
             frame, report.kept, schema, floats, cfg, seed
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 from . import analytics, optimize
@@ -70,6 +71,12 @@ class WorkflowConfig:
     patterns: PatternConfig = field(default_factory=PatternConfig)
     plan_cfg: PlanConfig = field(default_factory=PlanConfig)
     recommend_cfg: RecommendationConfig | None = None
+
+    def __post_init__(self):
+        c = self.contamination
+        if c != "auto" and not (isinstance(c, Real) and valid_contamination(c)):
+            raise ValueError(
+                f"contamination must be 'auto' or a fraction in (0, 0.5], got {c!r}")
 
 
 @dataclass
@@ -323,7 +330,8 @@ class WorkflowRunner:
             "task": art.task, "target": art.schema.chosen_target,
         })
         art.feature_report = analyze_features(
-            art.frame, art.schema, config.plan_cfg, seed=config.seed
+            art.frame, art.schema, config.plan_cfg, seed=config.seed,
+            supervised=art.task != analytics.ANOMALY,
         )
         art.plan = mark_removed(
             decide_tools(art.metadata, art.schema, config.plan_cfg),

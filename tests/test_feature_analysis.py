@@ -10,7 +10,7 @@ from rxmflow.perception import inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    _float_column, equal_frequency_bins, mutual_information, pearson,
+    _float_column, _is_constant, equal_frequency_bins, mutual_information, pearson,
 )
 from rxmflow.synth import maintenance_frame
 
@@ -79,6 +79,14 @@ def test_pearson_matches_the_per_cell_reference(pairs):
     assert pearson(_float_column(x_cells), _float_column(y_cells)) == (
         pearson_over_cells(x_cells, y_cells)
     )
+
+
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]), st.none(),
+    st.sampled_from(["0.0", "-0.0", "a"]),
+), max_size=12))
+def test_constant_check_matches_the_distinct_text_set(cells):
+    assert _is_constant(cells) == (len({str(c) for c in cells if c is not None}) <= 1)
 
 
 def test_identical_columns_deduplicated():

@@ -200,6 +200,34 @@ def test_anomaly_run_produces_advisories(tmp_path):
     assert "Network_Latency" in flagged_features
 
 
+def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path):
+    path = tmp_path / "network.csv"
+    write_csv(network_frame(n_rows=800, seed=13, n_outliers=8), path)
+    _, anomaly = run_workflow(
+        config_for(str(path), tmp_path, task="anomaly_detection"), clock=TickClock())
+    assert anomaly.schema.chosen_target is not None
+    assert anomaly.feature_report.importances is None
+    assert anomaly.feature_report.mutual_information
+
+    _, classified = run_workflow(config_for(maintenance_csv, tmp_path), clock=TickClock())
+    assert classified.task == "classification"
+    assert set(classified.feature_report.importances) == set(classified.feature_report.kept)
+
+
+@pytest.mark.parametrize("contamination", ["auto", 0.01, 0.5])
+def test_config_accepts_auto_or_a_fraction(tmp_path, contamination):
+    config = config_for("x.csv", tmp_path, contamination=contamination)
+    assert config.contamination == contamination
+
+
+@pytest.mark.parametrize("contamination", [
+    2, 1, -1, 0, 0.51, float("nan"), True, "0.1", None,
+])
+def test_config_rejects_contamination_out_of_range(tmp_path, contamination):
+    with pytest.raises(ValueError, match="contamination"):
+        config_for("x.csv", tmp_path, contamination=contamination)
+
+
 def test_regression_run_ranks_by_priority_score(tmp_path):
     path = tmp_path / "failure.csv"
     write_csv(failure_frame(n_rows=600, seed=11), path)

@@ -1,5 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rxmflow.models import (
     DecisionTreeClassifier, DecisionTreeRegressor, RandomForestClassifier,
@@ -27,9 +32,10 @@ def test_tree_gini_split_matches_hand_computation():
     X = np.array([[1.0], [1.2], [2.0], [2.2]])
     y = np.array([0, 0, 1, 1])
     tree = DecisionTreeClassifier(seed=0).fit(X, y)
-    assert tree.root_.feature == 0
-    assert tree.root_.threshold == pytest.approx(1.6)
-    assert tree.root_.left.is_leaf and tree.root_.right.is_leaf
+    assert tree.feature_[0] == 0
+    assert tree.threshold_[0] == pytest.approx(1.6)
+    left, right = tree.left_[0], tree.right_[0]
+    assert tree.feature_[left] == -1 and tree.feature_[right] == -1
 
 
 def test_regression_tree_reduces_variance(rng):
@@ -118,3 +124,81 @@ def test_forest_with_a_tree_that_missed_the_rare_class(rng):
     proba = forest.predict_proba(X)
     assert proba.shape == (50, 2)
     assert np.allclose(proba.sum(axis=1), 1.0)
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def test_forests_match_golden_digests():
+    # digests taken from the node-object trees this core replaced; they pin
+    # the split search, the tie rules, the rng draw order and the importances
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(160, 7))
+    X[:, 3] = np.round(X[:, 3])           # heavy ties
+    X[:, 5] = 0.0                          # a constant feature
+    y = np.where(X[:, 0] + X[:, 1] > 0, "hi", "lo").astype(object)
+    y[X[:, 2] > 1.0] = "mid"
+    y[:2] = "rare"
+    clf = RandomForestClassifier(n_estimators=12, seed=7).fit(X, y)
+    assert any("rare" not in tree.classes_.tolist() for tree in clf.trees_)
+    queries = rng.normal(size=(50, 7))
+    assert _digest(clf.predict_proba(queries)) == (
+        "8e138c007acaf7b62e5eb5aad2d06fa2063c32ffc309321dd7c8b626450305c7")
+    assert _digest(clf.feature_importances_) == (
+        "0dd905db9c893fbff43cd9c52e1b432af6673aca85eb0ff9b51de6e3862479a2")
+
+    target = X[:, 0] * 2.0 - X[:, 4] + np.round(X[:, 1]) + rng.normal(0, 0.1, 160)
+    reg = RandomForestRegressor(n_estimators=12, max_depth=8, seed=3).fit(X, target)
+    assert _digest(reg.predict(queries)) == (
+        "d1927e239d69f3078fc5228cea614fe7076e44af88423b9497d30577658adce5")
+    assert _digest(reg.feature_importances_) == (
+        "2c5d7eef1f69d1259ea2000d7aba6c0df64da04cac36c644faa23cc15d25c57e")
+
+
+def test_tree_with_midpoints_that_round_onto_a_value_matches_golden_digests():
+    # between 1 + eps and 1 + 2 eps the midpoint rounds up to 1 + 2 eps, so
+    # the <= partition differs from the sorted position the split came from
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    X = np.column_stack([
+        rng.choice([1.0, 1 + eps, 1 + 2 * eps, 1 + 3 * eps, 5.0], 200),
+        rng.normal(size=200),
+    ])
+    tree = DecisionTreeClassifier(seed=0).fit(X, rng.integers(0, 3, 200))
+    assert _digest(tree.predict_proba(X)) == (
+        "f041dc56a406a4e7e64e0e28947a19919b9f462d2f9daeacbd2c04dc7100055b")
+    assert _digest(tree.feature_importances_) == (
+        "78119f5ebfbe2bdeefd0abe966c0dabdbc8eb4b116efa8d0940f7d0c58d5af8c")
+
+
+def _walk(tree, row):
+    """Reference prediction: follow one row from the root to its leaf."""
+    node = 0
+    while tree.feature_[node] >= 0:
+        goes_left = row[tree.feature_[node]] <= tree.threshold_[node]
+        node = tree.left_[node] if goes_left else tree.right_[node]
+    return tree.value_[node]
+
+
+cell = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                 st.floats(min_value=-3, max_value=3))
+
+
+@given(
+    X=arrays(float, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=cell),
+    labels=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+    seed=st.integers(0, 5),
+    max_depth=st.sampled_from([None, 1, 3]),
+)
+def test_levelwise_predict_equals_a_per_row_walk(X, labels, seed, max_depth):
+    n, p = X.shape
+    y = np.array(labels[:n])
+    clf = DecisionTreeClassifier(max_depth=max_depth, max_features=max(1, p // 2),
+                                 seed=seed).fit(X, y)
+    reg = DecisionTreeRegressor(max_depth=max_depth, seed=seed).fit(X, y * 1.5)
+    queries = np.vstack([X, X[::-1] + 0.25])
+    assert np.array_equal(clf.predict_proba(queries),
+                          np.array([_walk(clf, row) for row in queries]))
+    assert np.array_equal(reg.predict(queries),
+                          np.array([_walk(reg, row) for row in queries]))
