@@ -73,6 +73,9 @@ def _grow(X, idx, depth, height_limit, rng):
 
 
 def _tree_path_lengths(root, X):
+    """Depth at termination plus c(leaf size), read from one table of c
+    over the sizes up to the root's."""
+    leaf_lengths = average_path_length(np.arange(root.size + 1))
     lengths = np.zeros(X.shape[0])
     stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
@@ -80,7 +83,7 @@ def _tree_path_lengths(root, X):
         if idx.size == 0:
             continue
         if node.left is None:
-            lengths[idx] = depth + average_path_length(node.size)[0]
+            lengths[idx] = depth + leaf_lengths[node.size]
             continue
         mask = X[idx, node.feature] < node.threshold
         stack.append((node.left, idx[mask], depth + 1))

@@ -18,7 +18,10 @@ Conventions worth pinning down:
   - knn imputation searches the 3 nearest training rows that have the value
     present, with Euclidean distance over standard-scaled numeric features,
     coordinates missing on either side excluded; numeric columns impute the
-    neighbor mean, categorical columns the neighbor mode
+    neighbor mean, categorical columns the neighbor mode. A query row's
+    distances to the training rows are computed once and shared by all of
+    its missing knn columns; equal distances break toward the lower
+    training position
   - a missing cell under imputation "none" still falls back to the fitted
     train median/mode so the matrix stays finite
 """
@@ -101,14 +104,13 @@ class FittedPipeline:
 
 
 def _numeric_cells(cells, rows):
-    values = []
-    mask = np.zeros(len(rows), dtype=bool)
-    for k, i in enumerate(rows):
-        cell = cells[i]
-        if isinstance(cell, float):
-            values.append(cell)
-            mask[k] = True
-    return np.asarray(values, dtype=float), mask
+    """A column's cells at rows as one float array, NaN where a cell is not
+    a float (load_csv keeps inf/nan as text), and the mask of float cells."""
+    values = np.array(
+        [c if isinstance(c, float) else np.nan for c in map(cells.__getitem__, rows)],
+        dtype=float,
+    )
+    return values, ~np.isnan(values)
 
 
 def fit_pipeline(
@@ -152,7 +154,8 @@ def fit_pipeline(
         if directive.imputation == IMPUTE_KNN:
             knn_needed = True
         if numeric:
-            values, _ = _numeric_cells(cells, train)
+            values, present = _numeric_cells(cells, train)
+            values = values[present]
             if values.size:
                 fit.impute_value = float(np.median(values))
             else:
@@ -242,12 +245,12 @@ def _fit_knn_store(pipeline, frame, schema, plan, train):
     scaled = np.full((len(train), len(numeric_cols)), np.nan)
     for j, name in enumerate(numeric_cols):
         values, mask = _numeric_cells(frame.column(name), train)
-        mean = float(values.mean()) if values.size else 0.0
-        std = float(values.std()) if values.size else 0.0
+        mean = float(values[mask].mean()) if mask.any() else 0.0
+        std = float(values[mask].std()) if mask.any() else 0.0
         if std == 0.0:
             std = 1.0
         params.append((mean, std))
-        scaled[mask, j] = (values - mean) / std
+        scaled[:, j] = (values - mean) / std
     pipeline.knn_numeric_columns = numeric_cols
     pipeline.knn_scale_params = params
     pipeline.knn_train_scaled = scaled
@@ -257,10 +260,7 @@ def _fit_knn_store(pipeline, frame, schema, plan, train):
             continue
         cells = frame.column(fit.name)
         if fit.numeric:
-            raw = np.array([
-                cells[i] if isinstance(cells[i], float) else np.nan for i in train
-            ])
-            mask = ~np.isnan(raw)
+            raw, mask = _numeric_cells(cells, train)
         else:
             raw = np.array([
                 _category_key(cells[i]) if cells[i] is not None else ""
@@ -270,38 +270,73 @@ def _fit_knn_store(pipeline, frame, schema, plan, train):
         pipeline.knn_raw[fit.name] = (raw, mask)
 
 
-def _scaled_query_coords(pipeline, frame, rows):
-    coords = np.full((len(rows), len(pipeline.knn_numeric_columns)), np.nan)
+def _scaled_query_coords(pipeline, numeric, n_rows):
+    """Standard-scaled knn coordinates of the query rows, NaN where missing."""
+    coords = np.empty((n_rows, len(pipeline.knn_numeric_columns)))
     for j, name in enumerate(pipeline.knn_numeric_columns):
         mean, std = pipeline.knn_scale_params[j]
-        cells = frame.column(name)
-        for k, i in enumerate(rows):
-            cell = cells[i]
-            if isinstance(cell, float):
-                coords[k, j] = (cell - mean) / std
+        coords[:, j] = (numeric[name][0] - mean) / std
     return coords
 
 
-def _knn_lookup(pipeline, fit, query_coords):
-    """Impute one value from the nearest training rows with it present."""
-    raw, mask = pipeline.knn_raw[fit.name]
-    candidates = np.nonzero(mask)[0]
-    if candidates.size == 0:
+def _nearest_value(fit, raw, candidates, d2, usable):
+    """Impute one cell from the k usable candidate training rows (those with
+    the value present) nearest by (d2, position)."""
+    n_usable = np.count_nonzero(usable[candidates])
+    if n_usable == 0:
         return fit.impute_value
-    store = pipeline.knn_train_scaled[candidates]
-    shared = ~np.isnan(query_coords)[None, :] & ~np.isnan(store)
-    diff = np.where(shared, store - query_coords[None, :], 0.0)
-    d2 = (diff * diff).sum(axis=1)
-    usable = shared.any(axis=1)
-    if not usable.any():
-        return fit.impute_value
-    d2 = np.where(usable, d2, np.inf)
-    order = np.lexsort((candidates, d2))
-    k = min(fit.knn_neighbors or 3, int(usable.sum()))
-    chosen = candidates[order[:k]]
+    k = min(fit.knn_neighbors or 3, n_usable)
+    dc = d2[candidates]
+    kth = np.partition(dc, k - 1)[k - 1]
+    below = np.flatnonzero(dc < kth)
+    picks = np.concatenate((below, np.flatnonzero(dc == kth)[: k - below.size]))
+    chosen = candidates[picks[np.lexsort((picks, dc[picks]))]]
     if fit.numeric:
-        return float(np.mean(raw[chosen].astype(float)))
+        return float(np.mean(raw[chosen]))
     return most_frequent([str(v) for v in raw[chosen]])
+
+
+def _knn_impute(pipeline, frame, rows, numeric):
+    """Impute the missing knn cells of rows: {column: per-row values}, set
+    only where the cell is missing.
+
+    Each query row's squared distances to every training row are computed
+    once, over one (n_train, m) array so each row's sum is the same
+    reduction as over any subset of rows, and shared by its missing knn
+    columns. Rows that share no coordinate with the query are unusable.
+    """
+    fits = [fit for fit in pipeline.column_fits if fit.imputation == IMPUTE_KNN]
+    if not fits:
+        return {}
+    missing = {
+        fit.name: ~numeric[fit.name][1] if fit.numeric else np.array(
+            [c is None for c in map(frame.column(fit.name).__getitem__, rows)], dtype=bool)
+        for fit in fits
+    }
+    imputed = {
+        fit.name: np.full(len(rows), np.nan) if fit.numeric else [None] * len(rows)
+        for fit in fits
+    }
+    candidates = {name: (raw, np.flatnonzero(mask))
+                  for name, (raw, mask) in pipeline.knn_raw.items()}
+    query = _scaled_query_coords(pipeline, numeric, len(rows))
+    store = pipeline.knn_train_scaled
+    store_present = ~np.isnan(store)
+    store_zeroed = np.where(store_present, store, 0.0)
+    diff = np.empty_like(store)
+    for k in np.flatnonzero(np.any([missing[fit.name] for fit in fits], axis=0)):
+        q_present = ~np.isnan(query[k])
+        np.subtract(store_zeroed, np.where(q_present, query[k], 0.0), out=diff)
+        diff *= store_present
+        diff[:, ~q_present] = 0.0
+        diff *= diff
+        d2 = diff.sum(axis=-1)
+        usable = store_present @ q_present     # shares a coordinate
+        d2[~usable] = np.inf
+        for fit in fits:
+            if missing[fit.name][k]:
+                imputed[fit.name][k] = _nearest_value(fit, *candidates[fit.name], d2, usable)
+    return imputed
 
 
 def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
@@ -321,25 +356,19 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
             "frame lacks fitted columns: " + ", ".join(missing_cols)
         )
 
-    need_knn = any(fit.imputation == IMPUTE_KNN for fit in pipeline.column_fits)
-    query_coords = (
-        _scaled_query_coords(pipeline, frame, rows) if need_knn else None
-    )
+    numeric = {
+        fit.name: _numeric_cells(frame.column(fit.name), rows)
+        for fit in pipeline.column_fits if fit.numeric
+    }
+    imputed = _knn_impute(pipeline, frame, rows, numeric)
 
     blocks: list[np.ndarray] = []
     for fit in pipeline.column_fits:
         cells = frame.column(fit.name)
+        knn_values = imputed.get(fit.name)
         if fit.numeric:
-            column = np.empty(len(rows))
-            for k, i in enumerate(rows):
-                cell = cells[i]
-                if isinstance(cell, float):
-                    value = cell
-                elif fit.imputation == IMPUTE_KNN:
-                    value = _knn_lookup(pipeline, fit, query_coords[k])
-                else:
-                    value = fit.impute_value
-                column[k] = value
+            fill = fit.impute_value if knn_values is None else knn_values
+            column = np.where(numeric[fit.name][1], numeric[fit.name][0], fill)
             if fit.center is not None:
                 column = (column - fit.center) / fit.spread
             blocks.append(column[:, None])
@@ -347,7 +376,7 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
             block = np.zeros((len(rows), len(fit.vocabulary)))
             index = {cat: j for j, cat in enumerate(fit.vocabulary)}
             for k, i in enumerate(rows):
-                key = _imputed_key(pipeline, fit, cells[i], query_coords, k)
+                key = _imputed_key(fit, cells[i], knn_values, k)
                 j = index.get(key)
                 if j is not None:
                     block[k, j] = 1.0
@@ -355,7 +384,7 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
         elif fit.encoding == ENCODE_TARGET:
             column = np.empty(len(rows))
             for k, i in enumerate(rows):
-                key = _imputed_key(pipeline, fit, cells[i], query_coords, k)
+                key = _imputed_key(fit, cells[i], knn_values, k)
                 if key is None:
                     column[k] = fit.global_target_mean
                 else:
@@ -382,11 +411,11 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
     return matrix, identifiers, target_values
 
 
-def _imputed_key(pipeline, fit, cell, query_coords, k):
+def _imputed_key(fit, cell, knn_keys, k):
     if cell is not None:
         return _category_key(cell)
     if fit.imputation == IMPUTE_KNN:
-        return _knn_lookup(pipeline, fit, query_coords[k])
+        return knn_keys[k]
     if fit.imputation in (IMPUTE_MOST_FREQUENT, IMPUTE_MEDIAN):
         return fit.impute_value
     if fit.imputation == IMPUTE_NONE and fit.encoding == ENCODE_TARGET:

@@ -33,7 +33,6 @@ def format_metric(name: str, value: float) -> str:
 def render_summary(
     report: WorkflowReport,
     model_result=None,
-    feature_report=None,
     review: ReviewOutcome | None = None,
 ) -> str:
     """Human-readable completion summary, section by section."""

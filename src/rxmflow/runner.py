@@ -673,9 +673,7 @@ class WorkflowRunner:
             logger.info("Detailed results saved to: %s", art.detailed_results_path)
         except SinkUnwritableError as exc:
             logger.warning("could not persist results: %s", exc)
-        art.summary_text = render_summary(
-            art.report, best, art.feature_report, art.review_outcome
-        )
+        art.summary_text = render_summary(art.report, best, art.review_outcome)
         for line in art.summary_text.splitlines():
             logger.info(line)
         return art.report

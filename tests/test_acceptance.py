@@ -404,7 +404,7 @@ def test_11_summary_fidelity():
         spec=analytics.ModelSpec("random_forest_clf", {"n_estimators": 100}, 0),
         status="ok", metrics=analytics.Metrics(accuracy=0.9726),
     )
-    text = render_summary(report, result, None, ReviewOutcome("approved", 10, 10))
+    text = render_summary(report, result, ReviewOutcome("approved", 10, 10))
     golden = (
         __import__("pathlib").Path(__file__).parent / "data" / "summary_golden.txt"
     ).read_text()

@@ -2,8 +2,12 @@
 fitted statistic must equal a brute-force recomputation over train rows
 only."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rxmflow.errors import EmptyTrainSetError, MissingColumnError
 from rxmflow.perception import inspect_frame
@@ -11,8 +15,10 @@ from rxmflow.preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
     fit_pipeline,
 )
+from rxmflow.preprocess.pipeline import most_frequent
 from rxmflow.preprocess.plan import ColumnDirective, PreprocessPlan
 from rxmflow.preprocess.schema import SchemaMap
+from rxmflow.synth import failure_frame
 
 from conftest import make_frame
 
@@ -226,6 +232,140 @@ def test_knn_imputation_matches_brute_force(rng):
         expected_raw = knn_oracle(frame, ["x", "y", "z"], train, row, "z")
         expected = (expected_raw - z_fit.center) / z_fit.spread
         assert matrix[row_pos, j] == pytest.approx(expected, abs=1e-12)
+
+
+def knn_lookup_per_cell(pipeline, fit, frame, row):
+    """One full nearest-neighbor search for one missing cell: the query's
+    coordinates, the candidate copy and a full lexsort, cell by cell."""
+    raw, mask = pipeline.knn_raw[fit.name]
+    candidates = np.nonzero(mask)[0]
+    if candidates.size == 0:
+        return fit.impute_value
+    query = np.full(len(pipeline.knn_numeric_columns), np.nan)
+    for j, name in enumerate(pipeline.knn_numeric_columns):
+        mean, std = pipeline.knn_scale_params[j]
+        cell = frame.column(name)[row]
+        if isinstance(cell, float):
+            query[j] = (cell - mean) / std
+    store = pipeline.knn_train_scaled[candidates]
+    shared = ~np.isnan(query)[None, :] & ~np.isnan(store)
+    diff = np.where(shared, store - query[None, :], 0.0)
+    d2 = (diff * diff).sum(axis=1)
+    usable = shared.any(axis=1)
+    if not usable.any():
+        return fit.impute_value
+    d2 = np.where(usable, d2, np.inf)
+    order = np.lexsort((candidates, d2))
+    k = min(fit.knn_neighbors or 3, int(usable.sum()))
+    chosen = candidates[order[:k]]
+    if fit.numeric:
+        return float(np.mean(raw[chosen].astype(float)))
+    return most_frequent([str(v) for v in raw[chosen]])
+
+
+def apply_per_cell(pipeline, frame, rows):
+    """Feature matrix of numeric and one-hot columns, imputed cell by cell."""
+    blocks = []
+    for fit in pipeline.column_fits:
+        cells = frame.column(fit.name)
+        if fit.numeric:
+            column = np.array([
+                cells[i] if isinstance(cells[i], float)
+                else knn_lookup_per_cell(pipeline, fit, frame, i)
+                if fit.imputation == "knn" else fit.impute_value
+                for i in rows
+            ])
+            if fit.center is not None:
+                column = (column - fit.center) / fit.spread
+            blocks.append(column[:, None])
+        else:
+            block = np.zeros((len(rows), len(fit.vocabulary)))
+            for k, i in enumerate(rows):
+                key = (knn_lookup_per_cell(pipeline, fit, frame, i)
+                       if cells[i] is None else cells[i])
+                if key in fit.vocabulary:
+                    block[k, fit.vocabulary.index(key)] = 1.0
+            blocks.append(block)
+    return np.hstack(blocks)
+
+
+@st.composite
+def knn_frames(draw):
+    """Numeric and categorical knn columns under random missingness. Rows
+    repeat a few base rows, so tied distances are common, and the values'
+    sums round differently in different orders."""
+    n_numeric = draw(st.integers(1, 9))
+    n_rows = draw(st.integers(3, 24))
+    base = draw(st.lists(
+        st.lists(st.sampled_from([-2.0, 0.1, 0.2, 0.3, 0.7, 3.25]),
+                 min_size=n_numeric, max_size=n_numeric),
+        min_size=1, max_size=6,
+    ))
+    picks = draw(st.lists(st.integers(0, len(base) - 1),
+                          min_size=n_rows, max_size=n_rows))
+    share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    blank = st.lists(st.floats(0, 1), min_size=n_rows, max_size=n_rows)
+    columns = {}
+    for j in range(n_numeric):
+        gaps = draw(blank)
+        columns[f"x{j}"] = [None if g < share else base[p][j]
+                            for g, p in zip(gaps, picks)]
+    gaps = draw(blank)
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n_rows, max_size=n_rows))
+    columns["c"] = [None if g < share else v for g, v in zip(gaps, labels)]
+    n_train = draw(st.integers(1, n_rows))
+    if draw(st.booleans()):          # a query row with no numeric coordinate
+        for j in range(n_numeric):
+            columns[f"x{j}"][-1] = None
+    empty = draw(st.sampled_from([None, "x0", "c"]))
+    if empty:                        # a knn column with no present training value
+        columns[empty][:n_train] = [None] * n_train
+    imputations = draw(st.lists(st.sampled_from(["knn", "none"]),
+                                min_size=n_numeric, max_size=n_numeric))
+    k = draw(st.integers(1, n_rows + 2))
+    directives = {
+        f"x{j}": ColumnDirective(imp, "standard", "passthrough", "t",
+                                 knn_neighbors=k if imp == "knn" else 0)
+        for j, imp in enumerate(imputations)
+    }
+    directives["c"] = ColumnDirective("knn", "none", "one_hot", "t", knn_neighbors=k)
+    roles = {name: "feature_numeric" for name in columns}
+    roles["c"] = "feature_categorical"
+    return make_frame(columns), SchemaMap(roles=roles), PreprocessPlan(directives), n_train
+
+
+@given(knn_frames())
+def test_knn_imputation_matches_the_per_cell_search(case):
+    frame, schema, plan, n_train = case
+    pipeline = fit_pipeline(frame, plan, schema, list(range(n_train)))
+    rows = list(range(frame.n_rows))
+    matrix, _, _ = apply_pipeline(pipeline, frame, rows)
+    expected = apply_per_cell(pipeline, frame, rows)
+    assert matrix.tobytes() == expected.tobytes()
+
+
+def test_knn_matrices_match_golden_digest():
+    # digest taken from the per-cell search this path replaced
+    frame = failure_frame(n_rows=400, seed=5)
+    rng = np.random.default_rng(2024)
+    for name in ("Vibration", "Technician_Available"):
+        cells = frame.column(name)
+        for i in rng.choice(frame.n_rows, 120, replace=False):
+            cells[i] = None
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata, "Failure_Probability")
+    plan = decide_tools(metadata, schema)
+    assert plan.directives["Vibration"].imputation == "knn"
+    assert plan.directives["Technician_Available"].imputation == "knn"
+    train = [i for i in range(400) if i % 4 != 3]
+    pipeline = fit_pipeline(frame, plan, schema, train)
+    digest = hashlib.sha256()
+    for rows in (train, [i for i in range(400) if i % 4 == 3]):
+        matrix, _, _ = apply_pipeline(pipeline, frame, rows)
+        digest.update(np.ascontiguousarray(matrix).tobytes())
+    assert digest.hexdigest() == (
+        "b50efeedb8f29f6a8b4e7e41daa8ffbbc5bade5088d176872840379e9662ea4e"
+    )
 
 
 def test_apply_is_idempotent(rng):

@@ -56,33 +56,33 @@ def forest_result(accuracy=0.9726):
 
 def test_summary_matches_golden_file():
     text = render_summary(
-        reference_report(), forest_result(), None, ReviewOutcome("approved", 10, 10))
+        reference_report(), forest_result(), ReviewOutcome("approved", 10, 10))
     assert text + "\n" == GOLDEN.read_text()
 
 
 def test_summary_contains_every_section_header():
     text = render_summary(
-        reference_report(), forest_result(), None, ReviewOutcome("approved", 10, 10))
+        reference_report(), forest_result(), ReviewOutcome("approved", 10, 10))
     for header in SECTION_HEADERS:
         assert header in text
 
 
 def test_metric_formats_to_four_decimals_and_percent():
     assert format_metric("accuracy", 0.9726) == "accuracy: 0.9726 (97.26%)"
-    text = render_summary(reference_report(), forest_result(), None, None)
+    text = render_summary(reference_report(), forest_result(), None)
     assert "accuracy: 0.9726 (97.26%)" in text
 
 
 def test_steps_line_shows_ratio_and_percentage():
-    text = render_summary(reference_report(), forest_result(), None, None)
+    text = render_summary(reference_report(), forest_result(), None)
     assert "Steps: 5/5 succeeded (100.0%)" in text
     partial = reference_report(steps_succeeded=3, steps_total=5)
-    assert "Steps: 3/5 succeeded (60.0%)" in render_summary(partial, None, None, None)
+    assert "Steps: 3/5 succeeded (60.0%)" in render_summary(partial, None, None)
 
 
 def test_zero_recommendations_gives_empty_distribution():
     report = reference_report(recommendations_total=0, priority_distribution={})
-    text = render_summary(report, forest_result(), None, None)
+    text = render_summary(report, forest_result(), None)
     assert "Total Recommendations: 0" in text
     assert "Critical:" not in text
 
@@ -93,13 +93,13 @@ def test_regression_summary_shows_r2():
         metrics=Metrics(r2=0.9209, mse=0.00023),
     )
     text = render_summary(
-        reference_report(task_kind="regression"), result, None, None)
+        reference_report(task_kind="regression"), result, None)
     assert "r2: 0.9209 (92.09%)" in text
     assert "LinearRegression" in text
 
 
 def test_render_summary_is_pure():
-    args = (reference_report(), forest_result(), None, ReviewOutcome("approved", 10, 10))
+    args = (reference_report(), forest_result(), ReviewOutcome("approved", 10, 10))
     assert render_summary(*args) == render_summary(*args)
 
 

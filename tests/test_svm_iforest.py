@@ -98,3 +98,9 @@ def test_injected_outliers_are_flagged(rng):
     flags = forest.flag(forest.score_samples(X))
     assert flags.sum() == round(0.01 * 2020)
     assert flags[-20:].sum() >= 19
+
+
+def test_leaf_path_length_table_equals_per_size_values():
+    table = average_path_length(np.arange(257))
+    per_size = np.array([average_path_length(m)[0] for m in range(257)])
+    assert table.tobytes() == per_size.tobytes()
