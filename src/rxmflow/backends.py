@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 import os
 
-import requests
-
 from .errors import BackendError
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
@@ -34,6 +32,8 @@ class HttpBackend:
         self.timeout = timeout
 
     def generate(self, prompt: str) -> str:
+        import requests     # deferred: a run without an HTTP backend never pays for it
+
         body = {"model": self.model_name, "prompt": prompt, "stream": False}
         try:
             response = requests.post(
@@ -63,6 +63,8 @@ class OpenAIChatBackend:
         self.timeout = timeout
 
     def generate(self, prompt: str) -> str:
+        import requests     # deferred, as in HttpBackend
+
         headers = {}
         key = os.environ.get(self.api_key_env)
         if key:

@@ -52,23 +52,25 @@ class _IsoNode:
         self.size = size
 
 
-def _grow(X, idx, depth, height_limit, rng):
+def _grow(XT, idx, depth, height_limit, rng):
+    """Grow a subtree over the rows idx of X, given as its transpose XT."""
     node = _IsoNode(len(idx))
     if depth >= height_limit or len(idx) <= 1:
         return node
-    sub = X[idx]
-    mins = sub.min(axis=0)
-    maxs = sub.max(axis=0)
+    sub = XT[:, idx]
+    mins = sub.min(axis=1)
+    maxs = sub.max(axis=1)
     usable = np.nonzero(maxs > mins)[0]
     if usable.size == 0:
         return node
-    f = int(rng.choice(usable))
+    # draws from rng exactly as rng.choice(usable) does, at a quarter the cost
+    f = int(usable[rng.integers(usable.size)])
     threshold = float(rng.uniform(mins[f], maxs[f]))
     node.feature = f
     node.threshold = threshold
-    mask = sub[:, f] < threshold
-    node.left = _grow(X, idx[mask], depth + 1, height_limit, rng)
-    node.right = _grow(X, idx[~mask], depth + 1, height_limit, rng)
+    mask = sub[f] < threshold
+    node.left = _grow(XT, idx[mask], depth + 1, height_limit, rng)
+    node.right = _grow(XT, idx[~mask], depth + 1, height_limit, rng)
     return node
 
 
@@ -103,23 +105,31 @@ class IsolationForest:
         n = X.shape[0]
         self.psi_ = min(self.max_samples, n)
         height_limit = max(1, math.ceil(math.log2(self.psi_)))
+        XT = np.ascontiguousarray(X.T)    # a node gathers its rows as columns
         self.trees_ = []
         for i in range(self.n_estimators):
             rng = np.random.default_rng(self.seed + i)
             sample = rng.choice(n, size=self.psi_, replace=False)
             self.trees_.append(
-                _grow(X, sample, 0, height_limit, rng)
+                _grow(XT, sample, 0, height_limit, rng)
             )
         return self
 
     def score_samples(self, X):
-        """Anomaly scores s(x) in (0, 1]; higher is more anomalous."""
+        """Anomaly scores s(x) in (0, 1]; higher is more anomalous.
+
+        A forest fitted to one row has c(psi) = 0 and no path to compare:
+        every row scores 0.5, the "no distinct anomaly" value.
+        """
         X = np.asarray(X, dtype=float)
+        c_psi = average_path_length(self.psi_)[0]
+        if c_psi == 0.0:
+            return np.full(X.shape[0], 0.5)
         total = np.zeros(X.shape[0])
         for root in self.trees_:
             total += _tree_path_lengths(root, X)
         expected = total / len(self.trees_)
-        return 2.0 ** (-expected / average_path_length(self.psi_)[0])
+        return 2.0 ** (-expected / c_psi)
 
     def flag(self, scores) -> np.ndarray:
         """Boolean anomaly flags per the contamination policy."""

@@ -6,11 +6,16 @@ Column dtype is decided later by inspect_frame so stray tokens in an
 otherwise numeric column degrade to missing values instead of flipping the
 whole column to text.
 
+Each column is typed by one scan of its cells' types and summarised from
+one array (floats and None) or one Counter (text and None); only a column
+that mixes the two, or holds a float NaN, goes cell by cell.
+
 Each profile also carries the column's date share: the fraction of its
 non-missing cells that parse as dates. The date parser runs once per
-distinct text value, and its verdict is weighted by that value's count.
-Schema discovery reads the share from the profile rather than scanning the
-cells again.
+distinct text value, and its verdict is weighted by that value's count;
+text whose first character cannot start a date is rejected without a
+parse. Schema discovery reads the share from the profile rather than
+scanning the cells again.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from operator import mul
 
 import numpy as np
 
@@ -36,6 +42,10 @@ _DATETIME_FORMATS = (
     "%Y-%m-%d", "%Y/%m/%d", "%d/%m/%Y", "%m/%d/%Y",
     "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S",
 )
+_NONE = type(None)
+_FLOAT_OR_NONE = frozenset((float, _NONE))
+_TEXT_OR_NONE = frozenset((str, _NONE))
+_NO_NUMBERS = np.empty(0)
 
 
 @dataclass
@@ -154,7 +164,7 @@ def load_csv(path, delimiter: str = ",", header: bool = True) -> DatasetFrame:
     return DatasetFrame(column_names=names, columns=columns, n_rows=n_rows)
 
 
-def _parse_datetime(text: str) -> bool:
+def _parses_as_date(text: str) -> bool:
     for fmt in _DATETIME_FORMATS:
         try:
             datetime.strptime(text, fmt)
@@ -168,26 +178,107 @@ def _parse_datetime(text: str) -> bool:
         return False
 
 
-def _profile_column(name: str, cells: list, n_rows: int, cfg: QualityConfig) -> ColumnProfile:
+def _parse_datetime(text: str) -> bool:
+    """Whether text parses under one of the date formats or fromisoformat.
+
+    Every strptime format starts with %Y, %d or %m, whose patterns need a
+    decimal digit (any Unicode Nd digit, as `str.isdecimal`) or, for %d, a
+    leading space, and fromisoformat needs an ASCII digit. Text that starts
+    with anything else, such as the identifier "M0001", is rejected without
+    a failing parse.
+    """
+    head = text[:1]
+    return (head.isdecimal() or head == " ") and _parses_as_date(text)
+
+
+def float_cells(cells: list, kinds: set | None = None) -> tuple[np.ndarray, bool]:
+    """A column's cells as one float64 array, NaN where a cell is missing or
+    text, and whether every non-missing cell is a float.
+
+    A column of floats and None converts in one np.array call (None becomes
+    NaN); any other column goes cell by cell. `kinds`, the set of the cells'
+    types, saves the type scan when the caller has already made it.
+    """
+    kinds = set(map(type, cells)) if kinds is None else kinds
+    if kinds <= _FLOAT_OR_NONE:
+        return np.array(cells, dtype=float), True
+    values = np.array([c if isinstance(c, float) else np.nan for c in cells], dtype=float)
+    return values, all(issubclass(k, float) for k in kinds - {_NONE})
+
+
+@dataclass
+class _ColumnScan:
+    """What the profile and the duplicate-row count need from one column."""
+    n_non_missing: int
+    numbers: np.ndarray          # the float cells, in row order
+    text_counts: dict            # text cell -> number of cells
+    unique_count: int            # distinct str forms of the non-missing cells
+    codes: np.ndarray            # per row, a code of str(cell)
+
+
+def _scan_column(cells: list) -> _ColumnScan:
+    """Type a column by one scan of its cells and summarise it.
+
+    A column of floats and None is read as one float array: distinct bit
+    patterns are distinct `str` forms (0.0 and -0.0 apart), and every None
+    converts to the same NaN. A column of text and None is counted with one
+    Counter; None shares the code of the text "None", as `str` would have
+    it. Anything else, such as a float NaN or floats mixed with text, goes
+    cell by cell through the `str` forms.
+    """
+    kinds = set(map(type, cells))
+    if kinds <= _FLOAT_OR_NONE:
+        values, _ = float_cells(cells, kinds)
+        present = ~np.isnan(values)
+        n_present = int(np.count_nonzero(present))
+        n_none = cells.count(None) if _NONE in kinds else 0
+        if n_present + n_none == len(cells):         # no float NaN
+            distinct, codes = np.unique(values.view(np.uint64), return_inverse=True)
+            return _ColumnScan(
+                n_present, values[present] if n_none else values, {},
+                distinct.size - (n_none > 0), codes,
+            )
+    elif kinds <= _TEXT_OR_NONE:
+        counts = Counter(cells)
+        code_of = dict(zip(counts, range(len(counts))))
+        n_none = counts.pop(None, 0)
+        if n_none and "None" in counts:
+            code_of[None] = code_of["None"]
+        codes = np.fromiter(map(code_of.__getitem__, cells), np.intp, len(cells))
+        return _ColumnScan(len(cells) - n_none, _NO_NUMBERS, counts, len(counts), codes)
+
     non_missing = [c for c in cells if c is not None]
-    numbers = [c for c in non_missing if isinstance(c, float)]
-    texts = [c for c in non_missing if isinstance(c, str)]
-    missing_count = n_rows - len(non_missing)
+    code_of: dict[str, int] = {}
+    codes = np.array([code_of.setdefault(str(c), len(code_of)) for c in cells], dtype=np.intp)
+    return _ColumnScan(
+        len(non_missing),
+        np.array([c for c in non_missing if isinstance(c, float)], dtype=float),
+        Counter(c for c in non_missing if isinstance(c, str)),
+        len({str(c) for c in non_missing}),
+        codes,
+    )
+
+
+def _profile_column(name: str, scan: _ColumnScan, n_rows: int, cfg: QualityConfig) -> ColumnProfile:
+    non_missing = scan.n_non_missing
+    numbers = scan.numbers
+    n_texts = sum(scan.text_counts.values())
+    missing_count = n_rows - non_missing
     parse_failures = 0
     date_cells = sum(
-        count for text, count in Counter(texts).items() if _parse_datetime(text)
+        count for text, count in scan.text_counts.items() if _parse_datetime(text)
     )
-    date_share = date_cells / len(non_missing) if non_missing else 0.0
+    date_share = date_cells / non_missing if non_missing else 0.0
 
-    unique_count = len({str(c) for c in non_missing})
+    unique_count = scan.unique_count
     if unique_count <= 1:
         dtype = CONSTANT
-    elif non_missing and len(numbers) / len(non_missing) >= cfg.numeric_parse_threshold:
+    elif non_missing and numbers.size / non_missing >= cfg.numeric_parse_threshold:
         dtype = NUMERIC
         # stray text in a numeric column degrades to missing
-        parse_failures = len(texts)
+        parse_failures = n_texts
         missing_count += parse_failures
-    elif texts and date_share >= cfg.datetime_parse_threshold:
+    elif n_texts and date_share >= cfg.datetime_parse_threshold:
         dtype = DATETIME
     else:
         dtype = CATEGORICAL
@@ -203,13 +294,12 @@ def _profile_column(name: str, cells: list, n_rows: int, cfg: QualityConfig) -> 
         parse_failure_count=parse_failures,
         date_share=date_share,
     )
-    if numbers and dtype in (NUMERIC, CONSTANT):
-        arr = np.asarray(numbers, dtype=float)
-        profile.mean = float(arr.mean())
-        profile.std = float(arr.std())            # population denominator
-        profile.min = float(arr.min())
-        profile.max = float(arr.max())
-        profile.integer_valued = bool(np.all(arr == np.floor(arr)))
+    if numbers.size and dtype in (NUMERIC, CONSTANT):
+        profile.mean = float(numbers.mean())
+        profile.std = float(numbers.std())        # population denominator
+        profile.min = float(numbers.min())
+        profile.max = float(numbers.max())
+        profile.integer_valued = bool(np.all(numbers == np.floor(numbers)))
     return profile
 
 
@@ -219,28 +309,25 @@ def inspect_frame(frame: DatasetFrame, cfg: QualityConfig | None = None) -> Data
     if frame.n_rows < 1 or not frame.column_names:
         raise EmptyFrameError("frame must have at least one row and one column")
 
+    scans = [_scan_column(cells) for cells in frame.columns]
     profiles = [
-        _profile_column(name, cells, frame.n_rows, cfg)
-        for name, cells in zip(frame.column_names, frame.columns)
+        _profile_column(name, scan, frame.n_rows, cfg)
+        for name, scan in zip(frame.column_names, scans)
     ]
 
     numeric_cols = sum(1 for p in profiles if p.inferred_dtype in (NUMERIC,))
     text_bytes = sum(
-        len(cell.encode("utf-8"))
-        for col in frame.columns
-        for cell in col
-        if isinstance(cell, str)
+        sum(map(mul, map(len, map(str.encode, scan.text_counts)), scan.text_counts.values()))
+        for scan in scans
     )
     memory = 8 * frame.n_rows * numeric_cols + text_bytes
 
     preview = [frame.row(i) for i in range(min(5, frame.n_rows))]
-    # rows compare by the text of each cell; coding each column's distinct
-    # texts as ints keeps the row keys small
-    coded = []
-    for cells in frame.columns:
-        codes: dict[str, int] = {}
-        coded.append([codes.setdefault(str(v), len(codes)) for v in cells])
-    duplicates = frame.n_rows - len(set(zip(*coded)))
+    # rows compare by the text of each cell: one row of per-column codes,
+    # viewed as one opaque value, stands for the row
+    codes = np.column_stack([scan.codes for scan in scans])
+    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))
+    duplicates = frame.n_rows - np.unique(rows).size
 
     return DatasetMetadata(
         n_rows=frame.n_rows,

@@ -17,7 +17,7 @@ import numpy as np
 from ..config import PlanConfig
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
-from ..perception import DatasetFrame
+from ..perception import DatasetFrame, float_cells
 from .pipeline import most_frequent
 from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
 
@@ -70,10 +70,6 @@ def mutual_information(x_codes: np.ndarray, y_codes: np.ndarray) -> float:
     return float(np.sum(joint[mask] * np.log(joint[mask] / np.outer(px, py)[mask])))
 
 
-def _is_numeric_cell(cell) -> bool:
-    return isinstance(cell, float)
-
-
 def _is_constant(cells: list) -> bool:
     """At most one distinct text among the non-missing cells.
 
@@ -90,11 +86,6 @@ def _is_constant(cells: list) -> bool:
         elif text != first:
             return False
     return True
-
-
-def _float_column(cells: list) -> np.ndarray:
-    """Numeric cells as floats; NaN where a cell is missing or text."""
-    return np.array([c if _is_numeric_cell(c) else np.nan for c in cells], dtype=float)
 
 
 def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.ndarray:
@@ -141,7 +132,7 @@ def _advisory_importances(frame, kept, schema, floats, cfg, seed):
     X = np.array(columns, dtype=float).T[usable_rows]
     y_raw = [target_cells[i] for i in usable_rows]
 
-    numeric_target = all(_is_numeric_cell(v) for v in y_raw)
+    numeric_target = float_cells(target_cells)[1]
     classify = (not numeric_target) or len(set(y_raw)) <= 20
 
     rng = np.random.default_rng(seed)
@@ -193,7 +184,7 @@ def analyze_features(
         if schema.roles[c] == FEATURE_NUMERIC and c not in removed
     ]
     # each numeric column is read once; pearson, MI and the forest share it
-    floats = {name: _float_column(frame.column(name)) for name in numeric}
+    floats = {name: float_cells(frame.column(name))[0] for name in numeric}
     for i, a in enumerate(numeric):
         for b in numeric[i + 1:]:
             r = pearson(floats[a], floats[b])
@@ -203,12 +194,9 @@ def analyze_features(
     target = schema.chosen_target
     if target is not None:
         target_cells = frame.column(target)
-        target_numeric = all(
-            _is_numeric_cell(c) for c in target_cells if c is not None
-        )
+        target_floats, target_numeric = float_cells(target_cells)
         target_codes = _discrete_codes(
-            target_cells, _float_column(target_cells) if target_numeric else None,
-            cfg.mi_bins,
+            target_cells, target_floats if target_numeric else None, cfg.mi_bins,
         )
         for name in features:
             if name in removed:

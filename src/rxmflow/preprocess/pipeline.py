@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyTrainSetError, MissingColumnError
-from ..perception import DatasetFrame
+from ..perception import DatasetFrame, float_cells
 from .plan import (
     ENCODE_DROP, ENCODE_ONE_HOT, ENCODE_PASSTHROUGH, ENCODE_TARGET,
     IMPUTE_KNN, IMPUTE_MEDIAN, IMPUTE_MOST_FREQUENT, IMPUTE_NONE,
@@ -106,10 +106,7 @@ class FittedPipeline:
 def _numeric_cells(cells, rows):
     """A column's cells at rows as one float array, NaN where a cell is not
     a float (load_csv keeps inf/nan as text), and the mask of float cells."""
-    values = np.array(
-        [c if isinstance(c, float) else np.nan for c in map(cells.__getitem__, rows)],
-        dtype=float,
-    )
+    values = float_cells(cells)[0][np.asarray(rows, dtype=np.intp)]
     return values, ~np.isnan(values)
 
 
@@ -396,12 +393,13 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
     else:
         matrix = np.zeros((len(rows), 0))
 
-    identifiers = {
-        name: [_category_key(frame.column(name)[i]) if frame.column(name)[i] is not None else ""
-               for i in rows]
-        for name in pipeline.identifier_columns
-        if name in frame.column_names
-    }
+    identifiers = {}
+    for name in pipeline.identifier_columns:
+        if name in frame.column_names:
+            cells = frame.column(name)
+            identifiers[name] = [
+                _category_key(cells[i]) if cells[i] is not None else "" for i in rows
+            ]
 
     target_values = None
     if pipeline.target_name and pipeline.target_name in frame.column_names:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import rxmflow
 from rxmflow.backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
 from rxmflow.errors import BackendError
 
@@ -99,3 +104,15 @@ def test_scripted_backend_rejects_non_string_entries(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         ScriptedBackend.from_file(path)
+
+
+def test_import_leaves_requests_unloaded():
+    # the HTTP client is imported by the backends that use it, so a run
+    # without one does not pay for it at start-up
+    code = "import sys, rxmflow; print('requests' in sys.modules)"
+    src = str(Path(rxmflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rxmflow.errors import NoFeaturesError
-from rxmflow.perception import inspect_frame
+from rxmflow.perception import float_cells, inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    _float_column, _is_constant, equal_frequency_bins, mutual_information, pearson,
+    _is_constant, equal_frequency_bins, mutual_information, pearson,
 )
 from rxmflow.synth import maintenance_frame
 
@@ -76,7 +76,7 @@ feature_cell = st.one_of(
 def test_pearson_matches_the_per_cell_reference(pairs):
     x_cells = [x for x, _ in pairs]
     y_cells = [y for _, y in pairs]
-    assert pearson(_float_column(x_cells), _float_column(y_cells)) == (
+    assert pearson(float_cells(x_cells)[0], float_cells(y_cells)[0]) == (
         pearson_over_cells(x_cells, y_cells)
     )
 

@@ -1,14 +1,17 @@
+from collections import Counter
 from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rxmflow.config import QualityConfig
 from rxmflow.errors import EmptyFrameError, FileMissingError, MalformedCsvError
 from rxmflow.perception import (
-    _DATETIME_FORMATS, CATEGORICAL, CONSTANT, NUMERIC, _parse_datetime,
-    flag_quality_issues, inspect_frame, load_csv,
+    _DATETIME_FORMATS, CATEGORICAL, CONSTANT, DATETIME, NUMERIC, ColumnProfile,
+    _parse_datetime, _parses_as_date, flag_quality_issues,
+    float_cells, inspect_frame, load_csv,
 )
 from rxmflow.synth import maintenance_frame, network_frame, write_csv
 
@@ -232,15 +235,136 @@ def test_date_share_matches_a_per_cell_count(cells):
 
 
 look_alike_cell = st.sampled_from([0.0, -0.0, 1.0, "1.0", 2.5, "a", "None", None])
+# columns of floats and None, and of text and None, take the array and the
+# Counter paths; mixed columns go cell by cell
+float_alike_cell = st.sampled_from([0.0, -0.0, 1.0, 2.5, None])
+text_alike_cell = st.sampled_from(["1.0", "-0.0", "a", "None", None])
 
 
-@given(st.lists(st.tuples(look_alike_cell, look_alike_cell, look_alike_cell),
+@given(st.lists(st.tuples(look_alike_cell, look_alike_cell, look_alike_cell,
+                          float_alike_cell, text_alike_cell),
                 min_size=1, max_size=30))
+@example([(0.0, 0.0, 0.0, -0.0, "None"), (0.0, 0.0, 0.0, 0.0, None)])
+@example([(0.0, 0.0, 0.0, None, "None"), (0.0, 0.0, 0.0, None, None)])
 def test_duplicate_rows_match_a_row_text_reference(rows):
-    frame = make_frame({f"c{j}": [row[j] for row in rows] for j in range(3)})
+    frame = make_frame({f"c{j}": [row[j] for row in rows] for j in range(5)})
     seen, duplicates = set(), 0
     for row in rows:
         key = tuple(str(v) for v in row)
         duplicates += key in seen
         seen.add(key)
     assert inspect_frame(frame).duplicate_row_count == duplicates
+
+
+def reference_profile(name, cells, n_rows, cfg):
+    """The per-cell profile that the one-pass scan must reproduce."""
+    non_missing = [c for c in cells if c is not None]
+    numbers = [c for c in non_missing if isinstance(c, float)]
+    texts = [c for c in non_missing if isinstance(c, str)]
+    missing_count = n_rows - len(non_missing)
+    parse_failures = 0
+    date_cells = sum(
+        count for text, count in Counter(texts).items() if _parses_as_date(text)
+    )
+    date_share = date_cells / len(non_missing) if non_missing else 0.0
+
+    unique_count = len({str(c) for c in non_missing})
+    if unique_count <= 1:
+        dtype = CONSTANT
+    elif non_missing and len(numbers) / len(non_missing) >= cfg.numeric_parse_threshold:
+        dtype = NUMERIC
+        parse_failures = len(texts)
+        missing_count += parse_failures
+    elif texts and date_share >= cfg.datetime_parse_threshold:
+        dtype = DATETIME
+    else:
+        dtype = CATEGORICAL
+
+    effective_non_missing = n_rows - missing_count
+    profile = ColumnProfile(
+        name=name,
+        inferred_dtype=dtype,
+        missing_count=missing_count,
+        missing_pct=missing_count / n_rows,
+        unique_count=unique_count,
+        uniqueness_ratio=(unique_count / effective_non_missing) if effective_non_missing else 0.0,
+        parse_failure_count=parse_failures,
+        date_share=date_share,
+    )
+    if numbers and dtype in (NUMERIC, CONSTANT):
+        arr = np.asarray(numbers, dtype=float)
+        profile.mean = float(arr.mean())
+        profile.std = float(arr.std())
+        profile.min = float(arr.min())
+        profile.max = float(arr.max())
+        profile.integer_valued = bool(np.all(arr == np.floor(arr)))
+    return profile
+
+
+# Text a date could start with, under every way the formats and
+# fromisoformat allow: leading spaces, non-ASCII decimal digits, ISO weeks
+# and basic (separator-free) ISO dates.
+date_like_text = st.one_of(
+    date_texts,
+    date_texts.map(lambda t: " " + t),
+    date_texts.map(lambda t: t.lstrip("0")),
+    date_texts.map(lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+    date_texts.map(lambda t: t.translate(str.maketrans("0123456789", "０１２３４５６７８９"))),
+    st.datetimes(min_value=datetime(1990, 1, 1)).map(datetime.isoformat),
+    st.dates(min_value=datetime(1990, 1, 1).date()).map(lambda d: d.strftime("%Y%m%d")),
+    st.dates(min_value=datetime(1990, 1, 1).date()).map(lambda d: d.strftime("%G-W%V-%u")),
+    st.text(max_size=12),
+    st.text(alphabet="0123456789 -/:TW", max_size=20),
+)
+
+
+@given(date_like_text)
+@example("٢٠٢٤-٠١-٠١")
+@example(" 5/03/2024")
+@example("2024-W01-1")
+@example("20240101")
+@example("")
+def test_date_check_never_rejects_a_parsing_text(text):
+    assert _parse_datetime(text) == _parses_as_date(text)
+
+
+float_pool_cell = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6), st.sampled_from([0.0, -0.0, 1.0]),
+    st.integers(-5, 5).map(float), st.none(),
+)
+text_pool_cell = st.one_of(
+    date_texts, st.text(max_size=8), st.sampled_from(["None", "1.0", "-0.0", "M0001"]),
+    st.none(),
+)
+mixed_pool_cell = st.one_of(float_pool_cell, text_pool_cell, st.just(float("nan")))
+
+
+@st.composite
+def profiled_columns(draw):
+    """A column of floats and None, of text and None, or of anything, drawn
+    from a small pool so that values repeat."""
+    cell = draw(st.sampled_from([float_pool_cell, text_pool_cell, mixed_pool_cell]))
+    pool = draw(st.lists(cell, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@given(profiled_columns(), st.sampled_from([0.95, 0.5]))
+@example([0.0, -0.0, None], 0.95)
+@example(["None", None, "x"], 0.95)
+@example([float("nan"), 1.0, None], 0.95)
+@example([float("nan"), float("nan")], 0.95)
+@example([1.0] * 19 + ["a"], 0.95)
+@example([None, None], 0.95)
+def test_one_pass_profile_equals_the_per_cell_reference(cells, threshold):
+    cfg = QualityConfig(numeric_parse_threshold=threshold)
+    profile = inspect_frame(make_frame({"c": cells}), cfg).profile("c")
+    # repr, so that a NaN mean compares equal to a NaN mean
+    assert repr(profile) == repr(reference_profile("c", cells, len(cells), cfg))
+
+
+@given(st.lists(mixed_pool_cell, max_size=30))
+def test_float_cells_match_a_per_cell_read(cells):
+    values, all_float = float_cells(cells)
+    expected = np.array([c if isinstance(c, float) else np.nan for c in cells], dtype=float)
+    assert values.tobytes() == expected.tobytes()
+    assert all_float == all(isinstance(c, float) for c in cells if c is not None)

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,26 @@ def test_leaf_path_length_table_equals_per_size_values():
     table = average_path_length(np.arange(257))
     per_size = np.array([average_path_length(m)[0] for m in range(257)])
     assert table.tobytes() == per_size.tobytes()
+
+
+def test_iforest_scores_match_the_golden_digest():
+    # digest taken before the fit gathered node rows from the transpose and
+    # drew the split feature with rng.integers; both must keep every bit
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(1500, 6)).round(2)
+    X[:, 4] = 1.0                      # a constant column no split may use
+    X[100:300] = X[0]                  # a block of duplicate rows
+    X[-15:] += 6.0
+    forest = IsolationForest(n_estimators=60, max_samples=128, seed=11).fit(X)
+    assert hashlib.sha256(forest.score_samples(X).tobytes()).hexdigest() == (
+        "de1e4bf21abc9ada6e7c27dad6c503b65b905633a03e7e966a7c9d5be6a942d6"
+    )
+
+
+def test_iforest_on_one_row_scores_one_half_without_warnings():
+    forest = IsolationForest(n_estimators=10, seed=0).fit(np.array([[3.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = forest.score_samples(np.array([[3.0], [40.0]]))
+    assert np.all(np.isfinite(scores))
+    assert scores.tolist() == [0.5, 0.5]
