@@ -5,12 +5,16 @@ Mutual information uses the plug-in estimator in nats on a contingency
 table, with continuous variables discretized into 10 equal-frequency bins.
 Redundant pairs (|r| above the cutoff) lose the member with lower MI
 against the target; with no target, or on a tie, the later column goes.
-Forest importances are advisory only and never a removal criterion.
+Forest importances are advisory only and never a removal criterion. The
+advisory forest is fitted on the first read of `FeatureReport.importances`,
+so a run whose selected model has importances of its own never fits it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,10 +34,18 @@ REASON_HIGH_CARDINALITY = "high_cardinality_unencodable"
 class FeatureReport:
     pearson_correlations: dict[tuple[str, str], float] = field(default_factory=dict)
     mutual_information: dict[str, float] = field(default_factory=dict)
-    importances: dict[str, float] | None = None
     removed: list[tuple[str, str]] = field(default_factory=list)
     kept: list[str] = field(default_factory=list)
     target_name: str | None = None
+    # the advisory forest fit with its inputs, run on the first read
+    fit_importances: Callable[[], dict[str, float] | None] | None = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def importances(self) -> dict[str, float] | None:
+        """Advisory forest importances, fitted once on first read; None when
+        there is nothing to fit."""
+        return self.fit_importances() if self.fit_importances else None
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -106,7 +118,7 @@ def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.n
     return codes
 
 
-def _advisory_importances(frame, kept, schema, floats, cfg, seed):
+def _advisory_importances(frame, kept, schema, cfg, seed):
     """25-tree depth-8 forest on a 50% row subsample; advisory only."""
     target = schema.chosen_target
     target_cells = frame.column(target)
@@ -118,10 +130,11 @@ def _advisory_importances(frame, kept, schema, floats, cfg, seed):
     for name in kept:
         cells = frame.column(name)
         if schema.roles[name] == FEATURE_NUMERIC:
-            missing = np.isnan(floats[name])
-            present = floats[name][~missing]
+            values = float_cells(cells)[0]
+            missing = np.isnan(values)
+            present = values[~missing]
             fill = float(np.median(present)) if present.size else 0.0
-            columns.append(np.where(missing, fill, floats[name]))
+            columns.append(np.where(missing, fill, values))
         else:
             present = [str(c) for c in cells if c is not None]
             vocab = {v: float(k) for k, v in enumerate(sorted(set(present)))}
@@ -164,8 +177,9 @@ def analyze_features(
 ) -> FeatureReport:
     """Partition features into kept and removed with full evidence.
 
-    The advisory forest is fitted only for a supervised task with a target;
-    an anomaly run that still names a target gets no importances.
+    The advisory forest is deferred to the first read of the report's
+    importances, and kept only for a supervised task with a target; an
+    anomaly run that still names a target reads None.
     """
     cfg = cfg or PlanConfig()
     features = [c for c in frame.column_names if c in schema.feature_columns()]
@@ -183,7 +197,7 @@ def analyze_features(
         c for c in features
         if schema.roles[c] == FEATURE_NUMERIC and c not in removed
     ]
-    # each numeric column is read once; pearson, MI and the forest share it
+    # each numeric column is read once; pearson and MI share it
     floats = {name: float_cells(frame.column(name))[0] for name in numeric}
     for i, a in enumerate(numeric):
         for b in numeric[i + 1:]:
@@ -234,7 +248,6 @@ def analyze_features(
     report.kept = [name for name in features if name not in removed]
 
     if supervised and target is not None and report.kept:
-        report.importances = _advisory_importances(
-            frame, report.kept, schema, floats, cfg, seed
-        )
+        report.fit_importances = partial(
+            _advisory_importances, frame, tuple(report.kept), schema, cfg, seed)
     return report

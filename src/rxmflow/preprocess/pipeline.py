@@ -35,9 +35,8 @@ import numpy as np
 from ..errors import EmptyTrainSetError, MissingColumnError
 from ..perception import DatasetFrame, float_cells
 from .plan import (
-    ENCODE_DROP, ENCODE_ONE_HOT, ENCODE_PASSTHROUGH, ENCODE_TARGET,
-    IMPUTE_KNN, IMPUTE_MEDIAN, IMPUTE_MOST_FREQUENT, IMPUTE_NONE,
-    SCALE_ROBUST, SCALE_STANDARD, PreprocessPlan,
+    ENCODE_DROP, ENCODE_ONE_HOT, ENCODE_PASSTHROUGH, ENCODE_TARGET, IMPUTE_KNN,
+    IMPUTE_NONE, SCALE_ROBUST, SCALE_STANDARD, PreprocessPlan,
 )
 from .schema import FEATURE_NUMERIC, SchemaMap
 
@@ -46,6 +45,17 @@ def _category_key(cell) -> str:
     if isinstance(cell, float):
         return "%g" % cell
     return str(cell)
+
+
+def _category_keys(cells, rows) -> list:
+    """`_category_key` of the cells at rows, None where a cell is missing.
+
+    A text cell is its own key, so only the other cells are formatted.
+    """
+    return [
+        c if c is None or c.__class__ is str else _category_key(c)
+        for c in map(cells.__getitem__, rows)
+    ]
 
 
 def most_frequent(values: list[str]) -> str:
@@ -175,9 +185,7 @@ def fit_pipeline(
                 degenerate.append(name)
             feature_names.append(name)
         else:
-            keys = [
-                _category_key(cells[i]) for i in train if cells[i] is not None
-            ]
+            keys = [k for k in _category_keys(cells, train) if k is not None]
             fit.impute_value = most_frequent(keys)
             if directive.encoding == ENCODE_ONE_HOT:
                 fit.vocabulary = sorted(set(keys))
@@ -372,20 +380,17 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
         elif fit.encoding == ENCODE_ONE_HOT:
             block = np.zeros((len(rows), len(fit.vocabulary)))
             index = {cat: j for j, cat in enumerate(fit.vocabulary)}
-            for k, i in enumerate(rows):
-                key = _imputed_key(fit, cells[i], knn_values, k)
-                j = index.get(key)
-                if j is not None:
-                    block[k, j] = 1.0
+            hot = np.array([index.get(key, -1) for key in
+                            _imputed_keys(fit, cells, rows, knn_values)], dtype=np.intp)
+            at = np.flatnonzero(hot >= 0)
+            block[at, hot[at]] = 1.0
             blocks.append(block)
         elif fit.encoding == ENCODE_TARGET:
-            column = np.empty(len(rows))
-            for k, i in enumerate(rows):
-                key = _imputed_key(fit, cells[i], knn_values, k)
-                if key is None:
-                    column[k] = fit.global_target_mean
-                else:
-                    column[k] = fit.target_means.get(key, fit.global_target_mean)
+            means, fallback = fit.target_means, fit.global_target_mean
+            column = np.array([
+                means.get(key, fallback)
+                for key in _imputed_keys(fit, cells, rows, knn_values)
+            ], dtype=float)
             blocks.append(column[:, None])
 
     if blocks:
@@ -396,9 +401,9 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
     identifiers = {}
     for name in pipeline.identifier_columns:
         if name in frame.column_names:
-            cells = frame.column(name)
             identifiers[name] = [
-                _category_key(cells[i]) if cells[i] is not None else "" for i in rows
+                "" if key is None else key
+                for key in _category_keys(frame.column(name), rows)
             ]
 
     target_values = None
@@ -409,15 +414,16 @@ def apply_pipeline(pipeline: FittedPipeline, frame: DatasetFrame, row_indices):
     return matrix, identifiers, target_values
 
 
-def _imputed_key(fit, cell, knn_keys, k):
-    if cell is not None:
-        return _category_key(cell)
+def _imputed_keys(fit, cells, rows, knn_keys):
+    """Category keys of the cells at rows, each missing cell replaced by
+    its imputed key."""
+    keys = _category_keys(cells, rows)
     if fit.imputation == IMPUTE_KNN:
-        return knn_keys[k]
-    if fit.imputation in (IMPUTE_MOST_FREQUENT, IMPUTE_MEDIAN):
-        return fit.impute_value
+        return [knn_keys[k] if key is None else key for k, key in enumerate(keys)]
     if fit.imputation == IMPUTE_NONE and fit.encoding == ENCODE_TARGET:
-        return None          # falls back to the global training mean
-    if fit.imputation == IMPUTE_NONE and fit.encoding == ENCODE_ONE_HOT:
-        return "\x00unseen"  # all-zero block
-    return fit.impute_value
+        fill = None          # falls back to the global training mean
+    elif fit.imputation == IMPUTE_NONE and fit.encoding == ENCODE_ONE_HOT:
+        fill = "\x00unseen"  # all-zero block
+    else:
+        fill = fit.impute_value
+    return [fill if key is None else key for key in keys]

@@ -481,7 +481,7 @@ class WorkflowRunner:
         else:
             if not best.feature_importances and art.feature_report.importances:
                 # model family without native importances: use the advisory
-                # forest importances from the analysis stage
+                # forest importances, fitted here on this first read
                 best.feature_importances = art.feature_report.importances
             if art.task == analytics.CLASSIFICATION:
                 art.recommendations = optimize.recommend_classification(
@@ -548,7 +548,7 @@ class WorkflowRunner:
                                   dataset_name=Path(self.config.data_path).name)
         self.audit.close()
 
-    def _detailed_sections(self) -> dict:
+    def _detailed_sections(self, generated: list[dict], approved: list[dict]) -> dict:
         art = self.artifacts
         dataset = {
             "name": Path(self.config.data_path).name,
@@ -593,12 +593,6 @@ class WorkflowRunner:
                     r.spec.family for r in art.adaptive_log.attempts
                 ],
             }
-        generated = optimize.recommendations_to_json(art.recommendations)
-        approved = (
-            [] if art.review_outcome is not None
-            and art.review_outcome.status == "rejected"
-            else generated
-        )
         review_json = None
         if art.review_outcome is not None:
             review_json = {
@@ -658,17 +652,16 @@ class WorkflowRunner:
             feature_columns=feature_columns,
             model_name=best.spec.display_name if best is not None else "",
         )
+        generated = optimize.recommendations_to_json(art.recommendations)
+        rejected = art.review_outcome is not None and art.review_outcome.status == "rejected"
+        approved = [] if rejected else generated
         try:
-            approved = (
-                [] if art.review_outcome is not None
-                and art.review_outcome.status == "rejected"
-                else optimize.recommendations_to_json(art.recommendations)
-            )
             art.recommendations_path = write_recommendations(
                 approved, self.config.log_dir, self.clock
             )
             art.detailed_results_path = emit_detailed_results(
-                self._detailed_sections(), self.config.log_dir, self.clock
+                self._detailed_sections(generated, approved),
+                self.config.log_dir, self.clock,
             )
             logger.info("Detailed results saved to: %s", art.detailed_results_path)
         except SinkUnwritableError as exc:

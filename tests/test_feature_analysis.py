@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rxmflow.errors import NoFeaturesError
+from rxmflow.models.forest import RandomForestClassifier, RandomForestRegressor
 from rxmflow.perception import float_cells, inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
@@ -154,6 +155,28 @@ def test_importances_present_with_target_and_favor_signal():
     assert report.importances is not None
     top2 = sorted(report.importances, key=report.importances.get, reverse=True)[:2]
     assert set(top2) == {"Downtime_Cost", "Vibration"}
+
+
+
+def test_advisory_forest_is_fitted_once_on_first_read(monkeypatch):
+    fits = []
+
+    def counted(fit):
+        def wrapper(self, *args):
+            fits.append(type(self).__name__)
+            return fit(self, *args)
+        return wrapper
+    for forest in (RandomForestClassifier, RandomForestRegressor):
+        monkeypatch.setattr(forest, "fit", counted(forest.fit))
+    frame = maintenance_frame(n_rows=300)
+    schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
+    report = analyze_features(frame, schema, seed=3)
+    assert fits == []
+    first = report.importances
+    assert fits == ["RandomForestClassifier"]
+    assert report.importances is first
+    assert fits == ["RandomForestClassifier"]
+    assert set(first) == set(report.kept)
 
 
 def test_high_cardinality_removed_only_without_target():

@@ -368,6 +368,70 @@ def test_knn_matrices_match_golden_digest():
     )
 
 
+def per_cell_key(cell):
+    return "%g" % cell if isinstance(cell, float) else str(cell)
+
+
+def imputed_key_per_cell(fit, cell):
+    if cell is not None:
+        return per_cell_key(cell)
+    if fit.imputation == "none":
+        return None if fit.encoding == "target_encoding" else "\x00unseen"
+    return fit.impute_value
+
+
+# texts, and numbers that are equal yet key differently (0.0 and -0.0,
+# 1 and True, 10**7 and 1e7) or are unequal to themselves (NaN)
+odd_cells = st.one_of(
+    st.none(),
+    st.sampled_from(["a", "b", "0", "1", "nan", "None", "-0"]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e7, float("nan"), 1, True, 10**7]),
+)
+
+
+@given(
+    cells=st.lists(odd_cells, min_size=2, max_size=30),
+    imputation=st.sampled_from(["most_frequent", "median", "none"]),
+    encoding=st.sampled_from(["one_hot", "target_encoding"]),
+)
+def test_category_keys_match_the_per_cell_reference(cells, imputation, encoding):
+    n = len(cells)
+    frame = make_frame({
+        "c": cells, "ident": cells[::-1], "score_target": [float(i % 3) for i in range(n)],
+    })
+    schema = SchemaMap(
+        roles={"c": "feature_categorical", "ident": "identifier",
+               "score_target": "target_candidate"},
+        chosen_target="score_target",
+    )
+    plan = PreprocessPlan(directives={
+        "c": ColumnDirective(imputation, "none", encoding, ""),
+        "ident": ColumnDirective("none", "none", "passthrough", ""),
+    })
+    train = list(range(0, n, 2))
+    pipeline = fit_pipeline(frame, plan, schema, train)
+    fit = pipeline.column_fits[0]
+    train_keys = [per_cell_key(cells[i]) for i in train if cells[i] is not None]
+    assert fit.impute_value == most_frequent(train_keys)
+
+    matrix, identifiers, _ = apply_pipeline(pipeline, frame, range(n))
+    keys = [imputed_key_per_cell(fit, c) for c in cells]
+    if encoding == "one_hot":
+        assert fit.vocabulary == sorted(set(train_keys))
+        expected = np.zeros((n, len(fit.vocabulary)))
+        for k, key in enumerate(keys):
+            if key in fit.vocabulary:
+                expected[k, fit.vocabulary.index(key)] = 1.0
+    else:
+        expected = np.array([
+            [fit.target_means.get(key, fit.global_target_mean)] for key in keys
+        ])
+    assert matrix.tobytes() == expected.tobytes()
+    assert identifiers == {
+        "ident": ["" if c is None else per_cell_key(c) for c in cells[::-1]]
+    }
+
+
 def test_apply_is_idempotent(rng):
     n = 60
     frame = make_frame({

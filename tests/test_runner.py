@@ -1,11 +1,14 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from rxmflow import analytics
 from rxmflow.backends import ScriptedBackend, UnavailableBackend
 from rxmflow.clocks import TickClock
 from rxmflow.errors import DataLoadError
+from rxmflow.preprocess import features
 from rxmflow.review import ReviewIO
 from rxmflow.runner import (
     EXIT_OK, EXIT_REJECTED, WorkflowConfig, WorkflowRunner, run_workflow,
@@ -391,3 +394,69 @@ def test_replay_is_byte_identical(maintenance_csv, tmp_path):
         ))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+def _only_candidate(monkeypatch, family):
+    select = analytics.select_candidates
+
+    def only(*args, **kwargs):
+        return [spec for spec in select(*args, **kwargs) if spec.family == family]
+    monkeypatch.setattr(analytics, "select_candidates", only)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# digests of the run that fitted the advisory forest inside analyze_features;
+# deferring the fit to the first read must keep every byte
+@pytest.mark.parametrize("family, frame, digests", [
+    ("svm_rbf_clf", lambda: maintenance_frame(n_rows=400, seed=7), (
+        "d320c973f7d866d49d50ce1b8734fef8f66c759e0186c71f0148be7b3d1bd301",
+        "ecbf7880b19aa24094f4b1656fc6a0bc4031db4fc2228fc78e710ad0e3108328",
+        "87d19d7af5bce9842bc95e87bec4f6a59118c1b7e3e0dfd9a57e7038a21fa4c5",
+    )),
+    ("svr_rbf", lambda: failure_frame(n_rows=600, seed=11), (
+        "5e884e561cb390d6566f450e84429e068aede7419ed139269cf2cd88df4d33ca",
+        "3c41097038814abd60e798f24b0bcbf152d373cf6abcc2e0d28f17491a445a23",
+        "fa399fefc7e15568940a24a6fecb97187073ca28260dbf6accde7dbe4f36adf4",
+    )),
+])
+def test_svm_winner_reads_the_advisory_importances(tmp_path, monkeypatch,
+                                                   family, frame, digests):
+    _only_candidate(monkeypatch, family)
+    path = tmp_path / "svm.csv"
+    write_csv(frame(), path)
+    report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    assert report.steps_succeeded == 5
+    best = artifacts.best_result
+    assert best.spec.family == family
+    assert best.feature_importances is artifacts.feature_report.importances
+    assert (
+        _sha256(json.dumps(best.feature_importances).encode()),
+        _sha256(artifacts.recommendations_path.read_bytes()),
+        _sha256(artifacts.detailed_results_path.read_bytes()),
+    ) == digests
+
+
+def _fit_no_advisory_forest(*args, **kwargs):
+    raise AssertionError("advisory forest fitted")
+
+
+@pytest.mark.parametrize("family, frame", [
+    ("random_forest_clf", lambda: maintenance_frame(n_rows=400, seed=7)),
+    ("logistic_regression", lambda: maintenance_frame(n_rows=400, seed=7)),
+    ("linear_regression", lambda: failure_frame(n_rows=600, seed=11)),
+    ("random_forest_reg", lambda: failure_frame(n_rows=600, seed=11)),
+])
+def test_winner_with_own_importances_fits_no_advisory_forest(
+        tmp_path, monkeypatch, family, frame):
+    _only_candidate(monkeypatch, family)
+    monkeypatch.setattr(features, "_advisory_importances", _fit_no_advisory_forest)
+    path = tmp_path / "own.csv"
+    write_csv(frame(), path)
+    report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    assert report.steps_succeeded == 5
+    assert artifacts.best_result.spec.family == family
+    assert artifacts.best_result.feature_importances
+    assert "importances" not in vars(artifacts.feature_report)   # never read
