@@ -1,25 +1,16 @@
 """Model selection, training, evaluation, and the adaptive retry loop.
 
-Candidate families and hyperparameters:
-
-  classification: random_forest_clf (n_estimators = min(100, max(10,
-                  n_samples // 10))), logistic_regression (max_iter = 1000),
-                  svm_rbf_clf (rbf kernel, C = 1.0)
-  regression:     linear_regression, ridge (alpha = 1.0), lasso (alpha =
-                  1.0), random_forest_reg (n_estimators = 100), svr_rbf
-                  (rbf kernel, C = 1.0)
-  anomaly:        isolation_forest (n_estimators = 200, contamination
-                  "auto" or an explicit fraction)
-
-SVM and SVR are desk-scale models (full kernel matrix) and are skipped
-above 2000 samples; the skip is logged. Training failures become a status
-on the result rather than an exception so the caller can move on to the
-next candidate. The adaptive loop triggers only when the first result is
+Every candidate family is one row of the FAMILIES table below. SVM and SVR
+are desk-scale models (full kernel matrix) and are skipped above 2000
+samples; the skip is logged. Training failures become a status on the
+result rather than an exception so the caller can move on to the next
+candidate. The adaptive loop triggers only when the first result is
 strictly below threshold (accuracy < 0.6 or R^2 < 0.1).
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 from dataclasses import dataclass, field
 
@@ -47,18 +38,26 @@ ANOMALY = "anomaly_detection"
 STATUS_OK = "ok"
 STATUS_FAILED = "training_failed"
 
+SUPERVISED = (CLASSIFICATION, REGRESSION)
+
 SVM_MAX_SAMPLES = 2000
 
-FAMILY_DISPLAY = {
-    "random_forest_clf": "RandomForestClassifier",
-    "logistic_regression": "LogisticRegression",
-    "svm_rbf_clf": "SVC",
-    "random_forest_reg": "RandomForestRegressor",
-    "linear_regression": "LinearRegression",
-    "ridge": "Ridge",
-    "lasso": "Lasso",
-    "svr_rbf": "SVR",
-    "isolation_forest": "IsolationForest",
+# family: (task, estimator, hyperparameters), in candidate order per task.
+# None marks a value select_candidates works out from its arguments: the
+# classification forest has n_estimators = min(100, max(10, n_samples // 10))
+# and the isolation forest's contamination is "auto" or an explicit
+# fraction. Both SVMs use the rbf kernel, which "kernel" only records.
+FAMILIES = {
+    "random_forest_clf": (CLASSIFICATION, RandomForestClassifier, {"n_estimators": None}),
+    "logistic_regression": (CLASSIFICATION, LogisticRegression, {"max_iter": 1000}),
+    "svm_rbf_clf": (CLASSIFICATION, SVC, {"kernel": "rbf", "C": 1.0}),
+    "linear_regression": (REGRESSION, LinearRegression, {}),
+    "ridge": (REGRESSION, Ridge, {"alpha": 1.0}),
+    "lasso": (REGRESSION, Lasso, {"alpha": 1.0}),
+    "random_forest_reg": (REGRESSION, RandomForestRegressor, {"n_estimators": 100}),
+    "svr_rbf": (REGRESSION, SVR, {"kernel": "rbf", "C": 1.0}),
+    "isolation_forest": (
+        ANOMALY, IsolationForest, {"n_estimators": 200, "contamination": None}),
 }
 
 
@@ -70,7 +69,9 @@ class ModelSpec:
 
     @property
     def display_name(self) -> str:
-        return FAMILY_DISPLAY.get(self.family, self.family)
+        if self.family not in FAMILIES:
+            return self.family
+        return FAMILIES[self.family][1].__name__
 
 
 @dataclass
@@ -137,28 +138,22 @@ def select_candidates(task: str, n_samples: int, seed: int = 0,
                       contamination="auto") -> list[ModelSpec]:
     if n_samples < 10:
         raise TooFewSamplesError(f"{n_samples} samples; need at least 10")
-    if task == CLASSIFICATION:
-        specs = [
-            ModelSpec("random_forest_clf",
-                      {"n_estimators": min(100, max(10, n_samples // 10))}, seed),
-            ModelSpec("logistic_regression", {"max_iter": 1000}, seed),
-            ModelSpec("svm_rbf_clf", {"kernel": "rbf", "C": 1.0}, seed),
-        ]
-    elif task == REGRESSION:
-        specs = [
-            ModelSpec("linear_regression", {}, seed),
-            ModelSpec("ridge", {"alpha": 1.0}, seed),
-            ModelSpec("lasso", {"alpha": 1.0}, seed),
-            ModelSpec("random_forest_reg", {"n_estimators": 100}, seed),
-            ModelSpec("svr_rbf", {"kernel": "rbf", "C": 1.0}, seed),
-        ]
-    else:
-        specs = [
-            ModelSpec("isolation_forest",
-                      {"n_estimators": 200, "contamination": contamination}, seed),
-        ]
+    if task not in SUPERVISED:
+        task = ANOMALY
+    worked_out = {
+        "n_estimators": min(100, max(10, n_samples // 10)),
+        "contamination": contamination,
+    }
+    specs = [
+        ModelSpec(family, {
+            key: worked_out[key] if value is None else value
+            for key, value in hyperparameters.items()
+        }, seed)
+        for family, (family_task, _, hyperparameters) in FAMILIES.items()
+        if family_task == task
+    ]
     if n_samples > SVM_MAX_SAMPLES:
-        kept = [s for s in specs if s.family not in ("svm_rbf_clf", "svr_rbf")]
+        kept = [s for s in specs if FAMILIES[s.family][1] not in (SVC, SVR)]
         if len(kept) != len(specs):
             logger.info(
                 "skipping SVM/SVR candidates at n=%d (desk-scale limit %d)",
@@ -202,35 +197,14 @@ def split_train_test(n_rows: int, task: str, target_values=None,
 
 
 def _build_model(spec: ModelSpec):
-    hp = spec.hyperparameters
-    family = spec.family
-    if family == "random_forest_clf":
-        return RandomForestClassifier(
-            n_estimators=hp.get("n_estimators", 100), seed=spec.seed
-        )
-    if family == "logistic_regression":
-        return LogisticRegression(max_iter=hp.get("max_iter", 1000))
-    if family == "svm_rbf_clf":
-        return SVC(C=hp.get("C", 1.0), seed=spec.seed)
-    if family == "random_forest_reg":
-        return RandomForestRegressor(
-            n_estimators=hp.get("n_estimators", 100), seed=spec.seed
-        )
-    if family == "linear_regression":
-        return LinearRegression()
-    if family == "ridge":
-        return Ridge(alpha=hp.get("alpha", 1.0))
-    if family == "lasso":
-        return Lasso(alpha=hp.get("alpha", 1.0))
-    if family == "svr_rbf":
-        return SVR(C=hp.get("C", 1.0), seed=spec.seed)
-    if family == "isolation_forest":
-        return IsolationForest(
-            n_estimators=hp.get("n_estimators", 200),
-            contamination=hp.get("contamination", "auto"),
-            seed=spec.seed,
-        )
-    raise ValueError(f"unknown model family {family!r}")
+    """The family's estimator, given those of the spec's hyperparameters and
+    seed that its constructor takes."""
+    if spec.family not in FAMILIES:
+        raise ValueError(f"unknown model family {spec.family!r}")
+    estimator = FAMILIES[spec.family][1]
+    accepted = inspect.signature(estimator).parameters
+    options = {**spec.hyperparameters, "seed": spec.seed}
+    return estimator(**{k: v for k, v in options.items() if k in accepted})
 
 
 def _importances(model, feature_names, X_train) -> dict[str, float] | None:
@@ -267,66 +241,54 @@ def fit_predict_evaluate(
         if np.asarray(X_train).shape[0] == 0 or np.asarray(X_test).shape[0] == 0:
             raise ValueError("empty train or test matrix")
         model = _build_model(spec)
+        if task not in SUPERVISED:
+            # anomaly detection: score all rows, flag by the contamination rule
+            model.fit(X_train)
+            scores = model.score_samples(X_test)
+            flags = model.flag(scores)
+            return ModelResult(
+                spec=spec,
+                status=STATUS_OK,
+                metrics=Metrics(anomaly_count=int(flags.sum()), anomaly_scores=scores),
+                test_predictions=scores.tolist(),
+                anomaly_flags=flags,
+            )
+        result = ModelResult(spec=spec, status=STATUS_OK)
         if task == CLASSIFICATION:
-            labels = np.array([str(v) for v in y_train])
-            model.fit(X_train, labels)
-            confidence = None
+            model.fit(X_train, np.array([str(v) for v in y_train]))
             if hasattr(model, "predict_proba"):
                 # predict is classes_[argmax(predict_proba)]: score once
                 proba = model.predict_proba(X_test)
                 predictions = model.classes_[np.argmax(proba, axis=1)]
-                confidence = proba.max(axis=1).tolist()
+                result.prediction_confidence = proba.max(axis=1).tolist()
             else:
                 predictions = model.predict(X_test)
             truth = [str(v) for v in y_test]
             report = classification_report(truth, predictions.tolist())
             precision, recall, f1 = macro_averages(report)
-            metrics = Metrics(
+            result.metrics = Metrics(
                 accuracy=accuracy_score(truth, predictions.tolist()),
                 macro_precision=precision,
                 macro_recall=recall,
                 macro_f1=f1,
                 per_class=report,
             )
-            return ModelResult(
-                spec=spec,
-                status=STATUS_OK,
-                metrics=metrics,
-                feature_importances=_importances(model, feature_names, np.asarray(X_train, dtype=float)),
-                test_predictions=predictions.tolist(),
-                prediction_confidence=confidence,
-            )
-        if task == REGRESSION:
+        else:
             y_tr = np.asarray(y_train, dtype=float)
             model.fit(X_train, y_tr)
             predictions = np.asarray(model.predict(X_test), dtype=float)
             y_te = np.asarray(y_test, dtype=float)
-            metrics = Metrics(
+            result.metrics = Metrics(
                 r2=r2_score(y_te, predictions),
                 mse=mean_squared_error(y_te, predictions),
             )
-            return ModelResult(
-                spec=spec,
-                status=STATUS_OK,
-                metrics=metrics,
-                feature_importances=_importances(model, feature_names, np.asarray(X_train, dtype=float)),
-                test_predictions=predictions.tolist(),
-                train_target_stats=TargetStats(
-                    mean=float(y_tr.mean()), std=float(y_tr.std()), n=len(y_tr),
-                ),
+            result.train_target_stats = TargetStats(
+                mean=float(y_tr.mean()), std=float(y_tr.std()), n=len(y_tr),
             )
-        # anomaly detection: score all rows, flag by the contamination rule
-        model.fit(X_train)
-        scores = model.score_samples(X_test)
-        flags = model.flag(scores)
-        metrics = Metrics(anomaly_count=int(flags.sum()), anomaly_scores=scores)
-        return ModelResult(
-            spec=spec,
-            status=STATUS_OK,
-            metrics=metrics,
-            test_predictions=scores.tolist(),
-            anomaly_flags=flags,
-        )
+        result.test_predictions = predictions.tolist()
+        result.feature_importances = _importances(
+            model, feature_names, np.asarray(X_train, dtype=float))
+        return result
     except Exception as exc:      # captured, never propagated
         logger.warning("training failed for %s: %s", spec.family, exc)
         return ModelResult(spec=spec, status=STATUS_FAILED, error=str(exc))
@@ -355,7 +317,7 @@ def adaptive_search(
         )
     )
     primary_name = (first_result.metrics or Metrics()).primary_name(task)
-    if task not in (CLASSIFICATION, REGRESSION):
+    if task not in SUPERVISED:
         return AdaptiveSearchLog(
             trigger_reason="single-family task; no exploration",
             attempts=[first_result],
@@ -368,27 +330,19 @@ def adaptive_search(
             return None
         return result.metrics.primary(task)
 
+    threshold = min_accuracy if task == CLASSIFICATION else min_r2
     first_metric = primary(first_result)
-    triggered = first_result.status != STATUS_OK or first_metric is None or (
-        task == CLASSIFICATION and first_metric < min_accuracy
-    ) or (
-        task == REGRESSION and first_metric < min_r2
-    )
-
-    if not triggered:
+    if first_metric is None:
+        reason = "first model failed to train"
+    elif first_metric < threshold:
+        reason = f"{primary_name}={first_metric:.4f} below {threshold}"
+    else:
         return AdaptiveSearchLog(
             trigger_reason="first model met the performance threshold",
             attempts=[first_result],
             best_index=0,
             primary_metric_name=primary_name,
         )
-
-    threshold = min_accuracy if task == CLASSIFICATION else min_r2
-    reason = (
-        f"{primary_name}={first_metric:.4f} below {threshold}"
-        if first_metric is not None
-        else "first model failed to train"
-    )
     attempts = [first_result]
     for spec in candidates:
         attempts.append(trainer(spec))

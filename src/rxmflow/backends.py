@@ -24,6 +24,28 @@ from .errors import BackendError
 DEFAULT_TIMEOUT_SECONDS = 60.0
 
 
+def _post(url: str, body: dict, timeout: float, reply, headers=None) -> str:
+    """POST a JSON body and return `reply` applied to the decoded answer.
+
+    A timeout, a transport failure, a non-200 status and a body `reply`
+    cannot read each become a BackendError.
+    """
+    import requests     # deferred: a run without an HTTP backend never pays for it
+
+    try:
+        response = requests.post(url, json=body, headers=headers, timeout=timeout)
+    except requests.Timeout:
+        raise BackendError("timeout", f"no reply within {timeout}s") from None
+    except requests.RequestException as exc:
+        raise BackendError("unavailable", str(exc)) from None
+    if response.status_code != 200:
+        raise BackendError("http_error", f"status {response.status_code}")
+    try:
+        return reply(response.json())
+    except (ValueError, KeyError, IndexError) as exc:
+        raise BackendError("http_error", f"malformed response body: {exc}") from None
+
+
 class HttpBackend:
     def __init__(self, base_url: str, model_name: str,
                  timeout: float = DEFAULT_TIMEOUT_SECONDS):
@@ -32,23 +54,9 @@ class HttpBackend:
         self.timeout = timeout
 
     def generate(self, prompt: str) -> str:
-        import requests     # deferred: a run without an HTTP backend never pays for it
-
         body = {"model": self.model_name, "prompt": prompt, "stream": False}
-        try:
-            response = requests.post(
-                f"{self.base_url}/api/generate", json=body, timeout=self.timeout
-            )
-        except requests.Timeout:
-            raise BackendError("timeout", f"no reply within {self.timeout}s") from None
-        except requests.RequestException as exc:
-            raise BackendError("unavailable", str(exc)) from None
-        if response.status_code != 200:
-            raise BackendError("http_error", f"status {response.status_code}")
-        try:
-            return response.json()["response"]
-        except (ValueError, KeyError) as exc:
-            raise BackendError("http_error", f"malformed response body: {exc}") from None
+        return _post(f"{self.base_url}/api/generate", body, self.timeout,
+                     lambda answer: answer["response"])
 
 
 class OpenAIChatBackend:
@@ -63,8 +71,6 @@ class OpenAIChatBackend:
         self.timeout = timeout
 
     def generate(self, prompt: str) -> str:
-        import requests     # deferred, as in HttpBackend
-
         headers = {}
         key = os.environ.get(self.api_key_env)
         if key:
@@ -74,21 +80,9 @@ class OpenAIChatBackend:
             "messages": [{"role": "user", "content": prompt}],
             "stream": False,
         }
-        try:
-            response = requests.post(
-                f"{self.base_url}/v1/chat/completions",
-                json=body, headers=headers, timeout=self.timeout,
-            )
-        except requests.Timeout:
-            raise BackendError("timeout", f"no reply within {self.timeout}s") from None
-        except requests.RequestException as exc:
-            raise BackendError("unavailable", str(exc)) from None
-        if response.status_code != 200:
-            raise BackendError("http_error", f"status {response.status_code}")
-        try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
-            raise BackendError("http_error", f"malformed response body: {exc}") from None
+        return _post(f"{self.base_url}/v1/chat/completions", body, self.timeout,
+                     lambda answer: answer["choices"][0]["message"]["content"],
+                     headers)
 
 
 class ScriptedBackend:

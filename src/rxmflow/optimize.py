@@ -144,10 +144,30 @@ def _dedupe_best(recommendations: list[Recommendation]) -> list[Recommendation]:
     return list(best.values())
 
 
-def _finalize(recommendations, config, cap):
+def _ranked(rows, identifiers, feature_matrix, feature_names, importances,
+            config, score_kind):
+    """Draft one recommendation per (priority, score) row, keep each
+    machine's best, drop Routine unless configured, and rank."""
+    z = _standardized(feature_matrix)
+    drafts = []
+    for k, (machine, (priority, score)) in enumerate(zip(identifiers, rows)):
+        entry = config.action_table[priority]
+        drafts.append(Recommendation(
+            machine_id=machine,
+            priority=priority,
+            priority_score=score,
+            contributing_features=_contributing(
+                importances, feature_names, z[k], config.top_k_features
+            ),
+            action=entry.action,
+            cost_estimate=entry.cost,
+            time_estimate=entry.hours,
+            score_kind=score_kind,
+        ))
+    recommendations = _dedupe_best(drafts)
     if not config.include_routine:
         recommendations = [r for r in recommendations if r.priority != ROUTINE]
-    return _rank_sort(recommendations)[:cap]
+    return _rank_sort(recommendations)[:config.max_recommendations]
 
 
 def recommend_classification(
@@ -164,26 +184,25 @@ def recommend_classification(
         raise MissingImportancesError(
             "classification recommendations need feature importances"
         )
-    z = _standardized(feature_matrix)
     confidences = result.prediction_confidence or [0.5] * len(identifiers)
-
-    drafts = []
-    for k, (machine, label) in enumerate(zip(identifiers, result.test_predictions)):
+    rows = []
+    for label, confidence in zip(result.test_predictions, confidences):
         priority = config.priority_map.get(str(label), ROUTINE)
-        entry = config.action_table[priority]
-        drafts.append(Recommendation(
-            machine_id=machine,
-            priority=priority,
-            priority_score=_RANK[priority] + float(confidences[k]),
-            contributing_features=_contributing(
-                importances, feature_names, z[k], config.top_k_features
-            ),
-            action=entry.action,
-            cost_estimate=entry.cost,
-            time_estimate=entry.hours,
-            score_kind=SCORE_CLASS_SURROGATE,
-        ))
-    return _finalize(_dedupe_best(drafts), config, config.max_recommendations)
+        rows.append((priority, _RANK[priority] + float(confidence)))
+    return _ranked(rows, identifiers, feature_matrix, feature_names, importances,
+                   config, SCORE_CLASS_SURROGATE)
+
+
+def _band(predicted: float, stats: TargetStats, bands: Thresholds) -> tuple[str, float]:
+    if bands.degenerate:
+        return ROUTINE, 0.0
+    if predicted > bands.critical:
+        priority = CRITICAL
+    elif predicted > bands.high:
+        priority = ELEVATED
+    else:
+        priority = ROUTINE
+    return priority, priority_score(predicted, stats)
 
 
 def recommend_regression(
@@ -197,40 +216,13 @@ def recommend_regression(
     config = config or RecommendationConfig()
     stats = result.train_target_stats
     bands = thresholds(stats)
-    importances = result.feature_importances or {}
-    z = _standardized(feature_matrix)
-
     if bands.degenerate:
         logger.warning(
             "target std is zero; every prediction lands in the Routine band"
         )
-
-    drafts = []
-    for k, (machine, predicted) in enumerate(zip(identifiers, result.test_predictions)):
-        predicted = float(predicted)
-        if bands.degenerate:
-            priority, score = ROUTINE, 0.0
-        else:
-            score = priority_score(predicted, stats)
-            if predicted > bands.critical:
-                priority = CRITICAL
-            elif predicted > bands.high:
-                priority = ELEVATED
-            else:
-                priority = ROUTINE
-        entry = config.action_table[priority]
-        drafts.append(Recommendation(
-            machine_id=machine,
-            priority=priority,
-            priority_score=score,
-            contributing_features=_contributing(
-                importances, feature_names, z[k], config.top_k_features
-            ),
-            action=entry.action,
-            cost_estimate=entry.cost,
-            time_estimate=entry.hours,
-        ))
-    return _finalize(_dedupe_best(drafts), config, config.max_recommendations)
+    rows = [_band(float(p), stats, bands) for p in result.test_predictions]
+    return _ranked(rows, identifiers, feature_matrix, feature_names,
+                   result.feature_importances or {}, config, SCORE_Z)
 
 
 def recommend_anomaly(

@@ -14,20 +14,14 @@ import logging
 from dataclasses import dataclass
 
 from .errors import BackendError, DecisionParseError
-from .workflow import FAILED, WorkflowContext, record_lesson
+from .workflow import DEFAULT_TOOLS, FAILED, WorkflowContext, record_lesson
 
 logger = logging.getLogger(__name__)
 
 PROVENANCE_LLM = "llm"
 PROVENANCE_RULE = "rule_based"
 
-TOOL_SEQUENCE = (
-    "load_and_inspect_data",
-    "preprocess_data",
-    "analyze_data",
-    "generate_recommendations",
-    "summarize",
-)
+TOOL_SEQUENCE = tuple(name for name, _ in DEFAULT_TOOLS)
 
 _RULE_REASONS = {
     "load_and_inspect_data":

@@ -121,14 +121,12 @@ def _parse_cell(raw: str):
     return value
 
 
-def load_csv(path, delimiter: str = ",", header: bool = True) -> DatasetFrame:
-    """Read a delimiter-separated file into a column-major DatasetFrame.
+def load_csv(path) -> DatasetFrame:
+    """Read a comma-separated file into a column-major DatasetFrame.
 
     The first row must be the header. Empty fields become missing (None),
     numeric-looking fields become floats, everything else stays text.
     """
-    if not header:
-        raise ValueError("headerless files are not supported")
     try:
         # utf-8-sig strips a leading BOM, which would otherwise corrupt the
         # first column name and break schema pattern matching
@@ -139,7 +137,7 @@ def load_csv(path, delimiter: str = ",", header: bool = True) -> DatasetFrame:
         raise FileMissingError(f"dataset file unreadable: {path} ({exc})") from None
 
     with handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             names = next(reader)
         except StopIteration:
@@ -339,9 +337,17 @@ def inspect_frame(frame: DatasetFrame, cfg: QualityConfig | None = None) -> Data
     )
 
 
-def _looks_like_identifier(name: str, patterns: PatternConfig) -> bool:
-    normalized = name.strip().lower().replace(" ", "_")
-    return any(re.search(p, normalized) for p in patterns.identifier_patterns)
+def normalized_name(name: str) -> str:
+    return name.strip().lower().replace(" ", "_")
+
+
+def identifier_pattern(name: str, patterns: PatternConfig) -> str | None:
+    """The first identifier pattern the normalized column name matches."""
+    normalized = normalized_name(name)
+    for pattern in patterns.identifier_patterns:
+        if re.search(pattern, normalized):
+            return pattern
+    return None
 
 
 def flag_quality_issues(
@@ -370,7 +376,7 @@ def flag_quality_issues(
         if (
             p.inferred_dtype == CATEGORICAL
             and p.uniqueness_ratio > cfg.suspicious_cardinality_cutoff
-            and not _looks_like_identifier(p.name, patterns)
+            and identifier_pattern(p.name, patterns) is None
         ):
             issues.append(QualityIssue(
                 "suspicious_cardinality",

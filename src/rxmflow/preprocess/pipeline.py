@@ -133,7 +133,8 @@ def fit_pipeline(
         raise EmptyTrainSetError("train indices outside the frame")
 
     target = schema.chosen_target
-    target_codes = _target_codes(frame, target, train) if target else None
+    target_encoded = any(d.encoding == ENCODE_TARGET for d in plan.directives.values())
+    target_codes = _target_codes(frame, target, train) if target and target_encoded else None
 
     fits: list[ColumnFit] = []
     feature_names: list[str] = []

@@ -21,7 +21,7 @@ from ..config import PatternConfig
 from ..errors import AmbiguousTargetError
 from ..perception import (
     CATEGORICAL, CONSTANT, DATETIME, NUMERIC,
-    DatasetFrame, DatasetMetadata,
+    DatasetFrame, DatasetMetadata, identifier_pattern, normalized_name,
 )
 
 IDENTIFIER = "identifier"
@@ -47,20 +47,8 @@ class SchemaMap:
         return [c for c, r in self.roles.items() if r == IDENTIFIER]
 
 
-def _normalize(name: str) -> str:
-    return name.strip().lower().replace(" ", "_")
-
-
 def _tokens(name: str) -> list[str]:
-    return [t for t in re.split(r"[_\W]+", _normalize(name)) if t]
-
-
-def _matches_identifier(name: str, cfg: PatternConfig) -> str | None:
-    normalized = _normalize(name)
-    for pattern in cfg.identifier_patterns:
-        if re.search(pattern, normalized):
-            return pattern
-    return None
+    return [t for t in re.split(r"[_\W]+", normalized_name(name)) if t]
 
 
 def _matches_timestamp(name: str, cfg: PatternConfig) -> str | None:
@@ -72,7 +60,7 @@ def _matches_timestamp(name: str, cfg: PatternConfig) -> str | None:
 
 
 def _matches_target(name: str, cfg: PatternConfig) -> str | None:
-    normalized = _normalize(name)
+    normalized = normalized_name(name)
     for token in cfg.target_tokens:
         if token in normalized:
             return token
@@ -101,7 +89,7 @@ def discover_schema(
 
     for name in frame.column_names:
         profile = metadata.profile(name)
-        id_pattern = _matches_identifier(name, cfg)
+        id_pattern = identifier_pattern(name, cfg)
         unique_id = (
             profile.uniqueness_ratio >= cfg.identifier_uniqueness_cutoff
             and (

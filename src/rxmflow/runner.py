@@ -449,12 +449,11 @@ class WorkflowRunner:
 
         best = art.best_result
         metrics = best.metrics
-        if art.task == analytics.CLASSIFICATION:
-            note = f"accuracy={metrics.accuracy:.4f} with {best.spec.display_name}"
-            summary = f"{best.spec.display_name} accuracy {metrics.accuracy:.4f}"
-        elif art.task == analytics.REGRESSION:
-            note = f"r2={metrics.r2:.4f} with {best.spec.display_name}"
-            summary = f"{best.spec.display_name} r2 {metrics.r2:.4f}"
+        name = best.spec.display_name
+        if art.task in analytics.SUPERVISED:
+            metric, value = metrics.primary_name(art.task), metrics.primary(art.task)
+            note = f"{metric}={value:.4f} with {name}"
+            summary = f"{name} {metric} {value:.4f}"
         else:
             n = len(art.usable_rows)
             pct = 100.0 * metrics.anomaly_count / n if n else 0.0
@@ -462,7 +461,7 @@ class WorkflowRunner:
                 f"{metrics.anomaly_count} anomalies flagged "
                 f"({pct:.1f}% of {n} samples)"
             )
-            summary = f"{best.spec.display_name} flagged {metrics.anomaly_count} anomalies"
+            summary = f"{name} flagged {metrics.anomaly_count} anomalies"
         self.audit.append("analytics", "model_selected", {
             "family": best.spec.family, "metrics": metrics_json(metrics),
         })
@@ -483,14 +482,14 @@ class WorkflowRunner:
                 # model family without native importances: use the advisory
                 # forest importances, fitted here on this first read
                 best.feature_importances = art.feature_report.importances
-            if art.task == analytics.CLASSIFICATION:
-                art.recommendations = optimize.recommend_classification(
-                    best, art.ids_test, art.X_test, art.feature_names, config,
-                )
-            else:
-                art.recommendations = optimize.recommend_regression(
-                    best, art.ids_test, art.X_test, art.feature_names, config,
-                )
+            recommend = (
+                optimize.recommend_classification
+                if art.task == analytics.CLASSIFICATION
+                else optimize.recommend_regression
+            )
+            art.recommendations = recommend(
+                best, art.ids_test, art.X_test, art.feature_names, config,
+            )
         art.confidence = optimize.assess_confidence(best.metrics, art.task, config)
         distribution = self._priority_distribution()
         self.audit.append("optimization", "recommendations_generated", {

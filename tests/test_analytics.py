@@ -296,3 +296,12 @@ def test_isolation_forest_counts_on_synthetic(rng):
     assert result.status == "ok"
     assert result.metrics.anomaly_count == 10
     assert result.anomaly_flags.sum() == 10
+
+
+def test_unknown_family_is_a_failed_attempt(rng):
+    X = rng.normal(size=(20, 2))
+    y = ["a", "b"] * 10
+    result = fit_predict_evaluate(X, y, X, y, ModelSpec("gradient_boost"), CLASSIFICATION)
+    assert result.status == "training_failed"
+    assert result.error == "unknown model family 'gradient_boost'"
+    assert result.spec.display_name == "gradient_boost"

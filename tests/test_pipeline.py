@@ -15,6 +15,7 @@ from rxmflow.preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
     fit_pipeline,
 )
+from rxmflow.preprocess import pipeline as pipeline_module
 from rxmflow.preprocess.pipeline import most_frequent
 from rxmflow.preprocess.plan import ColumnDirective, PreprocessPlan
 from rxmflow.preprocess.schema import SchemaMap
@@ -86,6 +87,21 @@ def test_target_encoding_stores_category_means():
     assert matrix[0, 0] == 2.0        # X
     assert matrix[1, 0] == 15.0       # Y
     assert matrix[2, 0] == 8.5        # unseen category: global train mean
+
+
+def test_target_codes_only_for_a_target_encoded_column(monkeypatch):
+    frame = failure_frame(n_rows=200, seed=3)
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata)
+    plan = decide_tools(metadata, schema)
+    assert schema.chosen_target is not None
+    assert all(d.encoding != "target_encoding" for d in plan.directives.values())
+
+    def no_codes(*args):
+        raise AssertionError("target codes built")
+    monkeypatch.setattr(pipeline_module, "_target_codes", no_codes)
+    fitted = fit_pipeline(frame, plan, schema, list(range(150)))
+    assert fitted.target_name == schema.chosen_target
 
 
 def test_impute_then_scale_by_hand():

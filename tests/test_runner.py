@@ -460,3 +460,93 @@ def test_winner_with_own_importances_fits_no_advisory_forest(
     assert artifacts.best_result.spec.family == family
     assert artifacts.best_result.feature_importances
     assert "importances" not in vars(artifacts.feature_report)   # never read
+
+
+def _maintenance():
+    return maintenance_frame(n_rows=400, seed=7)
+
+
+def _failure():
+    return failure_frame(n_rows=600, seed=11)
+
+
+def _noisy_maintenance():
+    return maintenance_frame(n_rows=400, seed=7, noise=3.0, margin=0.0)
+
+
+def _noisy_failure():
+    return failure_frame(n_rows=600, seed=11, noise=5.0)
+
+
+def _small_network():
+    return network_frame(n_rows=800, seed=13, n_outliers=8)
+
+
+ANOMALY_RUN = dict(task="anomaly_detection", contamination=0.02)
+
+
+# digests of the runs from before the model families moved into one table:
+# each family on its own, and two noisy frames where the adaptive search
+# tries every candidate (logistic regression wins of 3, lasso of 5)
+@pytest.mark.parametrize("family, winner, frame, options, digests", [
+    ("random_forest_clf", "random_forest_clf", _maintenance, {}, (
+        "2ed812a679d0515570a9a3302ed3f7e5e5e9b30cf16252e960170ae6e9217ff3",
+        "ed28c6eab83d26f2d6440994d2fc77e8a9ac7e18a177aa128f51da3f14a437bc",
+        "aadedaccb3ee33231bdc720b7e2e0027f53a130a7c8cc29e841e0dafae1858de",
+    )),
+    ("logistic_regression", "logistic_regression", _maintenance, {}, (
+        "407839691ee30c1d147012727e92af2925652aeee08d609d60a54a5570e59364",
+        "400c4adbc11a855884842a0eced6a977ad68e809416da6cbadee0c21ec8f17c2",
+        "5a8520fb67b147dea74c817acdd632ce1dca27872a030519851418eedb30c0bd",
+    )),
+    ("linear_regression", "linear_regression", _failure, {}, (
+        "f1deb098963a91ce2afaf244fb478daa9feb437fb963f42ec638f9874ad2eca1",
+        "a407c5455c06116878b43a1e316d5c6a450f5a5587cdcf9a580389b52c7c201c",
+        "66c81b4f79c5c19b344768b64173649c59d29000e8f76a4b257cebdc26340487",
+    )),
+    ("ridge", "ridge", _failure, {}, (
+        "c6fc4a65e47c3741aaddb4456a761736c324693991a0855819abb24521fb1228",
+        "7164dba2173fbc992bd164e9fe71d9f2565430061e691b2673e761b3dbf915e8",
+        "65dd954bd83855e874322d5342187eed91cbe3b0c095a03d2dd0d9bac6ecf93c",
+    )),
+    ("lasso", "lasso", _failure, {}, (
+        "909ebaa7e8ea26550e361d57dad1860d0e07a4ce2a87e63c33703612dfbdff1c",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "a8a8ff8194e6df963d844459bede24a195e5f2dffe97a4a48a31f9a092703d51",
+    )),
+    ("random_forest_reg", "random_forest_reg", _failure, {}, (
+        "cbcba51593b8750445b862be145a117aaf26a6222b5866a3eff8066c3d667a39",
+        "889954fb61445df1dfc1f72a8337f23150e9cf56743c2c602c6a9a8cf2102430",
+        "d74be6be00ffbc7bf9e4e61a8995da51f5541f60ea0a5744f5a883c61438aae5",
+    )),
+    ("isolation_forest", "isolation_forest", _small_network, ANOMALY_RUN, (
+        "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+        "d9fd5c618b7fe45b81eda949a2301a3650bdf73b54e04b2508d4ed01b0b812b9",
+        "1ca912bda0cf2210f256882c2de1de46d32e27f46798ca105bc9ec173edbc9e5",
+    )),
+    (None, "logistic_regression", _noisy_maintenance, {}, (
+        "0d93fe351baeb694cc2efd85c733579edbb69301139ec6ada4c8a41d7cb0cc5b",
+        "38e3818e753ff3227cbd46f158d31f9b7f46ad0e6e2bb84cb3fd65fa7ac7bf35",
+        "42d3dec038b8b5914c6fe16bcac4a011ecc0bf4e77ca3ef273e960e4bf9f8e54",
+    )),
+    (None, "lasso", _noisy_failure, {}, (
+        "909ebaa7e8ea26550e361d57dad1860d0e07a4ce2a87e63c33703612dfbdff1c",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "b21a8d81b5140e32070e786b86e27fee07c72a960456c95a44b5d080b9162903",
+    )),
+])
+def test_run_bytes_are_pinned(tmp_path, monkeypatch, family, winner, frame,
+                              options, digests):
+    if family is not None:
+        _only_candidate(monkeypatch, family)
+    path = tmp_path / "pinned.csv"
+    write_csv(frame(), path)
+    report, artifacts = run_workflow(
+        config_for(str(path), tmp_path, **options), clock=TickClock())
+    assert report.steps_succeeded == 5
+    assert artifacts.best_result.spec.family == winner
+    assert (
+        _sha256(json.dumps(artifacts.best_result.feature_importances).encode()),
+        _sha256(artifacts.recommendations_path.read_bytes()),
+        _sha256(artifacts.detailed_results_path.read_bytes()),
+    ) == digests
