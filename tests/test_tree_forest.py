@@ -202,3 +202,55 @@ def test_levelwise_predict_equals_a_per_row_walk(X, labels, seed, max_depth):
                           np.array([_walk(clf, row) for row in queries]))
     assert np.array_equal(reg.predict(queries),
                           np.array([_walk(reg, row) for row in queries]))
+
+
+def _golden_table(seed, n=240, p=6):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[:, 1] = np.round(X[:, 1] * 2.0)    # ties
+    return rng, X
+
+
+def _fit_digests(model, queries):
+    return _digest(model.predict_proba(queries)), _digest(model.feature_importances_)
+
+
+def test_ten_class_forest_with_a_tree_missing_a_class_matches_golden_digests():
+    rng, X = _golden_table(21)
+    y = np.digitize(X[:, 0] + 0.5 * X[:, 2], [-1.6, -1.0, -0.6, -0.2, 0.2, 0.6, 1.0, 1.6])
+    y[np.argmax(X[:, 0] + 0.5 * X[:, 2])] = 9            # a class of one row
+    clf = RandomForestClassifier(n_estimators=15, seed=4).fit(X, y)
+    assert len(clf.classes_) == 10
+    assert any(len(tree.classes_) < 10 for tree in clf.trees_)
+    assert _fit_digests(clf, rng.normal(size=(60, 6))) == (
+        "1b9d6806f77f91fc997d34ce991aa7bc8725d5e58785d5c2f70770cbe2fff022",
+        "77468e19b9b51e43a286acbed5a28a73e76b418aa4e52663b730a507ce1cf2e3")
+
+
+def test_shallow_forest_with_a_split_minimum_matches_golden_digests():
+    rng, X = _golden_table(22)
+    y = np.where(X[:, 0] * X[:, 3] > 0, "same", "diff")
+    clf = RandomForestClassifier(n_estimators=10, max_depth=4, min_samples_split=5,
+                                 seed=8).fit(X, y)
+    assert _fit_digests(clf, rng.normal(size=(60, 6))) == (
+        "f5d349b65e6274bfc7369e380fa88a954ab26ec06b928fa72a75fe49b20d869c",
+        "001fde74626771aceb40ddf18c7f9fe6a138b79e57faf19119cefaf857c7be42")
+
+
+def test_all_feature_forest_without_bootstrap_matches_golden_digests():
+    rng, X = _golden_table(23)
+    y = np.digitize(X[:, 1] - X[:, 4], [-1.0, 1.0])
+    clf = RandomForestClassifier(n_estimators=6, max_features=None, bootstrap=False,
+                                 seed=2).fit(X, y)
+    assert _fit_digests(clf, rng.normal(size=(60, 6))) == (
+        "300e0b5f40ce1e4960793d58a7aee6fd0dd20403db91baa249843ef51d50f8f3",
+        "92328cee919e9212fabb7194c94cb04848357db28d5160bd596adbfc61578291")
+
+
+def test_single_tree_with_two_drawn_features_matches_golden_digests():
+    rng, X = _golden_table(24)
+    y = np.where(X[:, 5] + X[:, 2] > 0.3, "up", "down")
+    tree = DecisionTreeClassifier(max_features=2, seed=6).fit(X, y)
+    assert _fit_digests(tree, rng.normal(size=(60, 6))) == (
+        "6b9556b9ed5d2d1300ecb18bcc7dcc34d918acd7cb3a3e747e6034ea447f06f7",
+        "85baa29b27599ef576251d44bb3b47c24ab0ae3863b3eb3c21deb036199f11fc")
