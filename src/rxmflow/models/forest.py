@@ -1,9 +1,11 @@
 """Random forests over the CART trees.
 
-Both forests share one fit loop; they differ only in the tree estimator
-and in how tree outputs combine. Each tree gets its own rng seeded
-seed + tree_index, so results are bit-identical regardless of how the
-trees would be scheduled. Per-split feature subsampling defaults to
+Tree i draws its bootstrap rows, and then its split features, from rngs
+seeded seed + i, so each tree is the tree it would be if grown alone,
+whatever the schedule. The classification forest grows its trees in
+lockstep groups (`tree.grow_classifiers`) over one ranked table; the
+regression forest fits its trees one after another. They differ also in
+how tree outputs combine. Per-split feature subsampling defaults to
 sqrt(p) for classification and p // 3 for regression; bootstrap
 resampling is on by default.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .tree import ClassTable, DecisionTreeClassifier, DecisionTreeRegressor, grow_classifiers
 
 
 def _resolve_max_features(mode, n_features):
@@ -44,23 +46,25 @@ class _Forest:
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def _fit_trees(self, X, y, tree_class):
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        max_features = _resolve_max_features(self.max_features, X.shape[1])
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            rng = np.random.default_rng(self.seed + i)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = tree_class(
+    def _new_trees(self, tree_class, n_rows, n_features):
+        """The unfitted trees, and an iterator over the rows (bootstrap or
+        all) each one fits, drawn as they are read."""
+        max_features = _resolve_max_features(self.max_features, n_features)
+        trees = [
+            tree_class(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 max_features=max_features,
                 seed=self.seed + i,
             )
-            self.trees_.append(tree.fit(X[idx], y[idx]))
-        self.feature_importances_ = _combine_importances(self.trees_)
-        return self
+            for i in range(self.n_estimators)
+        ]
+        rows = (
+            np.random.default_rng(self.seed + i).integers(0, n_rows, size=n_rows)
+            if self.bootstrap else np.arange(n_rows)
+            for i in range(self.n_estimators)
+        )
+        return trees, rows
 
 
 class RandomForestClassifier(_Forest):
@@ -70,9 +74,12 @@ class RandomForestClassifier(_Forest):
                          max_features, bootstrap, seed)
 
     def fit(self, X, y):
-        y = np.asarray(y)
-        self.classes_ = np.array(sorted(set(y.tolist())))
-        return self._fit_trees(X, y, DecisionTreeClassifier)
+        table = ClassTable(X, y)
+        self.classes_ = table.classes
+        self.trees_, rows = self._new_trees(DecisionTreeClassifier, *table.XT.shape[::-1])
+        grow_classifiers(self.trees_, table, rows)
+        self.feature_importances_ = _combine_importances(self.trees_)
+        return self
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
@@ -96,7 +103,13 @@ class RandomForestRegressor(_Forest):
                          max_features, bootstrap, seed)
 
     def fit(self, X, y):
-        return self._fit_trees(X, np.asarray(y, dtype=float), DecisionTreeRegressor)
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self.trees_, rows = self._new_trees(DecisionTreeRegressor, *X.shape)
+        for tree, idx in zip(self.trees_, rows):
+            tree.fit(X[idx], y[idx])
+        self.feature_importances_ = _combine_importances(self.trees_)
+        return self
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)

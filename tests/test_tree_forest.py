@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from rxmflow.models import (
     DecisionTreeClassifier, DecisionTreeRegressor, RandomForestClassifier,
-    RandomForestRegressor,
+    RandomForestRegressor, tree as tree_module,
 )
 
 
@@ -254,3 +255,110 @@ def test_single_tree_with_two_drawn_features_matches_golden_digests():
     assert _fit_digests(tree, rng.normal(size=(60, 6))) == (
         "6b9556b9ed5d2d1300ecb18bcc7dcc34d918acd7cb3a3e747e6034ea447f06f7",
         "85baa29b27599ef576251d44bb3b47c24ab0ae3863b3eb3c21deb036199f11fc")
+
+
+def _reference_tree(X, y, max_depth, min_samples_split, max_features, seed):
+    """One classification tree grown node by node, each node's split search
+    on its own: the arithmetic the lockstep grower must reproduce bit for bit.
+
+    Returns feature, threshold, left, right, value and the raw importances.
+    """
+    classes = sorted(set(y.tolist()))
+    y = np.array([classes.index(v) for v in y.tolist()], dtype=int)
+    XT = np.ascontiguousarray(X.T)
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, value = [], [], [], [], []
+    importances = np.zeros(X.shape[1])
+
+    def grow(idx, depth):
+        node = len(feature)
+        counts = np.bincount(y[idx], minlength=len(classes))
+        p = counts / counts.sum()
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(p)
+        if len(idx) < min_samples_split or (max_depth is not None and depth >= max_depth):
+            return node
+        impurity = 1.0 - float((p * p).sum())
+        if impurity <= 0.0:
+            return node
+        n_features = XT.shape[0]
+        if max_features is None or max_features >= n_features:
+            feats = np.arange(n_features)
+        else:
+            feats = rng.choice(n_features, size=max_features, replace=False)
+        order = idx[XT[feats[:, None], idx].argsort(axis=1, kind="mergesort")]
+        xs = XT[feats[:, None], order]
+        cum = np.cumsum(y[order][..., None] == np.arange(len(classes)), axis=1)
+        n = len(idx)
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        p_left = cum[:, :-1] / n_left[:, None]
+        p_right = (cum[:, -1:] - cum[:, :-1]) / n_right[:, None]
+        weighted = (n_left * (1.0 - (p_left * p_left).sum(axis=2))
+                    + n_right * (1.0 - (p_right * p_right).sum(axis=2))) / n
+        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf
+        at = weighted.argmin(axis=1)
+        gains = impurity - weighted[np.arange(len(feats)), at]
+        j = int(gains.argmax())
+        if gains[j] <= 1e-15:
+            return node
+        cut = float((xs[j, at[j]] + xs[j, at[j] + 1]) / 2.0)
+        mask = XT[feats[j], idx] <= cut
+        if mask.all() or not mask.any():
+            return node
+        importances[feats[j]] += (n / len(y)) * gains[j]
+        feature[node] = int(feats[j])
+        threshold[node] = cut
+        left[node] = grow(idx[mask], depth + 1)
+        right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return feature, threshold, left, right, np.array(value), importances
+
+
+eps = np.finfo(float).eps
+tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 * eps]),
+                     st.floats(min_value=-3, max_value=3))
+
+
+@given(
+    X=arrays(float, st.tuples(st.integers(2, 60), st.integers(1, 5)), elements=tie_cell),
+    n_classes=st.sampled_from([1, 2, 3, 8, 10]),
+    labels=st.data(),
+    n_estimators=st.integers(1, 5),
+    bootstrap=st.booleans(),
+    max_features=st.sampled_from([None, 1, 2, "sqrt"]),
+    max_depth=st.sampled_from([None, 2]),
+    min_samples_split=st.sampled_from([2, 5]),
+    group=st.sampled_from([2, 25]),
+    pass_elements=st.sampled_from([16, 8192]),
+)
+def test_lockstep_trees_equal_trees_grown_node_by_node(
+        X, n_classes, labels, n_estimators, bootstrap, max_features, max_depth,
+        min_samples_split, group, pass_elements):
+    n, p = X.shape
+    y = np.array(labels.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    with mock.patch.object(tree_module, "GROUP_TREES", group), \
+            mock.patch.object(tree_module, "PASS_ELEMENTS", pass_elements):
+        forest = RandomForestClassifier(
+            n_estimators=n_estimators, max_depth=max_depth,
+            min_samples_split=min_samples_split, max_features=max_features,
+            bootstrap=bootstrap, seed=3,
+        ).fit(X, y)
+    drawn = max(1, int(np.sqrt(p))) if max_features == "sqrt" else max_features
+    for i, tree in enumerate(forest.trees_):
+        idx = np.random.default_rng(3 + i).integers(0, n, size=n) if bootstrap else np.arange(n)
+        feature, threshold, left, right, value, importances = _reference_tree(
+            X[idx], y[idx], max_depth, min_samples_split, drawn, 3 + i)
+        assert tree.classes_.tolist() == sorted(set(y[idx].tolist()))
+        assert tree.feature_.tolist() == feature
+        assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
+        assert tree.left_.tolist() == left and tree.right_.tolist() == right
+        assert tree.value_.tobytes() == value.tobytes()
+        total = importances.sum()
+        expected = importances / total if total > 0 else importances
+        assert tree.feature_importances_.tobytes() == expected.tobytes()
