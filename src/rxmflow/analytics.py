@@ -39,6 +39,7 @@ STATUS_OK = "ok"
 STATUS_FAILED = "training_failed"
 
 SUPERVISED = (CLASSIFICATION, REGRESSION)
+TASKS = SUPERVISED + (ANOMALY,)
 
 SVM_MAX_SAMPLES = 2000
 

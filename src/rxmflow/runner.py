@@ -73,6 +73,8 @@ class WorkflowConfig:
     recommend_cfg: RecommendationConfig | None = None
 
     def __post_init__(self):
+        if self.task is not None and self.task not in analytics.TASKS:
+            raise ValueError(f"task must be None or one of {analytics.TASKS}, got {self.task!r}")
         c = self.contamination
         if c != "auto" and not (isinstance(c, Real) and valid_contamination(c)):
             raise ValueError(

@@ -231,6 +231,17 @@ def test_config_rejects_contamination_out_of_range(tmp_path, contamination):
         config_for("x.csv", tmp_path, contamination=contamination)
 
 
+@pytest.mark.parametrize("task", [None, "classification", "regression", "anomaly_detection"])
+def test_config_accepts_a_known_task_or_none(tmp_path, task):
+    assert config_for("x.csv", tmp_path, task=task).task == task
+
+
+@pytest.mark.parametrize("task", ["anomaly", "auto", "Classification", "", 1])
+def test_config_rejects_an_unknown_task(tmp_path, task):
+    with pytest.raises(ValueError, match="task"):
+        config_for("x.csv", tmp_path, task=task)
+
+
 def test_regression_run_ranks_by_priority_score(tmp_path):
     path = tmp_path / "failure.csv"
     write_csv(failure_frame(n_rows=600, seed=11), path)
