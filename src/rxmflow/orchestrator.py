@@ -140,7 +140,8 @@ def parse_decision(raw: str, registered_tools) -> PlannerDecision:
     for candidate in _iter_json_candidates(raw):
         try:
             parsed = json.loads(candidate)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # not JSON, an integer past the digit limit, or nested too deep
             continue
         if isinstance(parsed, dict):
             payload = parsed

@@ -154,6 +154,56 @@ def test_parse_is_total_on_arbitrary_text(raw):
         assert exc.code in {"no_json", "missing_key", "bad_type", "unknown_tool"}
 
 
+DEEP = '{"a":' + "[" * 100000 + "]" * 100000 + "}"
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers()
+    | st.text(max_size=20) | st.sampled_from(TOOLS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["tool", "finish", "reason", "x"]) | st.text(max_size=5),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def planner_replies(draw):
+    """Prose around JSON-like fragments: objects, cut-off objects, deep nests."""
+    parts = draw(st.lists(st.one_of(
+        st.text(max_size=40),
+        json_values.map(json.dumps),
+        json_values.map(json.dumps).map(lambda s: s[:len(s) // 2]),
+        st.integers(1, 3000).map(lambda d: '{"a":' + "[" * d + "]" * d + "}"),
+        st.just('{"n": ' + "9" * 5000 + "}"),
+    ), max_size=4))
+    return " ".join(parts)
+
+
+@given(planner_replies())
+def test_parse_raises_nothing_but_a_parse_error(raw):
+    try:
+        decision = parse_decision(raw, TOOLS)
+    except DecisionParseError as exc:
+        assert exc.code in {"no_json", "missing_key", "bad_type", "unknown_tool"}
+    else:
+        assert decision.finish or decision.tool in TOOLS
+
+
+def test_parse_treats_a_too_deep_object_as_unparseable():
+    with pytest.raises(DecisionParseError) as excinfo:
+        parse_decision(DEEP, TOOLS)
+    assert excinfo.value.code == "no_json"
+    assert parse_decision(DEEP + " " + good(), TOOLS).tool == "load_and_inspect_data"
+
+
+def test_too_deep_reply_is_a_retryable_parse_failure():
+    backend = ScriptedBackend([DEEP, good()])
+    decision, provenance, context = plan_next_step(fresh(), backend)
+    assert provenance == PROVENANCE_LLM
+    assert backend.calls == 2
+    assert any("no_json" in lesson for lesson in context.lessons_learned)
+
+
 # ------------------------------------------------------------- rule_based_next
 
 def test_rule_sequence_from_empty():
