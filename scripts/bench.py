@@ -17,6 +17,10 @@ Digests and commits are not in the sweep file. They are read from each
 call's `.perfbench/<workload>-s<seed>-t0/result.json` under --root, the
 checkout the sweep ran in (default: the current directory). A seed whose
 result.json is gone gets no digest entry.
+
+A sweep line holding NaN or Infinity, which `json.dumps` writes for a
+non-finite metric, is refused with the line's workload and seed, and no
+BENCH file is written.
 """
 
 from __future__ import annotations
@@ -32,6 +36,29 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from compare import WALL, load_set, summary  # noqa: E402
 
 
+class NonFiniteError(ValueError):
+    """A sweep line holds NaN, Infinity or -Infinity."""
+
+
+def _refuse(constant: str):
+    raise NonFiniteError(f"non-finite number {constant}")
+
+
+def read_sweep(sweep: Path) -> list[dict]:
+    """The sweep's records, one a line, with every number finite."""
+    records = []
+    with open(sweep, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                records.append(json.loads(line, parse_constant=_refuse))
+            except NonFiniteError as exc:
+                record = json.loads(line)
+                raise NonFiniteError(
+                    f"{sweep}:{line_no}: workload {record.get('workload')}, "
+                    f"seed {record.get('seed')}: {exc}") from None
+    return records
+
+
 def call_details(root: Path, workload: str, seed: int) -> dict | None:
     path = root / ".perfbench" / f"{workload}-s{seed}-t0" / "result.json"
     if not path.exists():
@@ -41,13 +68,11 @@ def call_details(root: Path, workload: str, seed: int) -> dict | None:
 
 def fold(sweep: Path, root: Path, end_to_end: list[dict]) -> dict:
     """{"commits": [...], "workloads": {name: {"metrics", "digests"}}}."""
+    seeds: dict[str, list[int]] = {}
+    for record in read_sweep(sweep):
+        seeds.setdefault(record["workload"], []).append(record["seed"])
     values = load_set(sweep)
     names = [m["name"] for m in end_to_end] + list(WALL)
-    seeds: dict[str, list[int]] = {}
-    with open(sweep, encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            seeds.setdefault(record["workload"], []).append(record["seed"])
     commits = set()
     workloads = {}
     for workload in sorted(values):
@@ -76,8 +101,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path.cwd())
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    document = {"label": args.label,
-                **fold(args.sweep, args.root, benchmark["end_to_end"])}
+    try:
+        folded = fold(args.sweep, args.root, benchmark["end_to_end"])
+    except NonFiniteError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    document = {"label": args.label, **folded}
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(path)

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 
 
@@ -53,3 +55,19 @@ def test_two_calls_fold_into_medians_quartiles_digests_and_commit(tmp_path):
     assert desk["metrics"]["quality"]["spread"] == 0.0
     assert "setup_s" not in desk["metrics"]           # no call measured it
     assert desk["digests"] == {"1": ["d1"]}           # seed 2's result.json is gone
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_metric_is_refused_naming_its_workload_and_seed(tmp_path, capsys, value):
+    sweep = tmp_path / "sweep.jsonl"
+    sweep.write_text(sweep_line(1, 1.0, 0.9) + "\n" + sweep_line(7, value, 0.9) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+
+    bench = load_bench()
+    assert bench.main([str(sweep), "--label", "t", "--root", str(tmp_path),
+                       "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert "sweep.jsonl:2: workload desk_classify, seed 7" in message
+    assert json.dumps(value) in message             # NaN, Infinity or -Infinity
+    assert not (out / "BENCH_t.json").exists()
