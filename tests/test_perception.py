@@ -35,6 +35,47 @@ def test_load_csv_empty_field_is_missing(tmp_path):
     assert frame.column("b") == [None, "y"]
 
 
+def _is_text_cell(text):
+    """A text cell survives load_csv as itself: trimmed, not empty, and not a
+    finite number (inf and nan tokens stay text)."""
+    if not text or text != text.strip():
+        return False
+    try:
+        return not np.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+csv_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    min_size=1, max_size=12,
+).filter(_is_text_cell)
+csv_cell = st.none() | st.floats(allow_nan=False, allow_infinity=False) | csv_text
+
+
+@st.composite
+def csv_frames(draw):
+    names = draw(st.lists(
+        st.text("abcdefgh_ 12", min_size=1, max_size=6).map(str.strip).filter(bool),
+        min_size=1, max_size=4, unique=True,
+    ))
+    n_rows = draw(st.integers(1, 6))
+    columns = [draw(st.lists(csv_cell, min_size=n_rows, max_size=n_rows)) for _ in names]
+    return make_frame(dict(zip(names, columns)))
+
+
+@given(frame=csv_frames())
+def test_write_csv_then_load_csv_round_trips(tmp_path_factory, frame):
+    path = tmp_path_factory.mktemp("roundtrip") / "frame.csv"
+    write_csv(frame, path)
+    loaded = load_csv(path)
+    assert loaded.column_names == frame.column_names
+    assert loaded.n_rows == frame.n_rows
+    # repr tells -0.0 from 0.0 and 1.0 from "1.0"
+    assert [list(map(repr, c)) for c in loaded.columns] == \
+        [list(map(repr, c)) for c in frame.columns]
+
+
 def test_load_csv_missing_file_mentions_path():
     with pytest.raises(FileMissingError, match="no/such/file.csv"):
         load_csv("no/such/file.csv")
