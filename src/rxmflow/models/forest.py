@@ -76,7 +76,8 @@ class RandomForestClassifier(_Forest):
     def fit(self, X, y):
         table = ClassTable(X, y)
         self.classes_ = table.classes
-        self.trees_, rows = self._new_trees(DecisionTreeClassifier, *table.XT.shape[::-1])
+        n_features, n_rows = table.XT.shape
+        self.trees_, rows = self._new_trees(DecisionTreeClassifier, n_rows, n_features)
         grow_classifiers(self.trees_, table, rows)
         self.feature_importances_ = _combine_importances(self.trees_)
         return self

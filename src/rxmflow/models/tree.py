@@ -136,7 +136,8 @@ class ClassTable:
 
     `XT` is X feature-major, `ranks` the dense rank of each value within its
     feature (ties share a rank, and so do -0.0 and 0.0) and `y` the class
-    codes, indices into `classes`.
+    codes, indices into `classes`. X holds no NaN: the pipeline imputes
+    every gap before a model sees the matrix.
     """
 
     def __init__(self, X, y):
@@ -404,7 +405,7 @@ class _Lockstep:
             stack.append((starts[i], mids[i], depth, node, 0, left[:, i], child_impurity[j]))
 
     def fill(self, trees):
-        """Copy each tree's arrays out of the group arrays into its estimator."""
+        """Trim each tree's node arrays into its estimator."""
         classes = self.table.classes
         for g, tree in enumerate(trees):
             nodes, own = self.nodes[g], self.own[g]
