@@ -206,6 +206,8 @@ def test_levelwise_predict_equals_a_per_row_walk(X, labels, seed, max_depth):
 
 
 def _golden_table(seed, n=240, p=6):
+    # the digests of the tests below were taken from the node-by-node
+    # classification grower the lockstep one replaced
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     X[:, 1] = np.round(X[:, 1] * 2.0)    # ties
