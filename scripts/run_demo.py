@@ -3,11 +3,12 @@
 
 No language-model backend is needed; the rule-based planner drives every
 run. Pass --backend-url to route planning through a local generate endpoint
-instead.
+instead. Exits 1 when any run ends with a nonzero exit code.
 """
 
 import argparse
 import logging
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -19,11 +20,13 @@ from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write
 
 def run_one(name, config, backend):
     start = time.time()
-    report, artifacts = run_workflow(config, backend=backend)
+    _, artifacts = run_workflow(config, backend=backend)
     elapsed = time.time() - start
     print(f"\n=== {name} ({elapsed:.1f}s) " + "=" * 30)
     print(artifacts.summary_text)
-    return report
+    if artifacts.exit_code:
+        print(f"{name} ended with exit code {artifacts.exit_code}: {artifacts.failure}")
+    return artifacts.exit_code
 
 
 def main():
@@ -47,20 +50,24 @@ def main():
             network_frame(n_rows=20_000, seed=args.seed + 6), tmp / "network.csv"
         )
 
-        run_one("classification", WorkflowConfig(
-            data_path=str(tmp / "maintenance.csv"), auto_approve=True,
-            seed=args.seed, log_dir=args.log_dir,
-        ), backend)
-        run_one("regression", WorkflowConfig(
-            data_path=str(tmp / "failure.csv"), auto_approve=True,
-            seed=args.seed, log_dir=args.log_dir,
-        ), backend)
-        run_one("anomaly detection", WorkflowConfig(
-            data_path=str(tmp / "network.csv"), task="anomaly_detection",
-            contamination=0.01, auto_approve=True,
-            seed=args.seed, log_dir=args.log_dir,
-        ), backend)
+        runs = [
+            ("classification", WorkflowConfig(
+                data_path=str(tmp / "maintenance.csv"), auto_approve=True,
+                seed=args.seed, log_dir=args.log_dir,
+            )),
+            ("regression", WorkflowConfig(
+                data_path=str(tmp / "failure.csv"), auto_approve=True,
+                seed=args.seed, log_dir=args.log_dir,
+            )),
+            ("anomaly detection", WorkflowConfig(
+                data_path=str(tmp / "network.csv"), task="anomaly_detection",
+                contamination=0.01, auto_approve=True,
+                seed=args.seed, log_dir=args.log_dir,
+            )),
+        ]
+        codes = [run_one(name, config, backend) for name, config in runs]
+    return 1 if any(codes) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -166,7 +166,8 @@ def select_candidates(task: str, n_samples: int, seed: int = 0,
 
 def split_train_test(n_rows: int, task: str, target_values=None,
                      ratio: float = 0.8, seed: int = 0):
-    """Deterministic 80/20-style split; stratified for classification."""
+    """Deterministic 80/20-style split; stratified for classification,
+    which needs at least 2 classes of at least 2 members each."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -179,6 +180,8 @@ def split_train_test(n_rows: int, task: str, target_values=None,
 
     labels = [str(v) for v in target_values]
     classes = sorted(set(labels))
+    if len(classes) < 2:
+        raise ClassTooSmallError(f"target has {len(classes)} class(es); need at least 2")
     by_class = {c: [i for i, v in enumerate(labels) if v == c] for c in classes}
     for c, members in by_class.items():
         if len(members) < 2:

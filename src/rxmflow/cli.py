@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 on a fatal data/load error, 2 when the run
-completed but the reviewer rejected the recommendations.
+Exit codes: 0 on success; 1 when a stage failed for good, either a load
+error or a step that failed twice (or an engine error such as an unwritable
+log directory); 2 when the run completed but the reviewer rejected the
+recommendations.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ import logging
 import sys
 
 from .backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
-from .errors import DataLoadError, EngineError
-from .models.iforest import valid_contamination
+from .errors import EngineError
 from .runner import EXIT_DATA_ERROR, WorkflowConfig, WorkflowRunner
 
 API_KEY_ENV = "RXMFLOW_API_KEY"
@@ -70,34 +71,29 @@ def main(argv=None) -> int:
         format="%(asctime)s [%(levelname)s] - %(message)s",
     )
     contamination = args.contamination
-    if contamination != "auto":
-        usage = "--contamination must be 'auto' or a fraction in (0, 0.5]"
-        try:
-            contamination = float(contamination)
-        except ValueError:
-            raise SystemExit(usage)
-        if not valid_contamination(contamination):
-            raise SystemExit(usage)
-
-    config = WorkflowConfig(
-        data_path=args.data,
-        task=None if args.task == "auto" else (
-            "anomaly_detection" if args.task == "anomaly" else args.task
-        ),
-        target=args.target,
-        seed=args.seed,
-        contamination=contamination,
-        auto_approve=args.auto_approve,
-        include_routine=args.include_routine,
-        max_steps=args.max_steps,
-        log_dir=args.log_dir,
-    )
-    runner = WorkflowRunner(config, backend=make_backend(args))
     try:
+        contamination = float(contamination)
+    except ValueError:
+        pass    # "auto", or text that WorkflowConfig refuses
+    try:
+        config = WorkflowConfig(
+            data_path=args.data,
+            task=None if args.task == "auto" else (
+                "anomaly_detection" if args.task == "anomaly" else args.task
+            ),
+            target=args.target,
+            seed=args.seed,
+            contamination=contamination,
+            auto_approve=args.auto_approve,
+            include_routine=args.include_routine,
+            max_steps=args.max_steps,
+            log_dir=args.log_dir,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    try:
+        runner = WorkflowRunner(config, backend=make_backend(args))
         runner.run()
-    except DataLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR

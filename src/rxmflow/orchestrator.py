@@ -54,9 +54,6 @@ class PlannerDecision:
 @dataclass(frozen=True)
 class TriggerConfig:
     max_retries: int = 3         # total backend attempts per planning step
-    max_steps: int = 10
-    min_accuracy: float = 0.6
-    min_r2: float = 0.1
 
 
 def build_prompt(context: WorkflowContext) -> str:

@@ -100,6 +100,9 @@ class QualityIssue:
     detail: str
     column: str | None = None
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "column": self.column, "detail": self.detail}
+
 
 _ISSUE_KINDS = (
     "constant_column", "duplicate_rows", "high_missingness",

@@ -54,6 +54,17 @@ class ReviewOutcome:
             f"(action={self.actions_count}, unique_machines={self.unique_machines})"
         )
 
+    def to_json(self) -> dict:
+        return {
+            "status": self.status,
+            "actions_count": self.actions_count,
+            "unique_machines": self.unique_machines,
+            "adjustments": [
+                {"machine_id": m, "field": f, "new_value": v}
+                for m, f, v in self.adjustments
+            ],
+        }
+
 
 def _render_table(recommendations: list[Recommendation], io: ReviewIO):
     io.say(f"{'#':>3}  {'Machine':<12} {'Priority':<10} {'Score':>8}  Action")
@@ -130,13 +141,5 @@ def review(
             outcome = ReviewOutcome("rejected", count, unique)
 
     if audit is not None:
-        audit("recommendation_review", {
-            "status": outcome.status,
-            "actions_count": outcome.actions_count,
-            "unique_machines": outcome.unique_machines,
-            "adjustments": [
-                {"machine_id": m, "field": f, "new_value": v}
-                for m, f, v in outcome.adjustments
-            ],
-        })
+        audit("recommendation_review", outcome.to_json())
     return outcome

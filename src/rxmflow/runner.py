@@ -2,14 +2,18 @@
 
 The loop is plan, act, record: the planner (backed by a language model or
 the rule-based fallback) picks a tool, the matching agent runs with
-stage-level recovery, and the outcome lands in the workflow context. After
-the loop the runner builds the completion report, writes the
-recommendations and detailed-results documents, and renders the summary.
+stage-level recovery, and the outcome lands in the workflow context.
 
 Stage recoveries: a model training failure triggers the next candidate, a
-preprocessing failure retries once with the simplified backup plan, and a
-data loading failure aborts with a diagnostic after emitting a partial
-results file.
+preprocessing failure retries once with the simplified backup plan, the
+planner re-issues a failed step once, and a data loading failure ends the
+loop at once.
+
+Every run ends in `_finalize`, which builds the completion report, writes
+the documents, renders the summary and sets the exit code. When the last
+step failed, the detailed results carry a `failure` entry (stage, exception
+class, error), no recommendations file is written and the exit code is
+EXIT_DATA_ERROR; `run()` then re-raises a data loading failure.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class WorkflowConfig:
     quality: QualityConfig = field(default_factory=QualityConfig)
     patterns: PatternConfig = field(default_factory=PatternConfig)
     plan_cfg: PlanConfig = field(default_factory=PlanConfig)
-    recommend_cfg: RecommendationConfig | None = None
 
     def __post_init__(self):
         if self.task is not None and self.task not in analytics.TASKS:
@@ -123,12 +126,7 @@ class WorkflowRunner:
         self.slm_backend = slm_backend
         self.io = io or ReviewIO()
         self.clock = clock or SystemClock()
-        self.trigger = TriggerConfig(
-            max_retries=config.max_retries, max_steps=config.max_steps
-        )
-        self.recommend_cfg = config.recommend_cfg or RecommendationConfig(
-            include_routine=config.include_routine
-        )
+        self.trigger = TriggerConfig(max_retries=config.max_retries)
         self.artifacts = RunArtifacts()
         self._pending_lessons: list[str] = []
         self.audit = self._open_audit()
@@ -159,12 +157,7 @@ class WorkflowRunner:
     def run(self) -> WorkflowReport:
         config = self.config
         start = self.clock.now()
-        context = WorkflowContext(
-            goal=config.goal,
-            available_tools=DEFAULT_TOOLS,
-            max_steps=config.max_steps,
-            seed=config.seed,
-        )
+        context = WorkflowContext(goal=config.goal, available_tools=DEFAULT_TOOLS)
         dispatch = {
             "load_and_inspect_data": self._load_and_inspect_data,
             "preprocess_data": self._preprocess_data,
@@ -176,6 +169,7 @@ class WorkflowRunner:
         def audit_decision(event, payload):
             self.audit.append("orchestrator", event, payload)
 
+        error = None        # the exception of the last step, if it failed
         while True:
             if context.current_step_index >= config.max_steps:
                 self.audit.append(
@@ -191,43 +185,38 @@ class WorkflowRunner:
             step_start = self.clock.now()
             try:
                 summary, insights = dispatch[decision.tool]()
-                duration = (self.clock.now() - step_start).total_seconds()
-                context = record_step(context, StepRecord(
+                error = None
+                record = StepRecord(
                     tool_name=decision.tool, outcome=SUCCEEDED,
-                    duration=duration, summary=summary,
-                ))
-                for note in insights:
-                    context = add_insight(context, note)
-                for lesson in self._pending_lessons:
-                    context = record_lesson(context, lesson)
-                self._pending_lessons.clear()
-                self.artifacts.step_durations[decision.tool] = duration
-            except DataLoadError as exc:
-                duration = (self.clock.now() - step_start).total_seconds()
-                context = record_step(context, StepRecord(
-                    tool_name=decision.tool, outcome=FAILED,
-                    duration=duration, summary="data loading failed",
-                    error=str(exc),
-                ))
-                self._abort_on_load_failure(context, start, exc)
-                raise
+                    duration=(self.clock.now() - step_start).total_seconds(),
+                    summary=summary,
+                )
+                self.artifacts.step_durations[decision.tool] = record.duration
             except Exception as exc:
-                duration = (self.clock.now() - step_start).total_seconds()
-                logger.warning("step %s failed: %s", decision.tool, exc)
-                self.audit.append("orchestrator", "step_failed", {
-                    "tool": decision.tool, "error": str(exc),
-                })
-                context = record_step(context, StepRecord(
+                error, insights = exc, []
+                record = StepRecord(
                     tool_name=decision.tool, outcome=FAILED,
-                    duration=duration, summary="step failed", error=str(exc),
-                ))
-                for lesson in self._pending_lessons:
-                    context = record_lesson(context, lesson)
-                self._pending_lessons.clear()
+                    duration=(self.clock.now() - step_start).total_seconds(),
+                    summary="step failed", error=str(exc) or type(exc).__name__,
+                )
+                logger.warning("step %s failed: %s", decision.tool, record.error)
+                self.audit.append("orchestrator", "step_failed", {
+                    "tool": decision.tool, "error": record.error,
+                })
+            context = record_step(context, record)
+            for note in insights:
+                context = add_insight(context, note)
+            for lesson in self._pending_lessons:
+                context = record_lesson(context, lesson)
+            self._pending_lessons.clear()
+            if isinstance(error, DataLoadError):
+                break
 
         total = (self.clock.now() - start).total_seconds()
-        report = self._finalize(context, total)
+        report = self._finalize(context, total, error)
         self.audit.close()
+        if isinstance(error, DataLoadError):
+            raise error
         return report
 
     # ------------------------------------------------------------------ tools
@@ -242,10 +231,7 @@ class WorkflowRunner:
             "dataset": Path(config.data_path).name,
             "n_rows": art.metadata.n_rows,
             "n_cols": art.metadata.n_cols,
-            "quality_issues": [
-                {"kind": i.kind, "column": i.column, "detail": i.detail}
-                for i in art.quality_issues
-            ],
+            "quality_issues": [i.to_json() for i in art.quality_issues],
         })
         summary = f"loaded {art.metadata.n_rows} rows x {art.metadata.n_cols} columns"
         insights = [
@@ -311,18 +297,6 @@ class WorkflowRunner:
         test_rows = [usable[i] for i in test_pos]
         return usable, train_rows, test_rows
 
-    def _machine_ids(self, rows):
-        art = self.artifacts
-        if art.pipeline.identifier_columns:
-            primary = art.pipeline.identifier_columns[0]
-            cells = art.frame.column(primary)
-            return [
-                str(cells[i]) if isinstance(cells[i], str)
-                else ("%g" % cells[i] if cells[i] is not None else f"row-{i}")
-                for i in rows
-            ]
-        return [f"row-{i}" for i in rows]
-
     def _preprocess_data(self):
         art = self.artifacts
         config = self.config
@@ -362,11 +336,13 @@ class WorkflowRunner:
         art.X_train, _, art.y_train = apply_pipeline(
             art.pipeline, art.frame, art.train_rows
         )
-        art.X_test, _, art.y_test = apply_pipeline(
+        art.X_test, identifiers, art.y_test = apply_pipeline(
             art.pipeline, art.frame, art.test_rows
         )
         art.feature_names = art.pipeline.feature_names
-        art.ids_test = self._machine_ids(art.test_rows)
+        # machine ids: the first identifier column, else the row number
+        primary = next(iter(identifiers.values()), [""] * len(art.test_rows))
+        art.ids_test = [key or f"row-{i}" for i, key in zip(art.test_rows, primary)]
         self.audit.append("preprocessing", "pipeline_fitted", {
             "features_out": len(art.feature_names),
             "kept": art.feature_report.kept,
@@ -435,8 +411,6 @@ class WorkflowRunner:
         log = analytics.adaptive_search(
             art.X_train, art.y_train, art.X_test, art.y_test,
             art.task, first_result, remaining,
-            min_accuracy=self.trigger.min_accuracy,
-            min_r2=self.trigger.min_r2,
             feature_names=art.feature_names,
         )
         if len(log.attempts) > 1:
@@ -472,12 +446,12 @@ class WorkflowRunner:
     def _generate_recommendations(self):
         art = self.artifacts
         best = art.best_result
-        config = self.recommend_cfg
+        config = RecommendationConfig(include_routine=self.config.include_routine)
         if art.task == analytics.ANOMALY:
-            ids_all = self._machine_ids(art.usable_rows)
+            # an anomaly run tests on all its rows, so the test ids are all ids
             art.recommendations = optimize.recommend_anomaly(
                 best.metrics.anomaly_scores, best.anomaly_flags,
-                art.X_test, ids_all, art.feature_names, config,
+                art.X_test, art.ids_test, art.feature_names, config,
             )
         else:
             if not best.feature_importances and art.feature_report.importances:
@@ -513,8 +487,6 @@ class WorkflowRunner:
             art.recommendations, self.io, self._review_mode(),
             audit=lambda event, payload: self.audit.append("human", event, payload),
         )
-        if art.review_outcome.status == "rejected":
-            art.exit_code = EXIT_REJECTED
         summary = f"review outcome: {art.review_outcome.status}"
         return summary, []
 
@@ -525,29 +497,6 @@ class WorkflowRunner:
         for rec in self.artifacts.recommendations:
             distribution[rec.priority] = distribution.get(rec.priority, 0) + 1
         return distribution
-
-    def _abort_on_load_failure(self, context, start, exc):
-        art = self.artifacts
-        art.failure = {"stage": "load_and_inspect_data", "error": str(exc)}
-        art.exit_code = EXIT_DATA_ERROR
-        self.audit.append("perception", "data_load_failed", {"error": str(exc)})
-        sections = {
-            "dataset": {
-                "name": Path(self.config.data_path).name,
-                "error": str(exc),
-            },
-            "failure": art.failure,
-        }
-        try:
-            art.detailed_results_path = emit_detailed_results(
-                sections, self.config.log_dir, self.clock
-            )
-        except SinkUnwritableError:
-            pass
-        total = (self.clock.now() - start).total_seconds()
-        art.report = build_report(context, total,
-                                  dataset_name=Path(self.config.data_path).name)
-        self.audit.close()
 
     def _detailed_sections(self, generated: list[dict], approved: list[dict]) -> dict:
         art = self.artifacts
@@ -561,10 +510,7 @@ class WorkflowRunner:
             "duplicate_rows": (
                 art.metadata.duplicate_row_count if art.metadata else None
             ),
-            "quality_issues": [
-                {"kind": i.kind, "column": i.column, "detail": i.detail}
-                for i in art.quality_issues
-            ],
+            "quality_issues": [i.to_json() for i in art.quality_issues],
         }
         schema = None
         if art.schema is not None:
@@ -594,24 +540,13 @@ class WorkflowRunner:
                     r.spec.family for r in art.adaptive_log.attempts
                 ],
             }
-        review_json = None
-        if art.review_outcome is not None:
-            review_json = {
-                "status": art.review_outcome.status,
-                "actions_count": art.review_outcome.actions_count,
-                "unique_machines": art.review_outcome.unique_machines,
-                "adjustments": [
-                    {"machine_id": m, "field": f, "new_value": v}
-                    for m, f, v in art.review_outcome.adjustments
-                ],
-            }
         confidence = None
         if art.confidence is not None:
             confidence = {
                 "level": art.confidence.level,
                 "warning": art.confidence.warning,
             }
-        return {
+        sections = {
             "dataset": dataset,
             "schema": schema,
             "preprocess_plan": plan,
@@ -623,15 +558,30 @@ class WorkflowRunner:
                 "approved_actions": approved,
             },
             "confidence": confidence,
-            "review": review_json,
+            "review": art.review_outcome.to_json() if art.review_outcome else None,
             "durations": {
                 "steps": art.step_durations,
-                "total": art.report.total_duration if art.report else None,
+                "total": art.report.total_duration,
             },
         }
+        if art.failure is not None:
+            sections["failure"] = art.failure
+        return sections
 
-    def _finalize(self, context, total_duration) -> WorkflowReport:
+    def _finalize(self, context, total_duration, error) -> WorkflowReport:
+        """End the run: report, documents, summary and exit code. `error`
+        is the exception of the last step when that step failed."""
         art = self.artifacts
+        rejected = art.review_outcome is not None and art.review_outcome.status == "rejected"
+        if error is not None:
+            last = context.step_history[-1]
+            art.failure = {
+                "stage": last.tool_name, "reason": type(error).__name__,
+                "error": last.error,
+            }
+            art.exit_code = EXIT_DATA_ERROR
+        elif rejected:
+            art.exit_code = EXIT_REJECTED
         distribution = self._priority_distribution()
         best = art.best_result
         feature_columns = (
@@ -654,12 +604,12 @@ class WorkflowRunner:
             model_name=best.spec.display_name if best is not None else "",
         )
         generated = optimize.recommendations_to_json(art.recommendations)
-        rejected = art.review_outcome is not None and art.review_outcome.status == "rejected"
         approved = [] if rejected else generated
         try:
-            art.recommendations_path = write_recommendations(
-                approved, self.config.log_dir, self.clock
-            )
+            if art.failure is None:
+                art.recommendations_path = write_recommendations(
+                    approved, self.config.log_dir, self.clock
+                )
             art.detailed_results_path = emit_detailed_results(
                 self._detailed_sections(generated, approved),
                 self.config.log_dir, self.clock,

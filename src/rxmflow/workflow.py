@@ -52,8 +52,6 @@ class WorkflowContext:
     performance_insights: tuple[str, ...] = ()
     lessons_learned: tuple[str, ...] = ()
     error_context: str | None = None
-    max_steps: int = 10
-    seed: int = 0
 
     def tool_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.available_tools)

@@ -6,6 +6,7 @@ from rxmflow.perception import (
     CATEGORICAL, CONSTANT, NUMERIC, ColumnProfile, DatasetFrame,
     DatasetMetadata,
 )
+from rxmflow.synth import write_csv
 
 settings.register_profile("engine", deadline=None)
 settings.load_profile("engine")
@@ -42,6 +43,26 @@ def make_metadata(profiles, n_rows=100, memory_bytes=1024) -> DatasetMetadata:
         estimated_memory_bytes=memory_bytes,
         preview=[],
     )
+
+
+# priority labels of 200-row tables whose target cannot be split
+DEGENERATE_TARGETS = {
+    "class_with_one_row": ["Low"] * 99 + ["High"] * 100 + ["Medium"],
+    "constant_target": ["Low"] * 200,
+}
+
+
+def write_target_csv(path, labels, seed=0):
+    """An id, two numeric readings and `labels` as Maintenance_Priority."""
+    gen = np.random.default_rng(seed)
+    n = len(labels)
+    write_csv(make_frame({
+        "Machine_ID": [f"M{i:04d}" for i in range(n)],
+        "temperature": np.round(gen.normal(60.0, 5.0, n), 3).tolist(),
+        "vibration": np.round(gen.normal(1.0, 0.2, n), 3).tolist(),
+        "Maintenance_Priority": labels,
+    }), path)
+    return str(path)
 
 
 @pytest.fixture

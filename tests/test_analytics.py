@@ -134,6 +134,11 @@ def test_split_rejects_singleton_class():
         split_train_test(100, CLASSIFICATION, labels, 0.8, seed=0)
 
 
+def test_split_rejects_a_single_class():
+    with pytest.raises(ClassTooSmallError, match="1 class"):
+        split_train_test(100, CLASSIFICATION, ["a"] * 100, 0.8, seed=0)
+
+
 def test_fit_predict_evaluate_classification(rng):
     X = np.vstack([
         rng.normal(loc=-2.0, size=(250, 2)),

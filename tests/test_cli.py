@@ -7,6 +7,8 @@ from rxmflow.backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
 from rxmflow.cli import build_parser, main, make_backend
 from rxmflow.synth import maintenance_frame, write_csv
 
+from conftest import DEGENERATE_TARGETS, write_target_csv
+
 
 @pytest.fixture
 def csv_path(tmp_path):
@@ -33,6 +35,30 @@ def test_missing_file_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_TARGETS) + ["missing_file"])
+def test_failed_run_exits_one_and_records_the_failure(tmp_path, case):
+    path = str(tmp_path / "nope.csv")
+    if case != "missing_file":
+        path = write_target_csv(tmp_path / f"{case}.csv", DEGENERATE_TARGETS[case])
+    logs = tmp_path / "logs"
+    code = main(["--data", path, "--auto-approve", "--log-dir", str(logs)])
+    assert code == 1
+    [detailed] = logs.glob("detailed_results_*.json")
+    failure = json.loads(detailed.read_text())["failure"]
+    expected = (("load_and_inspect_data", "FileMissingError") if case == "missing_file"
+                else ("preprocess_data", "ClassTooSmallError"))
+    assert (failure["stage"], failure["reason"]) == expected
+    assert not list(logs.glob("recommendations_*.json"))
+
+
+def test_unwritable_log_dir_exits_one(csv_path, tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main(["--data", csv_path, "--log-dir", str(blocker / "logs")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_rejected_review_exits_two(csv_path, tmp_path, monkeypatch):

@@ -11,14 +11,21 @@ from rxmflow.errors import DataLoadError
 from rxmflow.preprocess import features
 from rxmflow.review import ReviewIO
 from rxmflow.runner import (
-    EXIT_OK, EXIT_REJECTED, WorkflowConfig, WorkflowRunner, run_workflow,
+    EXIT_DATA_ERROR, EXIT_OK, EXIT_REJECTED, WorkflowConfig, WorkflowRunner,
+    run_workflow,
 )
 from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write_csv
+
+from conftest import DEGENERATE_TARGETS, write_target_csv
 
 SEQUENCE = [
     "load_and_inspect_data", "preprocess_data", "analyze_data",
     "generate_recommendations", "summarize",
 ]
+SECTIONS = {
+    "dataset", "schema", "preprocess_plan", "model_attempts", "adaptive_log",
+    "recommendations", "confidence", "review", "durations",
+}
 
 
 @pytest.fixture
@@ -118,8 +125,27 @@ def test_missing_file_aborts_with_partial_results(tmp_path):
     artifacts = runner.artifacts
     assert artifacts.exit_code == 1
     document = json.loads(artifacts.detailed_results_path.read_text())
-    assert set(document) == {"dataset", "failure"}
-    assert "nope.csv" in document["dataset"]["error"]
+    assert set(document) == SECTIONS | {"failure"}
+    assert document["failure"]["stage"] == "load_and_inspect_data"
+    assert document["failure"]["reason"] == "FileMissingError"
+    assert "nope.csv" in document["failure"]["error"]
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_TARGETS))
+def test_degenerate_target_fails_preprocessing(tmp_path, case):
+    path = write_target_csv(tmp_path / f"{case}.csv", DEGENERATE_TARGETS[case])
+    report, artifacts = run_workflow(config_for(path, tmp_path), clock=TickClock())
+    # preprocessing fails, is planned once more, fails again, and the run stops
+    assert (report.steps_succeeded, report.steps_total) == (1, 3)
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert artifacts.failure["stage"] == "preprocess_data"
+    assert artifacts.failure["reason"] == "ClassTooSmallError"
+    assert artifacts.best_result is None
+    assert artifacts.recommendations_path is None
+    assert not list((tmp_path / "logs").glob("recommendations_*.json"))
+    document = json.loads(artifacts.detailed_results_path.read_text())
+    assert set(document) == SECTIONS | {"failure"}
+    assert document["failure"] == artifacts.failure
 
 
 def test_rejected_review_withholds_actions_and_sets_exit_code(
