@@ -92,7 +92,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     try:
-        runner = WorkflowRunner(config, backend=make_backend(args))
+        backend = make_backend(args)
+    except (OSError, ValueError) as exc:    # a scripted file missing or malformed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    try:
+        runner = WorkflowRunner(config, backend=backend)
         runner.run()
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,28 @@ y*y), the first best position is taken per feature and the first best
 feature in draw order wins.
 
 Classification trees grow in lockstep, a group at a time (`grow_classifiers`).
-Each tree keeps its own depth-first stack and its own rng, so it draws its
-features in the same order and numbers its nodes in preorder as it would
-alone. Each round takes the next node to search from every tree of the
-group and scores all of them in one pass over flat arrays, one segment per
-(node, drawn feature):
+Each round takes the next node to search from every tree of the group and
+scores all of them in one pass over flat arrays, one segment per (node,
+drawn feature). No step of a round is taken once per node in Python.
 
+- Draws. A tree's feature draws are the successive calls
+  `default_rng(seed).choice(n_features, k, replace=False)`. With n_features
+  and k fixed for a fit they depend on the seed alone, so `_Draws` replays
+  them from the seed's PCG64 stream, a block of calls per tree at a time,
+  with numpy's own algorithms (Floyd's sample over Lemire-bounded 32-bit
+  words, then a shuffle) computed in numpy. The regression tree draws from
+  the same replay.
+- Node state. The nodes of a group live in flat arrays, numbered as they
+  are made: tree, depth, row range, impurity, class counts, and once split
+  the feature, threshold and children. Each tree's stack holds the ids of
+  the nodes it has yet to search; a child too small, too deep or pure to
+  be split is a leaf from the start and is never stacked. `fill` renumbers
+  each tree into preorder from subtree sizes summed level by level.
+
+What keeps every tree bit-identical to one grown node by node:
+
+- a tree's stack pops its searched nodes in the same depth-first order, so
+  it spends its draws in the same order;
 - values are replaced by their dense rank over the whole table, so one
   stable 16-bit radix sort by rank and a second by segment order every
   segment at once;
@@ -27,8 +43,7 @@ group and scores all of them in one pass over flat arrays, one segment per
   each segment's start; they are integers, so exact;
 - the Gini terms use the same float expressions, summed over a tree's own
   classes in the order a per-node `.sum()` takes (left to right below 8
-  classes, numpy's pairwise order from 8 on), so the trees are
-  bit-identical to trees searched one node at a time.
+  classes, numpy's pairwise order from 8 on).
 
 A node is a [start, end) range of its tree's row buffer; a split
 partitions that range in place. A split hands its children their class
@@ -41,22 +56,144 @@ of float y across segments would round differently.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 GROUP_TREES = 25          # classification trees grown in lockstep
 PASS_ELEMENTS = 1 << 13   # (feature, row) elements per pass, past its first node
+DRAW_BLOCK = 64           # feature draws replayed per tree at a time
+
+
+def _tail_shuffled(n, k):
+    """Whether choice(n, k, replace=False) shuffles the tail of arange(n)
+    rather than taking Floyd's sample."""
+    return n > 10000 and k > n // 50
+
+
+def _scalar_choices(word, n, k, calls):
+    """`calls` rows of choice(n, k, replace=False), made the way numpy makes
+    them, one bounded draw at a time from the 32-bit words `word()` yields."""
+    def bounded(top):       # Lemire: uniform on [0, top], rejecting a biased word
+        span = top + 1
+        m = word() * span
+        while m % (1 << 32) < (1 << 32) % span:
+            m = word() * span
+        return m >> 32
+
+    rows = np.empty((calls, k), dtype=np.int64)
+    for c in range(calls):
+        if _tail_shuffled(n, k):
+            moved = {}                          # arange(n), where it differs
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            rows[c] = [moved.get(i, i) for i in range(n - k, n)]
+        else:
+            picks = []
+            for j in range(n - k, n):           # Floyd
+                v = bounded(j)
+                picks.append(j if v in picks else v)
+            for i in range(k - 1, 0, -1):       # then a shuffle of the picks
+                r = bounded(i)
+                picks[i], picks[r] = picks[r], picks[i]
+            rows[c] = picks
+    return rows
+
+
+class _Draws:
+    """Replays `default_rng(seed).choice(n, k, replace=False)`, call after
+    call, for each of `seeds`, DRAW_BLOCK calls of a seed at a time.
+
+    Each bounded draw of a Generator takes one 32-bit word: the low half of
+    a fresh PCG64 output, whose high half is kept for the next draw. choice
+    spends nothing else, so each seed's draws read a fixed stream of words.
+    A Floyd call spends 2k - 1 words, one a bound, unless a word is
+    rejected, so a block of calls is computed for all seeds at once; from a
+    rejected word on, the block is finished one draw at a time.
+    """
+
+    def __init__(self, seeds, n, k):
+        self.n, self.k = n, k
+        self.block = DRAW_BLOCK
+        self.bitgens = [np.random.PCG64(seed) for seed in seeds]
+        self.spare = [np.zeros(0, dtype=np.uint64) for _ in seeds]   # a kept high half
+        self.rows = np.zeros((len(seeds), self.block, k), dtype=np.int64)
+        self.used = np.full(len(seeds), self.block)
+
+    def next(self, seeds):
+        """The next draw of each of `seeds` (indices), one row each."""
+        spent = seeds[self.used[seeds] == self.block]
+        if len(spent):
+            self._refill(spent)
+        rows = self.rows[seeds, self.used[seeds]]
+        self.used[seeds] += 1
+        return rows
+
+    def _words(self, g, count):
+        """The next `count` words of seed g's stream."""
+        raw = self.bitgens[g].random_raw((count - len(self.spare[g]) + 1) // 2)
+        words = np.concatenate([self.spare[g], np.stack([raw & 0xFFFFFFFF, raw >> 32], 1).ravel()])
+        self.spare[g] = words[count:]
+        return words[:count]
+
+    def _scalar(self, g, words, calls):
+        """`calls` draws of seed g, one word at a time from the unspent `words` on."""
+        stream = collections.deque(np.concatenate([words, self.spare[g]]).tolist())
+
+        def word():
+            if not stream:
+                raw = int(self.bitgens[g].random_raw())
+                stream.extend((raw & 0xFFFFFFFF, raw >> 32))
+            return stream.popleft()
+
+        rows = _scalar_choices(word, self.n, self.k, calls)
+        self.spare[g] = np.array(stream, dtype=np.uint64)
+        return rows
+
+    def _refill(self, seeds):
+        n, k, block = self.n, self.k, self.block
+        self.used[seeds] = 0
+        if _tail_shuffled(n, k):
+            for g in seeds:
+                self.rows[g] = self._scalar(g, np.zeros(0, dtype=np.uint64), block)
+            return
+        per = 2 * k - 1
+        words = np.array([self._words(g, block * per) for g in seeds])
+        bound = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)]
+                               ).astype(np.uint64)      # each word's number of outcomes
+        m = words.reshape(len(seeds), block, per) * bound
+        value = (m >> 32).astype(np.intp)
+        picks = np.empty((len(seeds), block, k), dtype=np.int64)
+        for i in range(k):                      # Floyd: n - k + i if v is already picked
+            v = value[..., i]
+            picks[..., i] = np.where((picks[..., :i] == v[..., None]).any(axis=-1), n - k + i, v)
+        flat = picks.reshape(-1, k)
+        calls = np.arange(len(flat))
+        for s, i in enumerate(range(k - 1, 0, -1)):  # the shuffle swaps i with a draw on [0, i]
+            r = value[..., k + s].reshape(-1)
+            held = flat[calls, r]
+            flat[calls, r] = flat[:, i]
+            flat[:, i] = held
+        self.rows[seeds] = picks
+        rejected = (m & 0xFFFFFFFF) < (1 << 32) % bound
+        for t in np.flatnonzero(rejected.any(axis=(1, 2))):    # odds below n / 2**32 a word
+            call = int(np.flatnonzero(rejected[t].reshape(-1))[0]) // per
+            self.rows[seeds[t], call:] = self._scalar(seeds[t], words[t, call * per:],
+                                                      block - call)
 
 
 class _Grower:
     """Grows one regression tree depth-first into flat node lists."""
 
-    def __init__(self, X, y, max_depth, min_samples_split, max_features, rng):
+    def __init__(self, X, y, max_depth, min_samples_split, max_features, seed):
         self.XT = np.ascontiguousarray(X.T)     # feature-major
         self.y = y
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.rng = rng
+        n_features = X.shape[1]
+        draws = max_features is not None and max_features < n_features
+        self.draws = _Draws([seed], n_features, max_features) if draws else None
         self.importances = np.zeros(X.shape[1])
         self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
@@ -99,11 +236,10 @@ class _Grower:
         Returns scalars only, so the per-position arrays are freed before
         the caller recurses.
         """
-        n_features = self.XT.shape[0]
-        if self.max_features is None or self.max_features >= n_features:
-            feats = np.arange(n_features)
+        if self.draws is None:
+            feats = np.arange(self.XT.shape[0])
         else:
-            feats = self.rng.choice(n_features, size=self.max_features, replace=False)
+            feats = self.draws.next(np.zeros(1, dtype=np.intp))[0]
 
         n = len(idx)
         drawn = feats[:, None]
@@ -197,36 +333,16 @@ def _first_per_group(hits, group):
     return hits[_run_starts(group[hits])]
 
 
-class _Nodes:
-    """One tree's node fields, in arrays that double when full."""
-
-    def __init__(self, n_classes):
-        self.size = 0
-        self.feature = np.full(64, -1, dtype=np.int32)
-        self.threshold = np.zeros(64)
-        self.children = np.full((2, 64), -1, dtype=np.int32)     # left, right
-        self.counts = np.zeros((64, n_classes), dtype=np.int32)
-
-    def add(self, parent, side, counts):
-        """Number the next node, link it to its parent and return its id."""
-        node = self.size
-        if node == len(self.feature):
-            self.feature = np.concatenate([self.feature, np.full_like(self.feature, -1)])
-            self.threshold = np.concatenate([self.threshold, np.zeros_like(self.threshold)])
-            self.children = np.concatenate(
-                [self.children, np.full_like(self.children, -1)], axis=1)
-            self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)])
-        self.size = node + 1
-        if parent >= 0:
-            self.children[side, parent] = node
-        self.counts[node] = counts
-        return node
-
-
 class _Lockstep:
     """Grows a group of classification trees, one searched node per tree per round.
 
-    Tree g's rows (indices into the table) are row g of `buf`.
+    Tree g's rows (indices into the table) are row g of `buf`. The nodes of
+    the group share flat arrays, numbered as they are made, roots first; a
+    node is made a leaf and turned into a split when its search finds one.
+    `fill` renumbers each tree into preorder. `stack[g, :top[g]]` holds the
+    nodes tree g has yet to search, the next one last, as rows (node, start,
+    end, depth) with their impurity in `stack_impurity`; a node too small,
+    too deep or pure to be split is never stacked.
     """
 
     def __init__(self, table, rows, seeds, max_depth, min_samples_split, max_features):
@@ -236,8 +352,7 @@ class _Lockstep:
         n_features = table.XT.shape[0]
         self.all_features = np.arange(n_features)
         draws = max_features is not None and max_features < n_features
-        self.draw = max_features if draws else None
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.draws = _Draws(seeds, n_features, max_features) if draws else None
         self.buf = np.array(rows, dtype=np.int32).reshape(len(rows), -1)
         self.flat = self.buf.reshape(-1)                # a view: splits write through
         n_trees, n_rows = self.buf.shape
@@ -245,73 +360,104 @@ class _Lockstep:
         counts = np.array([np.bincount(table.y[r], minlength=n_classes) for r in self.buf],
                           dtype=np.intp).reshape(n_trees, n_classes).T
         self.own = [np.flatnonzero(c) for c in counts.T]
-        impurity = self._impurity(counts, np.arange(n_trees))
-        # a pending node: start, end, depth, parent, side (0 left), counts, impurity
-        self.stacks = [[(0, n_rows, 0, -1, 0, counts[:, g], impurity[g])]
-                       for g in range(n_trees)]
-        self.nodes = [_Nodes(n_classes) for _ in range(n_trees)]
         self.importances = np.zeros((n_trees, n_features))
+        self.n_nodes = 0
+        self.counts = np.zeros((0, n_classes), dtype=np.int32)
+        self.feature = np.zeros(0, dtype=np.int32)
+        self.threshold = np.zeros(0)
+        self.left = np.zeros(0, dtype=np.int32)
+        self.right = np.zeros(0, dtype=np.int32)
+        self.stack = np.zeros((n_trees, 16, 4), dtype=np.intp)
+        self.stack_impurity = np.zeros((n_trees, 16))
+        self.top = np.zeros(n_trees, dtype=np.intp)
+        trees, zeros = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+        roots = self._add(counts)
+        self._push(trees, np.column_stack([roots, zeros, zeros + n_rows, zeros]),
+                   self._impurity(counts, trees))
 
     def _impurity(self, counts, owner):
         """Gini impurity of each class-count column of tree `owner`."""
         return 1.0 - _square_sums(counts / counts.sum(axis=0), owner, self.own)
 
+    def _class_counts(self, trees, starts, lengths):
+        """Class-major counts of each tree's rows [start, start + length)."""
+        n_classes = len(self.table.classes)
+        member = np.repeat(np.arange(len(trees)), lengths)
+        y = self.table.y[self.flat[_ranges(trees * self.buf.shape[1] + starts, lengths)]]
+        return np.bincount(member * n_classes + y, minlength=len(trees) * n_classes
+                           ).reshape(len(trees), n_classes).T
+
+    def _add(self, counts):
+        """Make a leaf of each class-count column and return their ids,
+        doubling the node arrays when full."""
+        first, n = self.n_nodes, counts.shape[1]
+        if first + n > len(self.feature):
+            size = max(2 * len(self.feature), first + n)
+            for name, empty in (("counts", 0), ("feature", -1), ("threshold", 0.0),
+                                ("left", -1), ("right", -1)):
+                old = getattr(self, name)
+                new = np.full((size,) + old.shape[1:], empty, dtype=old.dtype)
+                new[:first] = old[:first]
+                setattr(self, name, new)
+        self.n_nodes = first + n
+        self.counts[first:first + n] = counts.T
+        return np.arange(first, first + n)
+
+    def _push(self, trees, pending, impurity):
+        """Stack those of the (node, start, end, depth) rows that may be split,
+        one row each of the distinct `trees`."""
+        _, start, end, depth = pending.T
+        searched = ~(impurity <= 0.0) & (end - start >= self.min_samples_split)
+        if self.max_depth is not None:
+            searched &= depth < self.max_depth
+        trees = trees[searched]
+        top = self.top[trees]
+        if len(top) and top.max() == self.stack.shape[1]:
+            self.stack = np.concatenate([self.stack, np.zeros_like(self.stack)], axis=1)
+            self.stack_impurity = np.concatenate(
+                [self.stack_impurity, np.zeros_like(self.stack_impurity)], axis=1)
+        self.stack[trees, top] = pending[searched]
+        self.stack_impurity[trees, top] = impurity[searched]
+        self.top[trees] = top + 1
+
     def grow(self):
-        active = list(range(len(self.stacks)))
-        while active:
-            batch, elements = [], 0
-            for g in active:
-                node = self._next_searched(g)
-                if node is None:
-                    continue
-                size = (node[3] - node[2]) * len(node[4])
-                if batch and elements + size > PASS_ELEMENTS:
-                    self._search(batch)
-                    batch, elements = [], 0
-                batch.append(node)
-                elements += size
-            if batch:
-                self._search(batch)
-            active = [g for g in active if self.stacks[g]]
-        return self
-
-    def _next_searched(self, g):
-        """Number tree g's pending nodes until one needs a split search.
-
-        Returns (tree, node, start, end, drawn features, impurity, depth),
-        or None when the tree is complete.
-        """
-        stack = self.stacks[g]
-        while stack:
-            start, end, depth, parent, side, counts, impurity = stack.pop()
-            node = self.nodes[g].add(parent, side, counts)
-            if end - start < self.min_samples_split:
-                continue
-            if self.max_depth is not None and depth >= self.max_depth:
-                continue
-            if impurity <= 0.0:
-                continue
-            if self.draw is None:
-                feats = self.all_features
+        while True:
+            trees = np.flatnonzero(self.top)
+            if not len(trees):
+                return self
+            top = self.top[trees] - 1
+            self.top[trees] = top
+            pending, impurity = self.stack[trees, top], self.stack_impurity[trees, top]
+            if self.draws is None:
+                feats = np.broadcast_to(self.all_features, (len(trees), len(self.all_features)))
             else:
-                feats = self.rngs[g].choice(len(self.all_features), size=self.draw,
-                                            replace=False)
-            return g, node, start, end, feats, impurity, depth
-        return None
+                feats = self.draws.next(trees)
+            # passes of at most PASS_ELEMENTS (feature, row) elements past their first node
+            elements = np.cumsum((pending[:, 2] - pending[:, 1]) * feats.shape[1])
+            first = 0
+            while first < len(trees):
+                done = elements[first - 1] if first else 0
+                last = max(first + 1, int(np.searchsorted(elements, done + PASS_ELEMENTS,
+                                                          side="right")))
+                batch = slice(first, last)
+                self._search(trees[batch], pending[batch], impurity[batch], feats[batch])
+                first = last
 
-    def _search(self, batch):
-        """Score every drawn feature of the batch's nodes in one pass; split them."""
+    def _search(self, tree, pending, impurity, feats):
+        """Score every drawn feature of the pending nodes in one pass; split them.
+
+        Node i belongs to tree[i], is the row pending[i] of its stack and
+        draws the features feats[i].
+        """
         table = self.table
         n_rows, n_table = self.buf.shape[1], table.XT.shape[1]
-        tree = np.array([b[0] for b in batch])
-        start = np.array([b[2] for b in batch])
-        size = np.array([b[3] for b in batch]) - start
-        impurity = np.array([b[5] for b in batch])
-        drawn = np.array([len(b[4]) for b in batch])
+        start = pending[:, 1]
+        size = pending[:, 2] - start
+        drawn = feats.shape[1]
 
         # one segment per (node, drawn feature), in draw order
-        seg_node = np.repeat(np.arange(len(batch)), drawn)
-        seg_feat = np.concatenate([b[4] for b in batch])
+        seg_node = np.repeat(np.arange(len(pending)), drawn)
+        seg_feat = feats.reshape(-1)
         seg_len = size[seg_node]
         seg_end = np.cumsum(seg_len)
         seg_start = seg_end - seg_len
@@ -351,23 +497,22 @@ class _Lockstep:
         gain[scored] = impurity[seg_node[scored]] - low
         best_at = np.zeros(len(seg_len), dtype=np.intp)
         best_at[scored] = at[_first_per_group(hits, at_seg)]
-        seg_first = np.cumsum(drawn) - drawn
-        best = np.maximum.reduceat(gain, seg_first)
+        best = np.maximum.reduceat(gain, np.arange(0, len(seg_len), drawn))
         winner = _first_per_group(np.flatnonzero(gain == best[seg_node]), seg_node)
         split = np.flatnonzero(best > 1e-15)
         if not len(split):
             return
-        self._split([batch[i] for i in split], winner[split], best[split],
+        self._split(tree[split], pending[split], winner[split], best[split],
                     seg_feat, seg_start, best_at, rows, cum, base, total)
 
-    def _split(self, nodes, segs, gains, seg_feat, seg_start, best_at, rows, cum, base, total):
-        """Partition each node's rows at its winning boundary and stack its children."""
+    def _split(self, tree, pending, segs, gains, seg_feat, seg_start, best_at, rows, cum,
+               base, total):
+        """Partition each node's rows at its winning boundary; make and stack its children."""
         table = self.table
         n_rows, n_table = self.buf.shape[1], table.XT.shape[1]
         XT = table.XT.reshape(-1)
-        tree = np.array([b[0] for b in nodes])
-        start = np.array([b[2] for b in nodes])
-        size = np.array([b[3] for b in nodes]) - start
+        node, start, end, depth = pending.T
+        size = end - start
         b = best_at[segs]
         feature = seg_feat[segs]
         threshold = (XT[feature * n_table + rows[b]] + XT[feature * n_table + rows[b + 1]]) / 2.0
@@ -377,46 +522,77 @@ class _Lockstep:
 
         # stable in-place partition of every node's range: x <= threshold first
         where = _ranges(tree * n_rows + start, size)
-        member = np.repeat(np.arange(len(nodes)), size)
+        member = np.repeat(np.arange(len(node)), size)
         values = self.flat[where]
         goes_left = XT[feature[member] * n_table + values] <= threshold[member]
-        self.flat[where] = values[_stable_argsort(2 * member + ~goes_left, 2 * len(nodes))]
-        n_goes = np.bincount(member[goes_left], minlength=len(nodes))
+        self.flat[where] = values[_stable_argsort(2 * member + ~goes_left, 2 * len(node))]
+        n_goes = np.bincount(member[goes_left], minlength=len(node))
+        mid = start + n_goes
 
         keep = np.flatnonzero((n_goes > 0) & (n_goes < size))
-        for i in keep[n_goes[keep] != n_left[keep]]:
+        moved = keep[n_goes[keep] != n_left[keep]]
+        if len(moved):
             # the midpoint rounded onto the upper value: count the children's rows
-            g, mid, end = tree[i], start[i] + n_goes[i], start[i] + size[i]
-            left[:, i] = np.bincount(table.y[self.buf[g, start[i]:mid]], minlength=len(left))
-            right[:, i] = np.bincount(table.y[self.buf[g, mid:end]], minlength=len(left))
-        child_impurity = self._impurity(
-            np.concatenate([left[:, keep], right[:, keep]], axis=1), np.tile(tree[keep], 2))
+            left[:, moved] = self._class_counts(tree[moved], start[moved], n_goes[moved])
+            right[:, moved] = self._class_counts(tree[moved], mid[moved], end[moved] - mid[moved])
         self.importances[tree[keep], feature[keep]] += (size[keep] / n_rows) * gains[keep]
-        child_impurity = child_impurity.tolist()
-        feature, threshold = feature.tolist(), threshold.tolist()
-        starts, mids, ends = start.tolist(), (start + n_goes).tolist(), (start + size).tolist()
-        for j, i in enumerate(keep.tolist()):
-            g, node, depth = nodes[i][0], nodes[i][1], nodes[i][6] + 1
-            self.nodes[g].feature[node] = feature[i]
-            self.nodes[g].threshold[node] = threshold[i]
-            stack = self.stacks[g]
-            stack.append((mids[i], ends[i], depth, node, 1, right[:, i],
-                          child_impurity[len(keep) + j]))
-            stack.append((starts[i], mids[i], depth, node, 0, left[:, i], child_impurity[j]))
+        tree, node, start, mid, end = tree[keep], node[keep], start[keep], mid[keep], end[keep]
+        counts = np.concatenate([left[:, keep], right[:, keep]], axis=1)
+        impurity = self._impurity(counts, np.concatenate([tree, tree]))
+        children = self._add(counts)
+        lefts, rights = children[:len(node)], children[len(node):]
+        self.feature[node], self.threshold[node] = feature[keep], threshold[keep]
+        self.left[node], self.right[node] = lefts, rights
+        depth = depth[keep] + 1
+        # the right child goes below the left, to be searched after it
+        self._push(tree, np.column_stack([rights, mid, end, depth]), impurity[len(node):])
+        self._push(tree, np.column_stack([lefts, start, mid, depth]), impurity[:len(node)])
+
+    def _preorder(self, n_trees):
+        """The group's node ids, tree after tree, each tree in preorder; each
+        node's preorder id in its tree, with -1 appended for "no node"; and
+        where each tree starts in the first."""
+        n = self.n_nodes
+        left, right = self.left[:n], self.right[:n]
+        levels, frontier = [], np.arange(n_trees)          # the roots
+        while len(frontier):
+            inner = frontier[left[frontier] >= 0]
+            levels.append(inner)
+            frontier = np.concatenate([left[inner], right[inner]])
+        size = np.ones(n, dtype=np.int32)                   # subtree sizes, deepest first
+        for level in reversed(levels):
+            size[level] += size[left[level]] + size[right[level]]
+        offset = np.cumsum(size[:n_trees]) - size[:n_trees]
+        at = np.empty(n, dtype=np.int32)                    # place in the group's order
+        at[:n_trees] = offset
+        for level in levels:
+            at[left[level]] = at[level] + 1
+            at[right[level]] = at[level] + 1 + size[left[level]]
+        order = np.empty(n, dtype=np.int32)
+        order[at] = np.arange(n, dtype=np.int32)
+        at -= np.repeat(offset, size[:n_trees])[at]         # now the preorder id in its tree
+        return order, np.append(at, np.int32(-1)), offset
 
     def fill(self, trees):
-        """Trim each tree's node arrays into its estimator."""
+        """Renumber each tree's nodes into preorder and hand them to its estimator.
+
+        Each node array is freed as soon as it is copied into preorder, so
+        the group's nodes are not held twice over.
+        """
+        order, pre, offset = self._preorder(len(trees))
+        fields = []
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            values = getattr(self, name)[order]
+            setattr(self, name, None)
+            if name in ("left", "right"):
+                values = pre[values]
+            fields.append(np.split(values, offset[1:]))
         classes = self.table.classes
-        for g, tree in enumerate(trees):
-            nodes, own = self.nodes[g], self.own[g]
-            self.nodes[g] = None                 # free the spare capacity tree by tree
-            k = nodes.size
+        for g, (tree, *arrays, counts) in enumerate(zip(trees, *fields)):
+            own = self.own[g]
             tree.classes_ = np.array(classes[own].tolist())
-            tree.feature_ = nodes.feature[:k].copy()
-            tree.threshold_ = nodes.threshold[:k].copy()
-            tree.left_ = nodes.children[0, :k].copy()
-            tree.right_ = nodes.children[1, :k].copy()
-            counts = nodes.counts[:k, own]
+            tree.feature_, tree.threshold_, tree.left_, tree.right_ = arrays
+            counts = counts[:, own]
             tree.value_ = counts / counts.sum(axis=1, keepdims=True)
             tree.feature_importances_ = _normalized(self.importances[g])
 
@@ -426,7 +602,7 @@ def grow_classifiers(trees, table, rows):
 
     `rows` iterates over the trees' row indices, in tree order; it is read
     one group at a time. The trees share max_depth, min_samples_split and
-    max_features, and each draws its features from default_rng(tree.seed).
+    max_features, and each draws its features as default_rng(tree.seed) would.
     """
     rows = iter(rows)
     for first in range(0, len(trees), GROUP_TREES):
@@ -484,7 +660,7 @@ class DecisionTreeRegressor(_Tree):
         X = np.asarray(X, dtype=float)
         grower = _Grower(
             X, np.asarray(y, dtype=float), self.max_depth, self.min_samples_split,
-            self.max_features, np.random.default_rng(self.seed),
+            self.max_features, self.seed,
         )
         grower.grow(np.arange(X.shape[0]), depth=0)
         self.feature_ = np.array(grower.feature, dtype=np.int32)

@@ -28,7 +28,7 @@ from .audit import AuditLog
 from .clocks import SystemClock
 from .config import PatternConfig, PlanConfig, QualityConfig, RecommendationConfig
 from .errors import (
-    AllModelsFailedError, AmbiguousTargetError, DataLoadError,
+    AllModelsFailedError, AmbiguousTargetError, DataLoadError, EngineError,
     SinkUnwritableError,
 )
 from .models.iforest import valid_contamination
@@ -199,7 +199,9 @@ class WorkflowRunner:
                     duration=(self.clock.now() - step_start).total_seconds(),
                     summary="step failed", error=str(exc) or type(exc).__name__,
                 )
-                logger.warning("step %s failed: %s", decision.tool, record.error)
+                # an exception the engine does not raise itself is a bug: keep its traceback
+                logger.warning("step %s failed: %s", decision.tool, record.error,
+                               exc_info=not isinstance(exc, EngineError))
                 self.audit.append("orchestrator", "step_failed", {
                     "tool": decision.tool, "error": record.error,
                 })

@@ -101,6 +101,21 @@ def test_scripted_backend_flag(tmp_path):
     assert backend.generate("p") == "one"
 
 
+@pytest.mark.parametrize("content", [None, "not json", '{"a": 1}', "[1, 2]"])
+def test_unusable_scripted_backend_file_exits_one(csv_path, tmp_path, capsys, content):
+    script = tmp_path / "script.json"
+    if content is not None:
+        script.write_text(content)
+    code = main([
+        "--data", csv_path, "--backend", f"scripted:{script}", "--auto-approve",
+        "--log-dir", str(tmp_path / "logs"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "logs").exists()
+
+
 def test_contamination_must_be_fraction_or_auto():
     with pytest.raises(SystemExit):
         main(["--data", "x.csv", "--contamination", "lots"])

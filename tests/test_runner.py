@@ -389,6 +389,32 @@ def test_every_decision_and_interaction_audited_exactly_once(
     assert len(attempts) == len(artifacts.attempts)
 
 
+def test_unexpected_step_exception_logs_its_traceback(
+        maintenance_csv, tmp_path, monkeypatch, caplog):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug in a stage")
+
+    monkeypatch.setattr(analytics, "select_candidates", broken)
+    with caplog.at_level("WARNING", logger="rxmflow.runner"):
+        _, artifacts = run_workflow(
+            config_for(maintenance_csv, tmp_path), clock=TickClock())
+    failed = [r for r in caplog.records if "step analyze_data failed" in r.getMessage()]
+    assert failed and all(r.exc_info[0] is RuntimeError for r in failed)
+    assert artifacts.failure["error"] == "a bug in a stage"
+    logs = tmp_path / "logs"
+    for path in [*logs.glob("audit_*.jsonl"), *logs.glob("detailed_results_*.json")]:
+        assert "Traceback" not in path.read_text()
+
+
+def test_engine_error_step_failure_logs_no_traceback(tmp_path, caplog):
+    case = sorted(DEGENERATE_TARGETS)[0]
+    path = write_target_csv(tmp_path / f"{case}.csv", DEGENERATE_TARGETS[case])
+    with caplog.at_level("WARNING", logger="rxmflow.runner"):
+        run_workflow(config_for(path, tmp_path), clock=TickClock())
+    failed = [r for r in caplog.records if "step preprocess_data failed" in r.getMessage()]
+    assert failed and not any(r.exc_info for r in failed)
+
+
 def test_audit_log_parses_with_monotone_timestamps(maintenance_csv, tmp_path):
     _, artifacts = run_workflow(
         config_for(maintenance_csv, tmp_path), clock=TickClock())

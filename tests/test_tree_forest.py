@@ -364,3 +364,44 @@ def test_lockstep_trees_equal_trees_grown_node_by_node(
         total = importances.sum()
         expected = importances / total if total > 0 else importances
         assert tree.feature_importances_.tobytes() == expected.tobytes()
+
+
+n_and_k = st.one_of(
+    st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.tuples(st.just(3 << 30), st.integers(1, 4)),     # a Lemire rejection every other call
+    st.just((10001, 201)),                               # numpy's tail-shuffle branch
+)
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n_and_k=n_and_k,
+    block=st.integers(1, 9),      # 2k - 1 words a call: odd blocks end on half a PCG64 output
+    rounds=st.lists(st.sets(st.integers(0, 3), min_size=1), min_size=1, max_size=25),
+)
+def test_draw_replay_equals_generator_choice(seeds, n_and_k, block, rounds):
+    n, k = n_and_k
+    with mock.patch.object(tree_module, "DRAW_BLOCK", block):
+        draws = tree_module._Draws(seeds, n, k)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for chosen in rounds:
+        trees = np.array(sorted(g for g in chosen if g < len(seeds)), dtype=np.intp)
+        if not len(trees):
+            continue
+        rows = draws.next(trees)
+        for g, row in zip(trees, rows):
+            assert row.tolist() == rngs[g].choice(n, k, replace=False).tolist()
+
+
+def test_draw_replay_takes_the_scalar_path_from_a_rejected_word():
+    n, k, calls = 3 << 30, 2, 300
+    with mock.patch.object(tree_module, "DRAW_BLOCK", 5):
+        draws = tree_module._Draws([7, 8], n, k)
+    rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+    with mock.patch.object(tree_module, "_scalar_choices",
+                           wraps=tree_module._scalar_choices) as scalar:
+        for _ in range(calls):
+            rows = draws.next(np.arange(2))
+            for rng, row in zip(rngs, rows):
+                assert row.tolist() == rng.choice(n, k, replace=False).tolist()
+    assert scalar.call_count > calls // 10
