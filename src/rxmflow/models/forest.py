@@ -1,16 +1,16 @@
 """Random forests over the CART trees.
 
 Tree i draws its bootstrap rows with `default_rng(seed + i).integers`,
-here as they are read. Its split features are the successive calls
-`default_rng(seed + i).choice(p, k, replace=False)` of a second rng of the
-same seed; the trees do not call it, but replay those calls from the seed
-a block at a time (`tree._Draws`). So each tree is the tree it would be
-if grown alone, whatever the schedule. The classification forest grows
-its trees in lockstep groups (`tree.grow_classifiers`) over one ranked
-table; the regression forest fits its trees one after another. They
-differ also in how tree outputs combine. Per-split feature subsampling
-defaults to sqrt(p) for classification and p // 3 for regression;
-bootstrap resampling is on by default.
+here as they are read. Its split features are what successive calls of
+`default_rng(seed + i).choice(p, k, replace=False)` would draw; the trees
+replay those calls from the seed a block at a time (`tree._Draws`) rather
+than make them. So each tree is the tree it would be if grown alone,
+whatever the schedule. The classification forest grows its trees in
+lockstep groups (`tree.grow_classifiers`) over one ranked table; the
+regression forest fits its trees one after another. They differ also in
+how tree outputs combine. Per-split feature subsampling defaults to
+sqrt(p) for classification and p // 3 for regression; bootstrap
+resampling is on by default.
 """
 
 from __future__ import annotations

@@ -25,12 +25,13 @@ drawn feature). No step of a round is taken once per node in Python.
   with numpy's own algorithms (Floyd's sample over Lemire-bounded 32-bit
   words, then a shuffle) computed in numpy. The regression tree draws from
   the same replay.
-- Node state. The nodes of a group live in flat arrays, numbered as they
-  are made: tree, depth, row range, impurity, class counts, and once split
-  the feature, threshold and children. Each tree's stack holds the ids of
-  the nodes it has yet to search; a child too small, too deep or pure to
-  be split is a leaf from the start and is never stacked. `fill` renumbers
-  each tree into preorder from subtree sizes summed level by level.
+- Node state. The nodes of a group share flat arrays, numbered as they
+  are made: class counts and, once split, feature, threshold and children.
+  Each tree's stack is an array of the nodes it has yet to search, as
+  (node, start, end, depth) rows beside their impurity; a child too
+  small, too deep or pure to be split is a leaf from the start and is
+  never stacked. `fill` renumbers each tree into preorder from subtree
+  sizes summed level by level.
 
 What keeps every tree bit-identical to one grown node by node:
 
