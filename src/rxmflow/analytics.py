@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllModelsFailedError, ClassTooSmallError, TooFewSamplesError
+from .errors import (
+    AllModelsFailedError, ClassTooSmallError, ConstantTargetError, TooFewSamplesError,
+)
 from .models import (
     SVC, SVR, IsolationForest, Lasso, LinearRegression, LogisticRegression,
     RandomForestClassifier, RandomForestRegressor, Ridge,
@@ -167,7 +169,8 @@ def select_candidates(task: str, n_samples: int, seed: int = 0,
 def split_train_test(n_rows: int, task: str, target_values=None,
                      ratio: float = 0.8, seed: int = 0):
     """Deterministic 80/20-style split; stratified for classification,
-    which needs at least 2 classes of at least 2 members each."""
+    which needs at least 2 classes of at least 2 members each. A regression
+    target needs at least 2 values over the training rows."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -176,6 +179,12 @@ def split_train_test(n_rows: int, task: str, target_values=None,
         n_test = int(round(n_rows * (1.0 - ratio)))
         test = np.sort(order[:n_test])
         train = np.sort(order[n_test:])
+        if task == REGRESSION and target_values is not None:
+            values = {target_values[i] for i in train}
+            if len(values) < 2:
+                raise ConstantTargetError(
+                    f"regression target has {len(values)} value(s) over the "
+                    "training rows; need at least 2")
         return train, test
 
     labels = [str(v) for v in target_values]

@@ -59,12 +59,3 @@ class AuditLog:
             self._handle.close()
             self._handle = None
 
-
-def append_audit(sink_path, record: AuditRecord):
-    """One-shot append for callers that manage their own records."""
-    try:
-        with open(sink_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-            handle.flush()
-    except OSError as exc:
-        raise SinkUnwritableError(f"cannot append to {sink_path}: {exc}") from None

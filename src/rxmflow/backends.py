@@ -111,13 +111,3 @@ class ScriptedBackend:
         self._cursor += 1
         return text
 
-
-class UnavailableBackend:
-    """Always fails; exercises the rule-based fallback path."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def generate(self, prompt: str) -> str:
-        self.calls += 1
-        raise BackendError("unavailable", "no backend configured")

@@ -59,6 +59,10 @@ class ClassTooSmallError(EngineError):
     pass
 
 
+class ConstantTargetError(EngineError):
+    """A regression target with one value over the training rows."""
+
+
 class AllModelsFailedError(EngineError):
     pass
 

@@ -3,8 +3,8 @@
 Each tree is grown on a subsample of psi = min(256, n) rows drawn without
 replacement (per-tree rng seeded seed + tree_index), splitting on a random
 feature at a uniform random value until isolation, the height limit
-ceil(log2(psi)), or a constant node. A point's path length is its depth at
-termination plus c(leaf_size), and the score is
+H = max(1, ceil(log2(psi))), or a constant node. A point's path length is
+its depth at termination plus c(leaf_size), and the score is
 
     s(x) = 2 ** (-E[h(x)] / c(psi)),  c(m) = 2 * H(m - 1) - 2 * (m - 1) / m
 
@@ -14,6 +14,37 @@ anomalous; dense duplicates score low.
 Flagging: an explicit contamination fraction q flags exactly round(q * n)
 rows by descending score, ties broken toward the lower row index; "auto"
 flags rows scoring above the documented constant threshold 0.6.
+
+All trees grow in lockstep (`_grow_forest`). Each round takes the next
+node of every tree, each tree popping its own depth-first stack (right
+child under left), and finds the min and max of every feature over all
+those nodes' rows with one segmented reduction per feature.
+
+- Draws. Tree i draws its subsample with
+  `default_rng(seed + i).choice(n, psi, replace=False)`. Each split then
+  makes `integers(count)` over its `count` non-constant features and
+  `uniform(lo, hi)` for the threshold. `_Streams` replays these draws from
+  the rest of the tree's PCG64 stream, read as one block of `random_raw`
+  outputs. `integers` takes one 32-bit word, bounded by Lemire's method:
+  the high half kept from the last output if one is held, else the low
+  half of a fresh output, whose high half is then kept. It takes no word
+  when count == 1. `uniform` is lo + (hi - lo) * ((out >> 11) * 2**-53) of
+  a fresh output, and leaves the kept half alone. A rejected word is drawn
+  again one word at a time (`_lemire`).
+- Layout. A tree is a complete binary tree of height H: `feature_` and
+  `threshold_` for each of its 2**H - 1 internal slots, the children of
+  slot s at 2s + 1 (x < threshold) and 2s + 2, and `path_length_` for each
+  of its 2**H bottom slots. A leaf at depth d fills its 2**(H - d) bottom
+  slots with d + c(size), so the slots below it need no split.
+- Scoring takes H steps per tree over all rows at once and adds the
+  trees' path lengths in tree order.
+
+Why the scores are bit-identical to a tree grown node by node: a tree's
+stack splits its nodes in the same depth-first order, so it spends its
+draws in the same order; min and max are exact in any order; the threshold
+is the same float expression numpy computes; a row goes left on the same
+`x < threshold` (NaN goes right); and a leaf's path length is the same sum,
+added into the total in the same order.
 """
 
 from __future__ import annotations
@@ -24,6 +55,7 @@ import numpy as np
 
 AUTO_SCORE_THRESHOLD = 0.6
 _EULER_GAMMA = 0.5772156649015329
+_LOW = 0xFFFFFFFF
 
 
 def valid_contamination(q: float) -> bool:
@@ -41,56 +73,179 @@ def average_path_length(m: int | np.ndarray) -> np.ndarray:
     return out
 
 
-class _IsoNode:
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, size):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.size = size
-
-
-def _grow(XT, idx, depth, height_limit, rng):
-    """Grow a subtree over the rows idx of X, given as its transpose XT."""
-    node = _IsoNode(len(idx))
-    if depth >= height_limit or len(idx) <= 1:
-        return node
-    sub = XT[:, idx]
-    mins = sub.min(axis=1)
-    maxs = sub.max(axis=1)
-    usable = np.nonzero(maxs > mins)[0]
-    if usable.size == 0:
-        return node
-    # draws from rng exactly as rng.choice(usable) does, at a quarter the cost
-    f = int(usable[rng.integers(usable.size)])
-    threshold = float(rng.uniform(mins[f], maxs[f]))
-    node.feature = f
-    node.threshold = threshold
-    mask = sub[f] < threshold
-    node.left = _grow(XT, idx[mask], depth + 1, height_limit, rng)
-    node.right = _grow(XT, idx[~mask], depth + 1, height_limit, rng)
-    return node
+def _lemire(word, count):
+    """A draw on [0, count) as numpy bounds a 32-bit word: the high half of
+    word * count, drawing `word()` again while its low half falls below
+    2**32 % count."""
+    m = word() * count
+    while (m & _LOW) < (1 << 32) % count:
+        m = word() * count
+    return m >> 32
 
 
-def _tree_path_lengths(root, X):
-    """Depth at termination plus c(leaf size), read from one table of c
-    over the sizes up to the root's."""
-    leaf_lengths = average_path_length(np.arange(root.size + 1))
-    lengths = np.zeros(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.left is None:
-            lengths[idx] = depth + leaf_lengths[node.size]
-            continue
-        mask = X[idx, node.feature] < node.threshold
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
-    return lengths
+class _Streams:
+    """Replays each tree's draws after its subsample from its PCG64 outputs.
+
+    `rngs` are the trees' Generators just after their `choice`; the 32-bit
+    half each one keeps is read from its state, and the rest of its stream
+    is read `block` outputs at a time.
+    """
+
+    def __init__(self, rngs, block):
+        states = [rng.bit_generator.state for rng in rngs]
+        self.held = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self.bitgens = [rng.bit_generator for rng in rngs]
+        self.block = block
+        self.raw = self._read()
+        self.pos = np.zeros(len(rngs), dtype=np.intp)
+
+    def _read(self):
+        return np.array([g.random_raw(self.block) for g in self.bitgens], dtype=np.uint64)
+
+    def _reserve(self, trees, outputs):
+        """Make sure each of `trees` has `outputs` unread outputs."""
+        if len(trees) and self.pos[trees].max() + outputs > self.raw.shape[1]:
+            self.raw = np.hstack([self.raw, self._read()])
+
+    def _word(self, t):
+        """Tree t's next 32-bit word, one at a time."""
+        if self.held[t]:
+            self.held[t] = False
+            return int(self.half[t])
+        self._reserve([t], 1)
+        out = int(self.raw[t, self.pos[t]])
+        self.pos[t] += 1
+        self.held[t], self.half[t] = True, out >> 32
+        return out & _LOW
+
+    def integers(self, trees, counts):
+        """`Generator.integers(count)` for each of `trees`, every count >= 2."""
+        self._reserve(trees, 1)
+        held = self.held[trees]
+        out = self.raw[trees, self.pos[trees]]
+        word = np.where(held, self.half[trees], out & _LOW)
+        fresh = trees[~held]
+        self.half[fresh] = out[~held] >> 32
+        self.pos[fresh] += 1
+        self.held[trees] = ~held
+        span = counts.astype(np.uint64)
+        m = word * span
+        values = (m >> 32).astype(np.intp)
+        for i in np.flatnonzero((m & _LOW) < (1 << 32) % span):   # odds below count / 2**32
+            t = trees[i]
+            values[i] = _lemire(lambda: self._word(t), int(counts[i]))
+        return values
+
+    def doubles(self, trees):
+        """`Generator.random()` for each of `trees`: a fresh output's top 53 bits."""
+        self._reserve(trees, 1)
+        out = self.raw[trees, self.pos[trees]]
+        self.pos[trees] += 1
+        return (out >> 11) * 2.0 ** -53
+
+
+def _grow_forest(X, psi, height, seeds):
+    """One isolation tree per seed over the rows of X, grown in lockstep.
+
+    Returns `feature` and `threshold` per internal slot and the path length
+    per bottom slot, one row per tree.
+    """
+    n, m = X.shape
+    trees = len(seeds)
+    XT = np.ascontiguousarray(X.T)      # a node gathers each feature's rows
+    rows = np.empty((trees, psi), dtype=np.intp)
+    rngs = []
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rows[t] = rng.choice(n, size=psi, replace=False)
+        rngs.append(rng)
+    rows = rows.ravel()                 # tree t's nodes are ranges of its psi rows
+    draws = _Streams(rngs, 2 * psi)     # two outputs per split cover psi - 1 splits
+    feature = np.zeros((trees, 2 ** height - 1), dtype=np.intp)
+    threshold = np.zeros((trees, 2 ** height - 1))
+
+    # a tree's pending nodes: (start, end, depth, slot), top at sp - 1. Past
+    # the roots, only nodes of 2 or more rows above the height limit are
+    # stacked; a root of one row has no usable feature and is a leaf.
+    stack = np.zeros((trees, height + 1, 4), dtype=np.intp)
+    stack[:, 0, 0] = np.arange(trees) * psi
+    stack[:, 0, 1] = stack[:, 0, 0] + psi
+    sp = np.ones(trees, dtype=np.intp)
+    leaves = []                         # (tree, slot, depth, size) per round
+
+    while True:
+        t = np.flatnonzero(sp)
+        if not t.size:
+            break
+        sp[t] -= 1
+        start, end, depth, slot = stack[t, sp[t]].T
+        size = end - start
+        seg = np.cumsum(size) - size    # each node's offset in the gathered rows
+        idx = rows[np.arange(size.sum()) + np.repeat(start - seg, size)]
+        lo = np.empty((m, len(t)))
+        hi = np.empty((m, len(t)))
+        for f in range(m):              # one feature at a time bounds the peak
+            values = XT[f].take(idx)
+            lo[f] = np.minimum.reduceat(values, seg)
+            hi[f] = np.maximum.reduceat(values, seg)
+        usable = hi > lo
+        counts = usable.sum(axis=0)
+        split = counts > 0
+        if not split.all():
+            leaves.append((t[~split], slot[~split], depth[~split], size[~split]))
+            keep = np.repeat(split, size)
+            idx = idx[keep]
+            t, start, depth, slot, size, counts = (
+                a[split] for a in (t, start, depth, slot, size, counts))
+            lo, hi, usable = lo[:, split], hi[:, split], usable[:, split]
+            seg = np.cumsum(size) - size
+            if not t.size:
+                continue
+
+        pick = np.zeros(len(t), dtype=np.intp)
+        several = counts > 1
+        pick[several] = draws.integers(t[several], counts[several])
+        f = (np.cumsum(usable, axis=0) > pick).argmax(axis=0)    # the pick-th usable feature
+        node = np.arange(len(t))
+        a, b = lo[f, node], hi[f, node]
+        if not np.isfinite(b - a).all():
+            raise OverflowError("high - low range exceeds valid bounds")
+        cut = a + (b - a) * draws.doubles(t)
+        feature[t, slot] = f
+        threshold[t, slot] = cut
+
+        # stable partition of each node's rows: those below the cut first
+        left = XT.ravel().take(np.repeat(f * n, size) + idx) < np.repeat(cut, size)
+        before = np.cumsum(left) - left
+        n_left = np.add.reduceat(left, seg, dtype=np.intp)
+        rank = np.arange(len(idx)) - np.repeat(seg, size)
+        lefts_before = before - np.repeat(before[seg], size)
+        offset = np.where(left, lefts_before, np.repeat(n_left, size) + rank - lefts_before)
+        rows[np.repeat(start, size) + offset] = idx
+
+        depth = depth + 1
+        children = (
+            (start + n_left, start + size, 2 * slot + 2),     # right, stacked under left
+            (start, start + n_left, 2 * slot + 1),
+        )
+        top = sp[t]
+        for c_start, c_end, c_slot in children:
+            c_size = c_end - c_start
+            grows = (c_size >= 2) & (depth < height)
+            leaves.append((t[~grows], c_slot[~grows], depth[~grows], c_size[~grows]))
+            g = np.flatnonzero(grows)
+            stack[t[g], top[g]] = np.stack([c_start[g], c_end[g], depth[g], c_slot[g]], 1)
+            top = top + grows
+        sp[t] = top
+
+    tree, slot, depth, size = (np.concatenate(a) for a in zip(*leaves))
+    lengths = depth + average_path_length(np.arange(psi + 1))[size]
+    width = 2 ** (height - depth)       # bottom slots under each leaf
+    bottom = tree * 2 ** height + (slot - (2 ** depth - 1)) * width
+    order = np.argsort(bottom)
+    path_length = np.repeat(lengths[order], width[order]).reshape(trees, 2 ** height)
+    return feature, threshold, path_length
 
 
 class IsolationForest:
@@ -104,16 +259,32 @@ class IsolationForest:
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
         self.psi_ = min(self.max_samples, n)
-        height_limit = max(1, math.ceil(math.log2(self.psi_)))
-        XT = np.ascontiguousarray(X.T)    # a node gathers its rows as columns
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            rng = np.random.default_rng(self.seed + i)
-            sample = rng.choice(n, size=self.psi_, replace=False)
-            self.trees_.append(
-                _grow(XT, sample, 0, height_limit, rng)
-            )
+        self.height_ = max(1, math.ceil(math.log2(self.psi_)))
+        seeds = range(self.seed, self.seed + self.n_estimators)
+        self.feature_, self.threshold_, self.path_length_ = _grow_forest(
+            X, self.psi_, self.height_, seeds)
         return self
+
+    def tree_path_lengths(self, X):
+        """Each tree's path length for every row of X, tree after tree."""
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0]
+        if not X.shape[1]:
+            X = np.zeros((n, 1))        # every tree is one leaf; any column reaches it
+        XT = np.ascontiguousarray(X.T)
+        flat = XT.ravel()
+        rows = np.arange(n)
+        bottom = 2 ** self.height_ - 1  # the first bottom slot
+        for feature, threshold, lengths in zip(self.feature_, self.threshold_,
+                                                self.path_length_):
+            column = feature * n        # where each slot's feature starts in flat
+            node = 2 - (XT[feature[0]] < threshold[0])     # every row leaves the root
+            for _ in range(self.height_ - 1):
+                left = flat.take(column.take(node) + rows) < threshold.take(node)
+                node *= 2
+                node += 2
+                node -= left
+            yield lengths.take(node - bottom)
 
     def score_samples(self, X):
         """Anomaly scores s(x) in (0, 1]; higher is more anomalous.
@@ -126,9 +297,9 @@ class IsolationForest:
         if c_psi == 0.0:
             return np.full(X.shape[0], 0.5)
         total = np.zeros(X.shape[0])
-        for root in self.trees_:
-            total += _tree_path_lengths(root, X)
-        expected = total / len(self.trees_)
+        for lengths in self.tree_path_lengths(X):
+            total += lengths
+        expected = total / len(self.feature_)
         return 2.0 ** (-expected / c_psi)
 
     def flag(self, scores) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from rxmflow.errors import BackendError
 from rxmflow.perception import (
     CATEGORICAL, CONSTANT, NUMERIC, ColumnProfile, DatasetFrame,
     DatasetMetadata,
@@ -63,6 +64,17 @@ def write_target_csv(path, labels, seed=0):
         "Maintenance_Priority": labels,
     }), path)
     return str(path)
+
+
+class UnavailableBackend:
+    """Always fails; exercises the rule-based fallback path."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, prompt: str) -> str:
+        self.calls += 1
+        raise BackendError("unavailable", "no backend configured")
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rxmflow import analytics
-from rxmflow.backends import ScriptedBackend, UnavailableBackend
+from rxmflow.backends import ScriptedBackend
 from rxmflow.clocks import TickClock
 from rxmflow.models import (
     IsolationForest, Lasso, LinearRegression, LogisticRegression,
@@ -35,7 +35,7 @@ from rxmflow.runner import WorkflowConfig, run_workflow
 from rxmflow.synth import maintenance_frame, write_csv
 from rxmflow.workflow import WorkflowContext, WorkflowReport
 
-from conftest import make_frame, make_metadata, make_profile
+from conftest import UnavailableBackend, make_frame, make_metadata, make_profile
 from rxmflow.perception import CATEGORICAL, NUMERIC
 
 

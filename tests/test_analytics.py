@@ -10,7 +10,7 @@ from rxmflow.analytics import (
     split_train_test,
 )
 from rxmflow.errors import (
-    AllModelsFailedError, ClassTooSmallError, TooFewSamplesError,
+    AllModelsFailedError, ClassTooSmallError, ConstantTargetError, TooFewSamplesError,
 )
 from rxmflow.perception import CATEGORICAL, NUMERIC
 from rxmflow.preprocess.schema import SchemaMap
@@ -137,6 +137,13 @@ def test_split_rejects_singleton_class():
 def test_split_rejects_a_single_class():
     with pytest.raises(ClassTooSmallError, match="1 class"):
         split_train_test(100, CLASSIFICATION, ["a"] * 100, 0.8, seed=0)
+
+
+def test_split_rejects_a_constant_regression_target():
+    with pytest.raises(ConstantTargetError, match="1 value"):
+        split_train_test(100, REGRESSION, [5.5] * 100, 0.8, seed=0)
+    train, _ = split_train_test(100, REGRESSION, [5.5] * 99 + [6.0], 0.8, seed=0)
+    assert len(train) == 80
 
 
 def test_fit_predict_evaluate_classification(rng):

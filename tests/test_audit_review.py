@@ -1,10 +1,9 @@
 import io
 import json
-from datetime import datetime
 
 import pytest
 
-from rxmflow.audit import AuditLog, AuditRecord, append_audit
+from rxmflow.audit import AuditLog
 from rxmflow.clocks import TickClock
 from rxmflow.errors import SinkUnwritableError
 from rxmflow.optimize import Recommendation
@@ -51,17 +50,6 @@ def test_timestamps_are_monotone_with_injected_clock(tmp_path):
 def test_unwritable_sink_raises(tmp_path):
     with pytest.raises(SinkUnwritableError):
         AuditLog(tmp_path / "nope" / "a.jsonl")
-    record = AuditRecord(datetime(2025, 1, 1).isoformat(), "human", "e", None)
-    with pytest.raises(SinkUnwritableError):
-        append_audit(tmp_path / "nope" / "b.jsonl", record)
-
-
-def test_append_audit_one_shot(tmp_path):
-    path = tmp_path / "one.jsonl"
-    record = AuditRecord(datetime(2025, 1, 1).isoformat(), "human", "note", {"k": 1})
-    append_audit(path, record)
-    append_audit(path, record)
-    assert len(path.read_text().splitlines()) == 2
 
 
 # ---------------------------------------------------------------------- review

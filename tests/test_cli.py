@@ -53,6 +53,18 @@ def test_failed_run_exits_one_and_records_the_failure(tmp_path, case):
     assert not list(logs.glob("recommendations_*.json"))
 
 
+def test_constant_regression_target_exits_one(tmp_path, capsys):
+    path = write_target_csv(tmp_path / "flat.csv", [5.5] * 200)
+    logs = tmp_path / "logs"
+    code = main(["--data", path, "--auto-approve", "--task", "regression",
+                 "--log-dir", str(logs)])
+    assert code == 1
+    [detailed] = logs.glob("detailed_results_*.json")
+    failure = json.loads(detailed.read_text())["failure"]
+    assert (failure["stage"], failure["reason"]) == ("preprocess_data", "ConstantTargetError")
+    assert not list(logs.glob("recommendations_*.json"))
+
+
 def test_unwritable_log_dir_exits_one(csv_path, tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rxmflow.backends import ScriptedBackend, UnavailableBackend
+from rxmflow.backends import ScriptedBackend
 from rxmflow.errors import DecisionParseError
 from rxmflow.orchestrator import (
     PROVENANCE_LLM, PROVENANCE_RULE, TOOL_SEQUENCE, TriggerConfig,
@@ -15,6 +15,8 @@ from rxmflow.workflow import (
     DEFAULT_TOOLS, FAILED, SUCCEEDED, StepRecord, WorkflowContext,
     add_insight, record_lesson, record_step,
 )
+
+from conftest import UnavailableBackend
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
 TOOLS = [name for name, _ in DEFAULT_TOOLS]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rxmflow import analytics
-from rxmflow.backends import ScriptedBackend, UnavailableBackend
+from rxmflow.backends import ScriptedBackend
 from rxmflow.clocks import TickClock
 from rxmflow.errors import DataLoadError
 from rxmflow.preprocess import features
@@ -16,7 +16,7 @@ from rxmflow.runner import (
 )
 from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write_csv
 
-from conftest import DEGENERATE_TARGETS, write_target_csv
+from conftest import DEGENERATE_TARGETS, UnavailableBackend, write_target_csv
 
 SEQUENCE = [
     "load_and_inspect_data", "preprocess_data", "analyze_data",
@@ -146,6 +146,20 @@ def test_degenerate_target_fails_preprocessing(tmp_path, case):
     document = json.loads(artifacts.detailed_results_path.read_text())
     assert set(document) == SECTIONS | {"failure"}
     assert document["failure"] == artifacts.failure
+
+
+def test_constant_regression_target_fails_preprocessing(tmp_path):
+    path = write_target_csv(tmp_path / "flat.csv", [5.5] * 200)
+    report, artifacts = run_workflow(
+        config_for(path, tmp_path, task="regression"), clock=TickClock())
+    assert (report.steps_succeeded, report.steps_total) == (1, 3)
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert artifacts.failure["stage"] == "preprocess_data"
+    assert artifacts.failure["reason"] == "ConstantTargetError"
+    assert "1 value(s) over the training rows" in artifacts.failure["error"]
+    assert artifacts.best_result is None
+    assert artifacts.recommendations_path is None
+    assert not list((tmp_path / "logs").glob("recommendations_*.json"))
 
 
 def test_rejected_review_withholds_actions_and_sets_exit_code(

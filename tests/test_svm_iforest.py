@@ -55,10 +55,9 @@ def test_average_path_length_formula():
 def test_iforest_score_formula_cross_check(rng):
     X = rng.normal(size=(300, 2))
     forest = IsolationForest(n_estimators=25, seed=4).fit(X)
-    from rxmflow.models.iforest import _tree_path_lengths
     lengths = np.zeros(300)
-    for root in forest.trees_:
-        lengths += _tree_path_lengths(root, X)
+    for tree_lengths in forest.tree_path_lengths(X):
+        lengths += tree_lengths
     expected = 2.0 ** (-(lengths / 25) / average_path_length(forest.psi_)[0])
     assert np.allclose(forest.score_samples(X), expected, atol=1e-12)
 
