@@ -53,7 +53,7 @@ def test_failed_run_exits_one_and_records_the_failure(tmp_path, case):
     assert not list(logs.glob("recommendations_*.json"))
 
 
-def test_constant_regression_target_exits_one(tmp_path, capsys):
+def test_constant_regression_target_exits_one(tmp_path):
     path = write_target_csv(tmp_path / "flat.csv", [5.5] * 200)
     logs = tmp_path / "logs"
     code = main(["--data", path, "--auto-approve", "--task", "regression",
