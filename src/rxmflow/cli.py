@@ -61,7 +61,7 @@ def make_backend(args):
     if args.backend == "openai":
         return OpenAIChatBackend(args.backend_url, args.model_name,
                                  api_key_env=API_KEY_ENV)
-    raise SystemExit(f"unknown backend {args.backend!r}")
+    raise ValueError(f"unknown backend {args.backend!r}")
 
 
 def main(argv=None) -> int:
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: {exc}")
     try:
         backend = make_backend(args)
-    except (OSError, ValueError) as exc:    # a scripted file missing or malformed
+    except (OSError, ValueError) as exc:    # an unknown backend, or a bad scripted file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     try:

@@ -3,8 +3,8 @@
 Tree i draws its bootstrap rows with `default_rng(seed + i).integers`,
 here as they are read. Its split features are what successive calls of
 `default_rng(seed + i).choice(p, k, replace=False)` would draw; the trees
-replay those calls from the seed a block at a time (`tree._Draws`) rather
-than make them. So each tree is the tree it would be if grown alone,
+replay those calls from the seed a block at a time (`lockstep.Choices`)
+rather than make them. So each tree is the tree it would be if grown alone,
 whatever the schedule. The classification forest grows its trees in
 lockstep groups (`tree.grow_classifiers`) over one ranked table; the
 regression forest fits its trees one after another. They differ also in

@@ -22,15 +22,10 @@ those nodes' rows with one segmented reduction per feature.
 
 - Draws. Tree i draws its subsample with
   `default_rng(seed + i).choice(n, psi, replace=False)`. Each split then
-  makes `integers(count)` over its `count` non-constant features and
-  `uniform(lo, hi)` for the threshold. `_Streams` replays these draws from
-  the rest of the tree's PCG64 stream, read as one block of `random_raw`
-  outputs. `integers` takes one 32-bit word, bounded by Lemire's method:
-  the high half kept from the last output if one is held, else the low
-  half of a fresh output, whose high half is then kept. It takes no word
-  when count == 1. `uniform` is lo + (hi - lo) * ((out >> 11) * 2**-53) of
-  a fresh output, and leaves the kept half alone. A rejected word is drawn
-  again one word at a time (`_lemire`).
+  makes `integers(count)` over its `count` non-constant features, none
+  when count == 1, and `uniform(lo, hi)` = lo + (hi - lo) * `random()` for
+  the threshold. `lockstep.Streams` replays these draws from the rest of
+  the tree's PCG64 stream (the stream itself is described in `lockstep`).
 - Layout. A tree is a complete binary tree of height H: `feature_` and
   `threshold_` for each of its 2**H - 1 internal slots, the children of
   slot s at 2s + 1 (x < threshold) and 2s + 2, and `path_length_` for each
@@ -53,9 +48,10 @@ import math
 
 import numpy as np
 
+from .lockstep import Streams, ranges, stable_argsort
+
 AUTO_SCORE_THRESHOLD = 0.6
 _EULER_GAMMA = 0.5772156649015329
-_LOW = 0xFFFFFFFF
 
 
 def valid_contamination(q: float) -> bool:
@@ -71,78 +67,6 @@ def average_path_length(m: int | np.ndarray) -> np.ndarray:
     big = m > 2
     out[big] = 2.0 * (np.log(m[big] - 1.0) + _EULER_GAMMA) - 2.0 * (m[big] - 1.0) / m[big]
     return out
-
-
-def _lemire(word, count):
-    """A draw on [0, count) as numpy bounds a 32-bit word: the high half of
-    word * count, drawing `word()` again while its low half falls below
-    2**32 % count."""
-    m = word() * count
-    while (m & _LOW) < (1 << 32) % count:
-        m = word() * count
-    return m >> 32
-
-
-class _Streams:
-    """Replays each tree's draws after its subsample from its PCG64 outputs.
-
-    `rngs` are the trees' Generators just after their `choice`; the 32-bit
-    half each one keeps is read from its state, and the rest of its stream
-    is read `block` outputs at a time.
-    """
-
-    def __init__(self, rngs, block):
-        states = [rng.bit_generator.state for rng in rngs]
-        self.held = np.array([s["has_uint32"] for s in states], dtype=bool)
-        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
-        self.bitgens = [rng.bit_generator for rng in rngs]
-        self.block = block
-        self.raw = self._read()
-        self.pos = np.zeros(len(rngs), dtype=np.intp)
-
-    def _read(self):
-        return np.array([g.random_raw(self.block) for g in self.bitgens], dtype=np.uint64)
-
-    def _reserve(self, trees, outputs):
-        """Make sure each of `trees` has `outputs` unread outputs."""
-        if len(trees) and self.pos[trees].max() + outputs > self.raw.shape[1]:
-            self.raw = np.hstack([self.raw, self._read()])
-
-    def _word(self, t):
-        """Tree t's next 32-bit word, one at a time."""
-        if self.held[t]:
-            self.held[t] = False
-            return int(self.half[t])
-        self._reserve([t], 1)
-        out = int(self.raw[t, self.pos[t]])
-        self.pos[t] += 1
-        self.held[t], self.half[t] = True, out >> 32
-        return out & _LOW
-
-    def integers(self, trees, counts):
-        """`Generator.integers(count)` for each of `trees`, every count >= 2."""
-        self._reserve(trees, 1)
-        held = self.held[trees]
-        out = self.raw[trees, self.pos[trees]]
-        word = np.where(held, self.half[trees], out & _LOW)
-        fresh = trees[~held]
-        self.half[fresh] = out[~held] >> 32
-        self.pos[fresh] += 1
-        self.held[trees] = ~held
-        span = counts.astype(np.uint64)
-        m = word * span
-        values = (m >> 32).astype(np.intp)
-        for i in np.flatnonzero((m & _LOW) < (1 << 32) % span):   # odds below count / 2**32
-            t = trees[i]
-            values[i] = _lemire(lambda: self._word(t), int(counts[i]))
-        return values
-
-    def doubles(self, trees):
-        """`Generator.random()` for each of `trees`: a fresh output's top 53 bits."""
-        self._reserve(trees, 1)
-        out = self.raw[trees, self.pos[trees]]
-        self.pos[trees] += 1
-        return (out >> 11) * 2.0 ** -53
 
 
 def _grow_forest(X, psi, height, seeds):
@@ -161,7 +85,7 @@ def _grow_forest(X, psi, height, seeds):
         rows[t] = rng.choice(n, size=psi, replace=False)
         rngs.append(rng)
     rows = rows.ravel()                 # tree t's nodes are ranges of its psi rows
-    draws = _Streams(rngs, 2 * psi)     # two outputs per split cover psi - 1 splits
+    draws = Streams(rngs, 2 * psi)      # two outputs per split cover psi - 1 splits
     feature = np.zeros((trees, 2 ** height - 1), dtype=np.intp)
     threshold = np.zeros((trees, 2 ** height - 1))
 
@@ -182,7 +106,7 @@ def _grow_forest(X, psi, height, seeds):
         start, end, depth, slot = stack[t, sp[t]].T
         size = end - start
         seg = np.cumsum(size) - size    # each node's offset in the gathered rows
-        idx = rows[np.arange(size.sum()) + np.repeat(start - seg, size)]
+        idx = rows[ranges(start, size)]
         lo = np.empty((m, len(t)))
         hi = np.empty((m, len(t)))
         for f in range(m):              # one feature at a time bounds the peak
@@ -216,13 +140,10 @@ def _grow_forest(X, psi, height, seeds):
         threshold[t, slot] = cut
 
         # stable partition of each node's rows: those below the cut first
-        left = XT.ravel().take(np.repeat(f * n, size) + idx) < np.repeat(cut, size)
-        before = np.cumsum(left) - left
+        member = np.repeat(node, size)
+        left = XT.ravel().take((f * n)[member] + idx) < cut[member]
+        rows[ranges(start, size)] = idx[stable_argsort(2 * member + ~left, 2 * len(t))]
         n_left = np.add.reduceat(left, seg, dtype=np.intp)
-        rank = np.arange(len(idx)) - np.repeat(seg, size)
-        lefts_before = before - np.repeat(before[seg], size)
-        offset = np.where(left, lefts_before, np.repeat(n_left, size) + rank - lefts_before)
-        rows[np.repeat(start, size) + offset] = idx
 
         depth = depth + 1
         children = (

@@ -20,11 +20,10 @@ drawn feature). No step of a round is taken once per node in Python.
 
 - Draws. A tree's feature draws are the successive calls
   `default_rng(seed).choice(n_features, k, replace=False)`. With n_features
-  and k fixed for a fit they depend on the seed alone, so `_Draws` replays
-  them from the seed's PCG64 stream, a block of calls per tree at a time,
-  with numpy's own algorithms (Floyd's sample over Lemire-bounded 32-bit
-  words, then a shuffle) computed in numpy. The regression tree draws from
-  the same replay.
+  and k fixed for a fit they depend on the seed alone, so
+  `lockstep.Choices` replays them from the seed's PCG64 stream, a block of
+  calls per tree at a time (the stream itself is described in
+  `lockstep`). The regression tree draws from the same replay.
 - Node state. The nodes of a group share flat arrays, numbered as they
   are made: class counts and, once split, feature, threshold and children.
   Each tree's stack is an array of the nodes it has yet to search, as
@@ -57,131 +56,12 @@ of float y across segments would round differently.
 
 from __future__ import annotations
 
-import collections
-
 import numpy as np
+
+from .lockstep import Choices, ranges, stable_argsort
 
 GROUP_TREES = 25          # classification trees grown in lockstep
 PASS_ELEMENTS = 1 << 13   # (feature, row) elements per pass, past its first node
-DRAW_BLOCK = 64           # feature draws replayed per tree at a time
-
-
-def _tail_shuffled(n, k):
-    """Whether choice(n, k, replace=False) shuffles the tail of arange(n)
-    rather than taking Floyd's sample."""
-    return n > 10000 and k > n // 50
-
-
-def _scalar_choices(word, n, k, calls):
-    """`calls` rows of choice(n, k, replace=False), made the way numpy makes
-    them, one bounded draw at a time from the 32-bit words `word()` yields."""
-    def bounded(top):       # Lemire: uniform on [0, top], rejecting a biased word
-        span = top + 1
-        m = word() * span
-        while m % (1 << 32) < (1 << 32) % span:
-            m = word() * span
-        return m >> 32
-
-    rows = np.empty((calls, k), dtype=np.int64)
-    for c in range(calls):
-        if _tail_shuffled(n, k):
-            moved = {}                          # arange(n), where it differs
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = bounded(i)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            rows[c] = [moved.get(i, i) for i in range(n - k, n)]
-        else:
-            picks = []
-            for j in range(n - k, n):           # Floyd
-                v = bounded(j)
-                picks.append(j if v in picks else v)
-            for i in range(k - 1, 0, -1):       # then a shuffle of the picks
-                r = bounded(i)
-                picks[i], picks[r] = picks[r], picks[i]
-            rows[c] = picks
-    return rows
-
-
-class _Draws:
-    """Replays `default_rng(seed).choice(n, k, replace=False)`, call after
-    call, for each of `seeds`, DRAW_BLOCK calls of a seed at a time.
-
-    Each bounded draw of a Generator takes one 32-bit word: the low half of
-    a fresh PCG64 output, whose high half is kept for the next draw. choice
-    spends nothing else, so each seed's draws read a fixed stream of words.
-    A Floyd call spends 2k - 1 words, one a bound, unless a word is
-    rejected, so a block of calls is computed for all seeds at once; from a
-    rejected word on, the block is finished one draw at a time.
-    """
-
-    def __init__(self, seeds, n, k):
-        self.n, self.k = n, k
-        self.block = DRAW_BLOCK
-        self.bitgens = [np.random.PCG64(seed) for seed in seeds]
-        self.spare = [np.zeros(0, dtype=np.uint64) for _ in seeds]   # a kept high half
-        self.rows = np.zeros((len(seeds), self.block, k), dtype=np.int64)
-        self.used = np.full(len(seeds), self.block)
-
-    def next(self, seeds):
-        """The next draw of each of `seeds` (indices), one row each."""
-        spent = seeds[self.used[seeds] == self.block]
-        if len(spent):
-            self._refill(spent)
-        rows = self.rows[seeds, self.used[seeds]]
-        self.used[seeds] += 1
-        return rows
-
-    def _words(self, g, count):
-        """The next `count` words of seed g's stream."""
-        raw = self.bitgens[g].random_raw((count - len(self.spare[g]) + 1) // 2)
-        words = np.concatenate([self.spare[g], np.stack([raw & 0xFFFFFFFF, raw >> 32], 1).ravel()])
-        self.spare[g] = words[count:]
-        return words[:count]
-
-    def _scalar(self, g, words, calls):
-        """`calls` draws of seed g, one word at a time from the unspent `words` on."""
-        stream = collections.deque(np.concatenate([words, self.spare[g]]).tolist())
-
-        def word():
-            if not stream:
-                raw = int(self.bitgens[g].random_raw())
-                stream.extend((raw & 0xFFFFFFFF, raw >> 32))
-            return stream.popleft()
-
-        rows = _scalar_choices(word, self.n, self.k, calls)
-        self.spare[g] = np.array(stream, dtype=np.uint64)
-        return rows
-
-    def _refill(self, seeds):
-        n, k, block = self.n, self.k, self.block
-        self.used[seeds] = 0
-        if _tail_shuffled(n, k):
-            for g in seeds:
-                self.rows[g] = self._scalar(g, np.zeros(0, dtype=np.uint64), block)
-            return
-        per = 2 * k - 1
-        words = np.array([self._words(g, block * per) for g in seeds])
-        bound = np.concatenate([np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)]
-                               ).astype(np.uint64)      # each word's number of outcomes
-        m = words.reshape(len(seeds), block, per) * bound
-        value = (m >> 32).astype(np.intp)
-        picks = np.empty((len(seeds), block, k), dtype=np.int64)
-        for i in range(k):                      # Floyd: n - k + i if v is already picked
-            v = value[..., i]
-            picks[..., i] = np.where((picks[..., :i] == v[..., None]).any(axis=-1), n - k + i, v)
-        flat = picks.reshape(-1, k)
-        calls = np.arange(len(flat))
-        for s, i in enumerate(range(k - 1, 0, -1)):  # the shuffle swaps i with a draw on [0, i]
-            r = value[..., k + s].reshape(-1)
-            held = flat[calls, r]
-            flat[calls, r] = flat[:, i]
-            flat[:, i] = held
-        self.rows[seeds] = picks
-        rejected = (m & 0xFFFFFFFF) < (1 << 32) % bound
-        for t in np.flatnonzero(rejected.any(axis=(1, 2))):    # odds below n / 2**32 a word
-            call = int(np.flatnonzero(rejected[t].reshape(-1))[0]) // per
-            self.rows[seeds[t], call:] = self._scalar(seeds[t], words[t, call * per:],
-                                                      block - call)
 
 
 class _Grower:
@@ -194,7 +74,7 @@ class _Grower:
         self.min_samples_split = min_samples_split
         n_features = X.shape[1]
         draws = max_features is not None and max_features < n_features
-        self.draws = _Draws([seed], n_features, max_features) if draws else None
+        self.draws = Choices([seed], n_features, max_features) if draws else None
         self.importances = np.zeros(X.shape[1])
         self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
@@ -288,17 +168,6 @@ class ClassTable:
         self.n_ranks = int(self.ranks.max()) + 1 if self.ranks.size else 1
 
 
-def _stable_argsort(key, top):
-    """Stable argsort of non-negative integers below `top`, 16 bits a pass."""
-    order = np.argsort(key.astype(np.uint16), kind="stable")   # a radix sort
-    shift = 16
-    while top > 1 << shift:
-        digit = (key[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
-
-
 def _square_sums(p, owner, own):
     """Sum of p * p down each column of the class-major `p`.
 
@@ -313,12 +182,6 @@ def _square_sums(p, owner, own):
         cols = np.flatnonzero(owner == g)
         out[cols] = np.ascontiguousarray(sq[np.ix_(own[g], cols)].T).sum(axis=1)
     return out
-
-
-def _ranges(starts, lengths):
-    """The positions start, start + 1, ... of each range, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
 
 
 def _run_starts(values):
@@ -353,7 +216,7 @@ class _Lockstep:
         n_features = table.XT.shape[0]
         self.all_features = np.arange(n_features)
         draws = max_features is not None and max_features < n_features
-        self.draws = _Draws(seeds, n_features, max_features) if draws else None
+        self.draws = Choices(seeds, n_features, max_features) if draws else None
         self.buf = np.array(rows, dtype=np.int32).reshape(len(rows), -1)
         self.flat = self.buf.reshape(-1)                # a view: splits write through
         n_trees, n_rows = self.buf.shape
@@ -384,7 +247,7 @@ class _Lockstep:
         """Class-major counts of each tree's rows [start, start + length)."""
         n_classes = len(self.table.classes)
         member = np.repeat(np.arange(len(trees)), lengths)
-        y = self.table.y[self.flat[_ranges(trees * self.buf.shape[1] + starts, lengths)]]
+        y = self.table.y[self.flat[ranges(trees * self.buf.shape[1] + starts, lengths)]]
         return np.bincount(member * n_classes + y, minlength=len(trees) * n_classes
                            ).reshape(len(trees), n_classes).T
 
@@ -463,10 +326,10 @@ class _Lockstep:
         seg_end = np.cumsum(seg_len)
         seg_start = seg_end - seg_len
         seg = np.repeat(np.arange(len(seg_len)), seg_len)
-        rows = self.flat[_ranges((tree * n_rows + start)[seg_node], seg_len)]
+        rows = self.flat[ranges((tree * n_rows + start)[seg_node], seg_len)]
         rank = table.ranks.reshape(-1)[seg_feat[seg] * n_table + rows]
-        order = _stable_argsort(rank, table.n_ranks)
-        order = order[_stable_argsort(seg[order], len(seg_len))]
+        order = stable_argsort(rank, table.n_ranks)
+        order = order[stable_argsort(seg[order], len(seg_len))]
         rows, rank = rows[order], rank[order]
 
         # class counts left of each position, relative to its segment's start
@@ -522,11 +385,11 @@ class _Lockstep:
         right = total[:, segs] - left
 
         # stable in-place partition of every node's range: x <= threshold first
-        where = _ranges(tree * n_rows + start, size)
+        where = ranges(tree * n_rows + start, size)
         member = np.repeat(np.arange(len(node)), size)
         values = self.flat[where]
         goes_left = XT[feature[member] * n_table + values] <= threshold[member]
-        self.flat[where] = values[_stable_argsort(2 * member + ~goes_left, 2 * len(node))]
+        self.flat[where] = values[stable_argsort(2 * member + ~goes_left, 2 * len(node))]
         n_goes = np.bincount(member[goes_left], minlength=len(node))
         mid = start + n_goes
 

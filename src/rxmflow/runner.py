@@ -285,7 +285,9 @@ class WorkflowRunner:
             rows = list(range(frame.n_rows))
             return rows, rows, rows
         cells = frame.column(target)
-        usable = [i for i in range(frame.n_rows) if cells[i] is not None]
+        # stray text in a regression target is missing, as in any numeric column
+        kept = float if art.task == analytics.REGRESSION else (float, str)
+        usable = [i for i in range(frame.n_rows) if isinstance(cells[i], kept)]
         dropped = frame.n_rows - len(usable)
         if dropped:
             self.audit.append("preprocessing", "rows_dropped_missing_target", {
@@ -369,10 +371,10 @@ class WorkflowRunner:
         if not answer:
             return config.contamination
         try:
-            value = float(answer)
+            value = answer if answer == "auto" else float(answer)
         except ValueError:
-            return "auto" if answer == "auto" else config.contamination
-        if not valid_contamination(value):
+            return config.contamination
+        if value != "auto" and not valid_contamination(value):
             return config.contamination
         self.audit.append("human", "parameter_approved", {
             "parameter": "contamination", "value": value,

@@ -98,8 +98,16 @@ def test_backend_selection():
     args = parser.parse_args(["--data", "x.csv", "--backend", "openai"])
     assert isinstance(make_backend(args), OpenAIChatBackend)
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="unknown backend 'psychic'"):
         make_backend(parser.parse_args(["--data", "x.csv", "--backend", "psychic"]))
+
+
+def test_unknown_backend_exits_one_with_an_error_line(csv_path, tmp_path, capsys):
+    code = main(["--data", csv_path, "--backend", "foo", "--auto-approve",
+                 "--log-dir", str(tmp_path / "logs")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown backend 'foo'\n"
+    assert not (tmp_path / "logs").exists()
 
 
 def test_scripted_backend_flag(tmp_path):

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rxmflow.models import IsolationForest
-from rxmflow.models.iforest import _lemire, _Streams, average_path_length
+from rxmflow.models.iforest import average_path_length
+from rxmflow.models.lockstep import Streams, bounded
 
 
 class _IsoNode:
@@ -139,34 +140,41 @@ def test_unbounded_range_raises_overflow_error_like_generator_uniform():
         IsolationForest(n_estimators=1, seed=0).fit(X)
 
 
-def test_bounded_draw_takes_the_next_word_after_a_rejected_one():
+def test_bounded_marks_the_words_numpy_draws_again():
     # with bound 3, a word whose low half of word * 3 is below 2**32 % 3 = 1
-    # is rejected: word 0 is, and 2**31 gives 3 * 2**31 >> 32 = 1
-    words = iter([0, 1 << 31, 5])
-    assert _lemire(lambda: next(words), 3) == 1
-    assert next(words) == 5
-    accepted = iter([1 << 31])
-    assert _lemire(lambda: next(accepted), 3) == 1
+    # is rejected: word 0 is, 2**31 gives 3 * 2**31 >> 32 = 1, and 5 gives 0
+    values, rejected = bounded(np.array([0, 1 << 31, 5], dtype=np.uint64), np.full(3, 3))
+    assert values.tolist() == [0, 1, 0]
+    assert rejected.tolist() == [True, False, False]
 
 
-def test_stream_integers_redraw_rejected_words_as_generator_integers():
-    # at count 3 * 2**30 a quarter of all words are rejected
-    count = 3 << 30
-    seeds = [7, 8, 9]
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    before=st.integers(0, 3),       # draws made before the replay: an odd count holds a half
+    block=st.integers(1, 5),        # a short block is read again and again
+    calls=st.lists(st.tuples(
+        st.booleans(),
+        st.sets(st.integers(0, 3), min_size=1),
+        # at count 3 * 2**30 a quarter of all words are rejected
+        st.lists(st.sampled_from([2, 13, 3 << 30]), min_size=4, max_size=4),
+    ), min_size=1, max_size=60),
+)
+def test_stream_integers_redraw_rejected_words_as_generator_integers(seeds, before, block, calls):
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    for rng in rngs:
-        rng.choice(100, size=5, replace=False)
-    streams = _Streams(rngs, block=4)   # a short block is read again and again
     twins = [np.random.default_rng(seed) for seed in seeds]
-    for twin in twins:
-        twin.choice(100, size=5, replace=False)
-    trees = np.arange(len(seeds))
-    for call in range(200):
-        values = streams.integers(trees, np.full(len(seeds), count))
-        assert values.tolist() == [int(twin.integers(count)) for twin in twins]
-        if call % 3 == 0:               # a double between leaves the kept half alone
-            doubles = streams.doubles(trees[1:])
-            assert doubles.tolist() == [twin.random() for twin in twins[1:]]
+    for rng in rngs + twins:
+        rng.integers(5, size=before)
+    streams = Streams(rngs, block)
+    for integers, chosen, counts in calls:
+        trees = np.array(sorted(t for t in chosen if t < len(seeds)), dtype=np.intp)
+        if not len(trees):
+            continue
+        if integers:
+            values = streams.integers(trees, np.array(counts)[trees])
+            assert values.tolist() == [int(twins[t].integers(counts[t])) for t in trees]
+        else:                       # a double between leaves the held half alone
+            doubles = streams.doubles(trees)
+            assert doubles.tolist() == [twins[t].random() for t in trees]
 
 
 def test_a_table_without_columns_scores_like_the_reference():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from rxmflow import analytics
@@ -162,6 +163,22 @@ def test_constant_regression_target_fails_preprocessing(tmp_path):
     assert not list((tmp_path / "logs").glob("recommendations_*.json"))
 
 
+def test_stray_text_in_a_regression_target_is_dropped_as_missing(tmp_path):
+    gen = np.random.default_rng(4)
+    scores = gen.normal(0.5, 0.1, 200).round(3).tolist()
+    for i in range(3, 200, 40):
+        scores[i] = "n/a"
+    path = write_target_csv(tmp_path / "gappy.csv", scores)
+    report, artifacts = run_workflow(
+        config_for(path, tmp_path, task="regression"), clock=TickClock())
+    assert report.steps_succeeded == 5
+    assert artifacts.exit_code == EXIT_OK
+    assert len(artifacts.usable_rows) == 195
+    [dropped] = [r["payload"] for r in _audit_records(artifacts)
+                 if r["event"] == "rows_dropped_missing_target"]
+    assert dropped == {"dropped": 5}
+
+
 def test_rejected_review_withholds_actions_and_sets_exit_code(
         maintenance_csv, tmp_path):
     config = config_for(maintenance_csv, tmp_path, auto_approve=False)
@@ -211,6 +228,7 @@ def test_anomaly_override_skips_target_prompt(tmp_path):
 
 @pytest.mark.parametrize("answer, approved", [
     ("2", 0.01), ("-1", 0.01), ("0", 0.01), ("lots", 0.01), ("0.5", 0.5),
+    ("auto", "auto"),
 ])
 def test_reviewer_contamination_must_be_in_range(
         maintenance_csv, tmp_path, answer, approved):
@@ -221,6 +239,9 @@ def test_reviewer_contamination_must_be_in_range(
         clock=TickClock(),
     )
     assert runner._approve_contamination() == approved
+    approvals = [r.payload for r in runner.audit.records if r.event == "parameter_approved"]
+    typed = approved != 0.01        # a refused answer keeps the default, unrecorded
+    assert approvals == ([{"parameter": "contamination", "value": approved}] if typed else [])
 
 
 def test_anomaly_run_produces_advisories(tmp_path):

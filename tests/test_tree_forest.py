@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from rxmflow.models import (
     DecisionTreeClassifier, DecisionTreeRegressor, RandomForestClassifier,
-    RandomForestRegressor, tree as tree_module,
+    RandomForestRegressor, lockstep, tree as tree_module,
 )
 
 
@@ -381,8 +381,8 @@ n_and_k = st.one_of(
 )
 def test_draw_replay_equals_generator_choice(seeds, n_and_k, block, rounds):
     n, k = n_and_k
-    with mock.patch.object(tree_module, "DRAW_BLOCK", block):
-        draws = tree_module._Draws(seeds, n, k)
+    with mock.patch.object(lockstep, "DRAW_BLOCK", block):
+        draws = lockstep.Choices(seeds, n, k)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for chosen in rounds:
         trees = np.array(sorted(g for g in chosen if g < len(seeds)), dtype=np.intp)
@@ -395,13 +395,12 @@ def test_draw_replay_equals_generator_choice(seeds, n_and_k, block, rounds):
 
 def test_draw_replay_takes_the_scalar_path_from_a_rejected_word():
     n, k, calls = 3 << 30, 2, 300
-    with mock.patch.object(tree_module, "DRAW_BLOCK", 5):
-        draws = tree_module._Draws([7, 8], n, k)
+    with mock.patch.object(lockstep, "DRAW_BLOCK", 5):
+        draws = lockstep.Choices([7, 8], n, k)
     rngs = [np.random.default_rng(7), np.random.default_rng(8)]
-    with mock.patch.object(tree_module, "_scalar_choices",
-                           wraps=tree_module._scalar_choices) as scalar:
+    with mock.patch.object(draws.streams, "numpy", wraps=draws.streams.numpy) as numpy_path:
         for _ in range(calls):
             rows = draws.next(np.arange(2))
             for rng, row in zip(rngs, rows):
                 assert row.tolist() == rng.choice(n, k, replace=False).tolist()
-    assert scalar.call_count > calls // 10
+    assert numpy_path.call_count > calls // 10
