@@ -14,7 +14,7 @@ from .optimize import (
     recommend_classification, recommend_regression, thresholds,
 )
 from .orchestrator import (
-    PlannerDecision, TriggerConfig, build_prompt, parse_decision,
+    PlannerDecision, build_prompt, parse_decision,
     plan_next_step, rule_based_next, slm_advise,
 )
 from .perception import (

@@ -45,6 +45,10 @@ TASKS = SUPERVISED + (ANOMALY,)
 
 SVM_MAX_SAMPLES = 2000
 
+# adaptive search explores the other candidates when the first one's primary
+# metric is strictly below its task's threshold
+ADAPTIVE_THRESHOLDS = {CLASSIFICATION: 0.6, REGRESSION: 0.1}
+
 # family: (task, estimator, hyperparameters), in candidate order per task.
 # None marks a value select_candidates works out from its arguments: the
 # classification forest has n_estimators = min(100, max(10, n_samples // 10))
@@ -312,8 +316,6 @@ def adaptive_search(
     task: str,
     first_result: ModelResult,
     candidates: list[ModelSpec],
-    min_accuracy: float = 0.6,
-    min_r2: float = 0.1,
     feature_names: list[str] | None = None,
     trainer=None,
 ) -> AdaptiveSearchLog:
@@ -343,7 +345,7 @@ def adaptive_search(
             return None
         return result.metrics.primary(task)
 
-    threshold = min_accuracy if task == CLASSIFICATION else min_r2
+    threshold = ADAPTIVE_THRESHOLDS[task]
     first_metric = primary(first_result)
     if first_metric is None:
         reason = "first model failed to train"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; 1 when a stage failed for good, either a load
 error or a step that failed twice (or an engine error such as an unwritable
-log directory); 2 when the run completed but the reviewer rejected the
+log directory), or when the planner finished before the summarize step
+succeeded; 2 when the run completed but the reviewer rejected the
 recommendations.
 """
 

@@ -79,6 +79,15 @@ class SinkUnwritableError(EngineError):
     pass
 
 
+class PlannerGaveUpError(EngineError):
+    """The planner finished before the summarize step succeeded, with no
+    step failing. `stage` is the first workflow tool not yet done."""
+
+    def __init__(self, stage, detail):
+        self.stage = stage
+        super().__init__(detail)
+
+
 class BackendError(EngineError):
     """Language-model backend failure.
 

@@ -8,8 +8,9 @@ Priority bands for regression come from the training target statistics:
 
 Label rule (strict on both boundaries): prediction > critical is Critical,
 high < prediction <= critical is Elevated, anything else Routine. Routine
-recommendations are suppressed unless configured otherwise; anomaly-mode
-output is advisory and keeps its Routine monitoring entries.
+recommendations are suppressed unless `include_routine` is set (the CLI's
+--include-routine); anomaly-mode output is advisory and keeps its Routine
+monitoring entries.
 
 Classification has no z-score, so its priority score is a surrogate:
 priority rank plus the model's predicted-class probability, labeled
@@ -27,7 +28,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RecommendationConfig
 from .errors import DegenerateStdError, MissingImportancesError
 
 if TYPE_CHECKING:      # avoids a circular import; analytics imports TargetStats
@@ -44,6 +44,24 @@ _RANK = {CRITICAL: 3, ELEVATED: 2, ROUTINE: 1}
 SCORE_Z = "z_score"
 SCORE_CLASS_SURROGATE = "class_rank_surrogate"
 SCORE_ANOMALY = "anomaly_score"
+
+
+# priority -> (action, cost in currency units, hours)
+ACTION_TABLE = {
+    CRITICAL: ("Immediately dispatch maintenance team; inspect and restore", 1000.0, 4.0),
+    ELEVATED: ("Schedule inspection within 48 h", 400.0, 2.0),
+    ROUTINE: ("Continue monitoring", 50.0, 0.5),
+}
+# predicted class label -> priority; any other label is Routine
+PRIORITY_MAP = {"High": CRITICAL, "Medium": ELEVATED, "Low": ROUTINE}
+
+MAX_RECOMMENDATIONS = 10
+MAX_ADVISORIES = 50
+TOP_K_FEATURES = 3
+EXTREME_Z = 3.0                     # |z| at or above: an extreme feature
+MIN_EXTREME_FEATURES = 2            # extreme features that make an inspection
+CONFIDENCE_HIGH = 0.8
+CONFIDENCE_MEDIUM = 0.6
 
 
 @dataclass(frozen=True)
@@ -145,29 +163,29 @@ def _dedupe_best(recommendations: list[Recommendation]) -> list[Recommendation]:
 
 
 def _ranked(rows, identifiers, feature_matrix, feature_names, importances,
-            config, score_kind):
+            include_routine, score_kind):
     """Draft one recommendation per (priority, score) row, keep each
-    machine's best, drop Routine unless configured, and rank."""
+    machine's best, drop Routine unless `include_routine`, and rank."""
     z = _standardized(feature_matrix)
     drafts = []
     for k, (machine, (priority, score)) in enumerate(zip(identifiers, rows)):
-        entry = config.action_table[priority]
+        action, cost, hours = ACTION_TABLE[priority]
         drafts.append(Recommendation(
             machine_id=machine,
             priority=priority,
             priority_score=score,
             contributing_features=_contributing(
-                importances, feature_names, z[k], config.top_k_features
+                importances, feature_names, z[k], TOP_K_FEATURES
             ),
-            action=entry.action,
-            cost_estimate=entry.cost,
-            time_estimate=entry.hours,
+            action=action,
+            cost_estimate=cost,
+            time_estimate=hours,
             score_kind=score_kind,
         ))
     recommendations = _dedupe_best(drafts)
-    if not config.include_routine:
+    if not include_routine:
         recommendations = [r for r in recommendations if r.priority != ROUTINE]
-    return _rank_sort(recommendations)[:config.max_recommendations]
+    return _rank_sort(recommendations)[:MAX_RECOMMENDATIONS]
 
 
 def recommend_classification(
@@ -175,10 +193,9 @@ def recommend_classification(
     identifiers: list[str],
     feature_matrix,
     feature_names: list[str],
-    config: RecommendationConfig | None = None,
+    include_routine: bool = False,
 ) -> list[Recommendation]:
     """Map predicted class labels onto priorities and actions."""
-    config = config or RecommendationConfig()
     importances = result.feature_importances
     if not importances:
         raise MissingImportancesError(
@@ -187,10 +204,10 @@ def recommend_classification(
     confidences = result.prediction_confidence or [0.5] * len(identifiers)
     rows = []
     for label, confidence in zip(result.test_predictions, confidences):
-        priority = config.priority_map.get(str(label), ROUTINE)
+        priority = PRIORITY_MAP.get(str(label), ROUTINE)
         rows.append((priority, _RANK[priority] + float(confidence)))
     return _ranked(rows, identifiers, feature_matrix, feature_names, importances,
-                   config, SCORE_CLASS_SURROGATE)
+                   include_routine, SCORE_CLASS_SURROGATE)
 
 
 def _band(predicted: float, stats: TargetStats, bands: Thresholds) -> tuple[str, float]:
@@ -210,10 +227,9 @@ def recommend_regression(
     identifiers: list[str],
     feature_matrix,
     feature_names: list[str],
-    config: RecommendationConfig | None = None,
+    include_routine: bool = False,
 ) -> list[Recommendation]:
     """Band predictions against the training-statistics thresholds."""
-    config = config or RecommendationConfig()
     stats = result.train_target_stats
     bands = thresholds(stats)
     if bands.degenerate:
@@ -222,7 +238,7 @@ def recommend_regression(
         )
     rows = [_band(float(p), stats, bands) for p in result.test_predictions]
     return _ranked(rows, identifiers, feature_matrix, feature_names,
-                   result.feature_importances or {}, config, SCORE_Z)
+                   result.feature_importances or {}, include_routine, SCORE_Z)
 
 
 def recommend_anomaly(
@@ -231,12 +247,10 @@ def recommend_anomaly(
     feature_matrix,
     identifiers: list[str],
     feature_names: list[str],
-    config: RecommendationConfig | None = None,
 ) -> list[Recommendation]:
     """Group flagged rows per machine and recommend inspections when two or
     more features show extreme z-scores. All output is advisory; machines
     without extreme deviations get a Routine monitoring entry."""
-    config = config or RecommendationConfig()
     scores = np.asarray(scores, dtype=float)
     flags = np.asarray(flags, dtype=bool)
     # full-dataset statistics: the anomaly task runs without a split
@@ -251,10 +265,10 @@ def recommend_anomaly(
         z_max = np.abs(z[rows]).max(axis=0)
         extremes = [
             (feature_names[j], float(z_max[j]))
-            for j in np.nonzero(z_max >= config.extreme_z_cutoff)[0]
+            for j in np.nonzero(z_max >= EXTREME_Z)[0]
         ]
         extremes.sort(key=lambda kv: (-kv[1], kv[0]))
-        if len(extremes) >= config.min_extreme_features:
+        if len(extremes) >= MIN_EXTREME_FEATURES:
             priority = ELEVATED
             action = (
                 "Inspect; multiple signals outside the normal band: "
@@ -263,29 +277,26 @@ def recommend_anomaly(
             features = extremes
         else:
             priority = ROUTINE
-            order = np.argsort(-z_max)[: config.top_k_features]
+            order = np.argsort(-z_max)[:TOP_K_FEATURES]
             features = [(feature_names[j], float(z_max[j])) for j in order]
             action = "Monitor closely over the next observation window"
-        entry = config.action_table[priority]
+        _, cost, hours = ACTION_TABLE[priority]
         drafts.append(Recommendation(
             machine_id=machine,
             priority=priority,
             priority_score=float(scores[rows].max()),
             contributing_features=features,
             action=action,
-            cost_estimate=entry.cost,
-            time_estimate=entry.hours,
+            cost_estimate=cost,
+            time_estimate=hours,
             advisory=True,
             score_kind=SCORE_ANOMALY,
         ))
     # advisory mode keeps Routine monitoring entries
-    return _rank_sort(drafts)[: config.max_advisories]
+    return _rank_sort(drafts)[:MAX_ADVISORIES]
 
 
-def assess_confidence(
-    metrics: "Metrics", task: str, config: RecommendationConfig | None = None
-) -> ConfidenceAssessment:
-    config = config or RecommendationConfig()
+def assess_confidence(metrics: "Metrics", task: str) -> ConfidenceAssessment:
     if task == "anomaly_detection":
         return ConfidenceAssessment(
             level="medium",
@@ -294,14 +305,14 @@ def assess_confidence(
     value = metrics.primary(task)
     if value is None:
         return ConfidenceAssessment(level="low", warning="reduced reliability: no metric available")
-    if value >= config.confidence_high:
+    if value >= CONFIDENCE_HIGH:
         return ConfidenceAssessment(level="high")
-    if value >= config.confidence_medium:
+    if value >= CONFIDENCE_MEDIUM:
         return ConfidenceAssessment(level="medium")
     return ConfidenceAssessment(
         level="low",
         warning=f"reduced reliability: primary metric {value:.4f} below "
-                f"{config.confidence_medium}",
+                f"{CONFIDENCE_MEDIUM}",
     )
 
 

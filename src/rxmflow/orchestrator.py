@@ -1,10 +1,10 @@
 """The planner: structured prompt, JSON tool decisions with bounded
 retries, and the deterministic rule-based fallback.
 
-A planning step calls the backend at most max_retries times (three total
-attempts by default). Parse failures are appended to the retry prompt and
-recorded as lessons; transport failures skip straight to the rule-based
-planner. Either way the step always yields a valid decision.
+A planning step calls the backend at most MAX_ATTEMPTS (three) times.
+Parse failures are appended to the retry prompt and recorded as lessons;
+transport failures skip straight to the rule-based planner. Either way the
+step always yields a valid decision.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ logger = logging.getLogger(__name__)
 
 PROVENANCE_LLM = "llm"
 PROVENANCE_RULE = "rule_based"
+
+MAX_ATTEMPTS = 3                    # backend calls per planning step
 
 TOOL_SEQUENCE = tuple(name for name, _ in DEFAULT_TOOLS)
 
@@ -49,11 +51,6 @@ class PlannerDecision:
 
     def log_line(self) -> str:
         return f"LLM decided: tool='{self.tool}', finish={self.finish}, reason='{self.reason}'"
-
-
-@dataclass(frozen=True)
-class TriggerConfig:
-    max_retries: int = 3         # total backend attempts per planning step
 
 
 def build_prompt(context: WorkflowContext) -> str:
@@ -198,7 +195,6 @@ def rule_based_next(context: WorkflowContext) -> PlannerDecision:
 def plan_next_step(
     context: WorkflowContext,
     backend,
-    trigger: TriggerConfig | None = None,
     audit=None,
 ):
     """One planning step. Returns (decision, provenance, context).
@@ -207,14 +203,13 @@ def plan_next_step(
     lessons. `audit` is an optional callable(event, payload) used to log
     every decision with its reason.
     """
-    trigger = trigger or TriggerConfig()
     tools = context.tool_names()
     decision = None
     provenance = PROVENANCE_RULE
 
     if backend is not None:
         failure_note = ""
-        for attempt in range(1, trigger.max_retries + 1):
+        for _ in range(MAX_ATTEMPTS):
             prompt = build_prompt(context)
             if failure_note:
                 prompt += (

@@ -30,7 +30,6 @@ from operator import mul
 
 import numpy as np
 
-from .config import PatternConfig, QualityConfig
 from .errors import EmptyFrameError, FileMissingError, MalformedCsvError
 
 NUMERIC = "numeric"
@@ -46,6 +45,14 @@ _NONE = type(None)
 _FLOAT_OR_NONE = frozenset((float, _NONE))
 _TEXT_OR_NONE = frozenset((str, _NONE))
 _NO_NUMBERS = np.empty(0)
+
+# shares of a column's non-missing cells that make it numeric or datetime
+NUMERIC_PARSE_SHARE = 0.95
+DATETIME_PARSE_SHARE = 0.95
+HIGH_MISSINGNESS = 0.5              # strictly above: high_missingness issue
+SUSPICIOUS_CARDINALITY = 0.95       # uniqueness strictly above: suspicious
+# regexes matched against the normalized column name (see normalized_name)
+IDENTIFIER_PATTERNS = (r"^id$", r"_id$", r"^machine", r"^serial", r"^asset")
 
 
 @dataclass
@@ -260,7 +267,7 @@ def _scan_column(cells: list) -> _ColumnScan:
     )
 
 
-def _profile_column(name: str, scan: _ColumnScan, n_rows: int, cfg: QualityConfig) -> ColumnProfile:
+def _profile_column(name: str, scan: _ColumnScan, n_rows: int) -> ColumnProfile:
     non_missing = scan.n_non_missing
     numbers = scan.numbers
     n_texts = sum(scan.text_counts.values())
@@ -274,12 +281,12 @@ def _profile_column(name: str, scan: _ColumnScan, n_rows: int, cfg: QualityConfi
     unique_count = scan.unique_count
     if unique_count <= 1:
         dtype = CONSTANT
-    elif non_missing and numbers.size / non_missing >= cfg.numeric_parse_threshold:
+    elif non_missing and numbers.size / non_missing >= NUMERIC_PARSE_SHARE:
         dtype = NUMERIC
         # stray text in a numeric column degrades to missing
         parse_failures = n_texts
         missing_count += parse_failures
-    elif n_texts and date_share >= cfg.datetime_parse_threshold:
+    elif n_texts and date_share >= DATETIME_PARSE_SHARE:
         dtype = DATETIME
     else:
         dtype = CATEGORICAL
@@ -304,15 +311,14 @@ def _profile_column(name: str, scan: _ColumnScan, n_rows: int, cfg: QualityConfi
     return profile
 
 
-def inspect_frame(frame: DatasetFrame, cfg: QualityConfig | None = None) -> DatasetMetadata:
+def inspect_frame(frame: DatasetFrame) -> DatasetMetadata:
     """Compute per-column profiles, summary statistics, and a row preview."""
-    cfg = cfg or QualityConfig()
     if frame.n_rows < 1 or not frame.column_names:
         raise EmptyFrameError("frame must have at least one row and one column")
 
     scans = [_scan_column(cells) for cells in frame.columns]
     profiles = [
-        _profile_column(name, scan, frame.n_rows, cfg)
+        _profile_column(name, scan, frame.n_rows)
         for name, scan in zip(frame.column_names, scans)
     ]
 
@@ -344,29 +350,24 @@ def normalized_name(name: str) -> str:
     return name.strip().lower().replace(" ", "_")
 
 
-def identifier_pattern(name: str, patterns: PatternConfig) -> str | None:
+def identifier_pattern(name: str) -> str | None:
     """The first identifier pattern the normalized column name matches."""
     normalized = normalized_name(name)
-    for pattern in patterns.identifier_patterns:
+    for pattern in IDENTIFIER_PATTERNS:
         if re.search(pattern, normalized):
             return pattern
     return None
 
 
-def flag_quality_issues(
-    metadata: DatasetMetadata, cfg: QualityConfig | None = None,
-    patterns: PatternConfig | None = None,
-) -> list[QualityIssue]:
+def flag_quality_issues(metadata: DatasetMetadata) -> list[QualityIssue]:
     """Deterministic rule table over the metadata, sorted by (kind, column).
 
     Identifier-named columns are exempt from the cardinality rule: a unique
     key is healthy, the rule targets miscast categoricals.
     """
-    cfg = cfg or QualityConfig()
-    patterns = patterns or PatternConfig()
     issues: list[QualityIssue] = []
     for p in metadata.profiles:
-        if p.missing_pct > cfg.high_missingness_cutoff:
+        if p.missing_pct > HIGH_MISSINGNESS:
             issues.append(QualityIssue(
                 "high_missingness",
                 f"{p.missing_pct:.0%} of values missing",
@@ -378,8 +379,8 @@ def flag_quality_issues(
             ))
         if (
             p.inferred_dtype == CATEGORICAL
-            and p.uniqueness_ratio > cfg.suspicious_cardinality_cutoff
-            and identifier_pattern(p.name, patterns) is None
+            and p.uniqueness_ratio > SUSPICIOUS_CARDINALITY
+            and identifier_pattern(p.name) is None
         ):
             issues.append(QualityIssue(
                 "suspicious_cardinality",

@@ -18,16 +18,23 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ..config import PlanConfig
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
 from ..perception import DatasetFrame, float_cells
 from .pipeline import most_frequent
+from .plan import HIGH_CARDINALITY
 from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
 
 REASON_CONSTANT = "constant"
 REASON_REDUNDANT = "redundant"
 REASON_HIGH_CARDINALITY = "high_cardinality_unencodable"
+
+MI_BINS = 10
+REDUNDANCY_R = 0.95                 # |r| strictly above: the pair is redundant
+# the advisory forest: trees, depth and the share of target rows it fits on
+IMPORTANCE_TREES = 25
+IMPORTANCE_DEPTH = 8
+IMPORTANCE_SUBSAMPLE = 0.5
 
 
 @dataclass
@@ -118,11 +125,14 @@ def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.n
     return codes
 
 
-def _advisory_importances(frame, kept, schema, cfg, seed):
-    """25-tree depth-8 forest on a 50% row subsample; advisory only."""
+def _advisory_importances(frame, kept, schema, task, seed):
+    """25-tree depth-8 forest on a 50% row subsample; advisory only. As in
+    the run's split, a regression target keeps only its float cells."""
     target = schema.chosen_target
     target_cells = frame.column(target)
-    usable_rows = [i for i, c in enumerate(target_cells) if c is not None]
+    classify = task == "classification"
+    kept_kind = (float, str) if classify else float
+    usable_rows = [i for i, c in enumerate(target_cells) if isinstance(c, kept_kind)]
     if len(usable_rows) < 10:
         return None
 
@@ -145,43 +155,31 @@ def _advisory_importances(frame, kept, schema, cfg, seed):
     X = np.array(columns, dtype=float).T[usable_rows]
     y_raw = [target_cells[i] for i in usable_rows]
 
-    numeric_target = float_cells(target_cells)[1]
-    classify = (not numeric_target) or len(set(y_raw)) <= 20
-
     rng = np.random.default_rng(seed)
-    take = max(10, int(round(cfg.importance_subsample * len(usable_rows))))
+    take = max(10, int(round(IMPORTANCE_SUBSAMPLE * len(usable_rows))))
     take = min(take, len(usable_rows))
     sub = rng.choice(len(usable_rows), size=take, replace=False)
 
-    if classify:
-        forest = RandomForestClassifier(
-            n_estimators=cfg.importance_trees,
-            max_depth=cfg.importance_depth,
-            seed=seed,
-        ).fit(X[sub], np.array([str(v) for v in y_raw])[sub])
-    else:
-        forest = RandomForestRegressor(
-            n_estimators=cfg.importance_trees,
-            max_depth=cfg.importance_depth,
-            seed=seed,
-        ).fit(X[sub], np.array(y_raw, dtype=float)[sub])
+    forest, y = (
+        (RandomForestClassifier, np.array([str(v) for v in y_raw])) if classify
+        else (RandomForestRegressor, np.array(y_raw, dtype=float))
+    )
+    forest = forest(
+        n_estimators=IMPORTANCE_TREES, max_depth=IMPORTANCE_DEPTH, seed=seed,
+    ).fit(X[sub], y[sub])
     return dict(zip(kept, forest.feature_importances_.tolist()))
 
 
 def analyze_features(
-    frame: DatasetFrame,
-    schema: SchemaMap,
-    cfg: PlanConfig | None = None,
-    seed: int = 0,
-    supervised: bool = True,
+    frame: DatasetFrame, schema: SchemaMap, task: str, seed: int = 0,
 ) -> FeatureReport:
     """Partition features into kept and removed with full evidence.
 
-    The advisory forest is deferred to the first read of the report's
-    importances, and kept only for a supervised task with a target; an
-    anomaly run that still names a target reads None.
+    `task` is the run's task. The advisory forest is deferred to the first
+    read of the report's importances, and kept only for a classification or
+    regression task with a target; an anomaly run that still names a target
+    reads None.
     """
-    cfg = cfg or PlanConfig()
     features = [c for c in frame.column_names if c in schema.feature_columns()]
     if not features:
         raise NoFeaturesError("schema has no feature columns")
@@ -210,12 +208,12 @@ def analyze_features(
         target_cells = frame.column(target)
         target_floats, target_numeric = float_cells(target_cells)
         target_codes = _discrete_codes(
-            target_cells, target_floats if target_numeric else None, cfg.mi_bins,
+            target_cells, target_floats if target_numeric else None, MI_BINS,
         )
         for name in features:
             if name in removed:
                 continue
-            codes = _discrete_codes(frame.column(name), floats.get(name), cfg.mi_bins)
+            codes = _discrete_codes(frame.column(name), floats.get(name), MI_BINS)
             shared = (codes >= 0) & (target_codes >= 0)
             report.mutual_information[name] = mutual_information(
                 codes[shared], target_codes[shared])
@@ -225,7 +223,7 @@ def analyze_features(
         report.pearson_correlations.items(),
         key=lambda kv: (features.index(kv[0][0]), features.index(kv[0][1])),
     ):
-        if abs(r) <= cfg.redundancy_r_cutoff:
+        if abs(r) <= REDUNDANCY_R:
             continue
         if a in removed or b in removed:
             continue
@@ -241,13 +239,14 @@ def analyze_features(
             if name in removed or schema.roles[name] != FEATURE_CATEGORICAL:
                 continue
             distinct = {str(c) for c in frame.column(name) if c is not None}
-            if len(distinct) > cfg.high_cardinality_cutoff:
+            if len(distinct) > HIGH_CARDINALITY:
                 removed[name] = REASON_HIGH_CARDINALITY
 
     report.removed = [(name, removed[name]) for name in features if name in removed]
     report.kept = [name for name in features if name not in removed]
 
-    if supervised and target is not None and report.kept:
+    # analytics.SUPERVISED; analytics imports this package, so not from there
+    if task in ("classification", "regression") and target is not None and report.kept:
         report.fit_importances = partial(
-            _advisory_importances, frame, tuple(report.kept), schema, cfg, seed)
+            _advisory_importances, frame, tuple(report.kept), schema, task, seed)
     return report

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..config import PlanConfig
 from ..perception import DatasetMetadata
 from .schema import (
     FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, SchemaMap,
@@ -41,6 +40,12 @@ ENCODE_ONE_HOT = "one_hot"
 ENCODE_TARGET = "target_encoding"
 ENCODE_PASSTHROUGH = "passthrough"
 ENCODE_DROP = "drop"
+
+KNN_MISSING_SHARE = 0.20            # strictly above: knn imputation
+MEDIAN_MISSING_SHARE = 0.10         # closed interval [0.10, 0.20]: median
+KNN_NEIGHBORS = 3
+MEMORY_CUTOFF_MIB = 100             # estimate strictly above: robust scaling
+HIGH_CARDINALITY = 50               # uniques strictly above: target-encode or drop
 
 
 @dataclass
@@ -71,14 +76,14 @@ class PreprocessPlan:
         }
 
 
-def _imputation_for(missing_pct: float, numeric: bool, cfg: PlanConfig):
-    if missing_pct > cfg.knn_missing_cutoff:
-        return IMPUTE_KNN, f"{missing_pct:.0%} missing exceeds {cfg.knn_missing_cutoff:.0%}"
-    if missing_pct >= cfg.median_missing_cutoff:
+def _imputation_for(missing_pct: float, numeric: bool):
+    if missing_pct > KNN_MISSING_SHARE:
+        return IMPUTE_KNN, f"{missing_pct:.0%} missing exceeds {KNN_MISSING_SHARE:.0%}"
+    if missing_pct >= MEDIAN_MISSING_SHARE:
         kind = IMPUTE_MEDIAN if numeric else IMPUTE_MOST_FREQUENT
         return kind, (
             f"{missing_pct:.0%} missing within "
-            f"[{cfg.median_missing_cutoff:.0%}, {cfg.knn_missing_cutoff:.0%}]"
+            f"[{MEDIAN_MISSING_SHARE:.0%}, {KNN_MISSING_SHARE:.0%}]"
         )
     if missing_pct > 0:
         kind = IMPUTE_MEDIAN if numeric else IMPUTE_MOST_FREQUENT
@@ -86,18 +91,13 @@ def _imputation_for(missing_pct: float, numeric: bool, cfg: PlanConfig):
     return IMPUTE_NONE, "no missing values"
 
 
-def decide_tools(
-    metadata: DatasetMetadata,
-    schema: SchemaMap,
-    cfg: PlanConfig | None = None,
-) -> PreprocessPlan:
+def decide_tools(metadata: DatasetMetadata, schema: SchemaMap) -> PreprocessPlan:
     """Deterministic, total rule table over the metadata and schema."""
-    cfg = cfg or PlanConfig()
-    big = metadata.estimated_memory_bytes > cfg.memory_cutoff_bytes
+    big = metadata.estimated_memory_bytes > MEMORY_CUTOFF_MIB * 2**20
     numeric_scale = SCALE_ROBUST if big else SCALE_STANDARD
     scale_why = (
-        "memory estimate above 100 MiB, robust scaling"
-        if big else "memory estimate within 100 MiB, standard scaling"
+        f"memory estimate above {MEMORY_CUTOFF_MIB} MiB, robust scaling"
+        if big else f"memory estimate within {MEMORY_CUTOFF_MIB} MiB, standard scaling"
     )
     has_target = schema.chosen_target is not None
 
@@ -114,33 +114,33 @@ def decide_tools(
             )
             continue
         if role == FEATURE_NUMERIC:
-            imputation, why = _imputation_for(profile.missing_pct, True, cfg)
+            imputation, why = _imputation_for(profile.missing_pct, True)
             directives[name] = ColumnDirective(
                 imputation, numeric_scale, ENCODE_PASSTHROUGH,
                 f"{why}; {scale_why}",
-                knn_neighbors=cfg.knn_neighbors if imputation == IMPUTE_KNN else 0,
+                knn_neighbors=KNN_NEIGHBORS if imputation == IMPUTE_KNN else 0,
             )
         elif role == FEATURE_CATEGORICAL:
-            imputation, why = _imputation_for(profile.missing_pct, False, cfg)
-            if profile.unique_count > cfg.high_cardinality_cutoff:
+            imputation, why = _imputation_for(profile.missing_pct, False)
+            if profile.unique_count > HIGH_CARDINALITY:
                 if has_target:
                     encoding = ENCODE_TARGET
                     enc_why = (
                         f"{profile.unique_count} categories exceed "
-                        f"{cfg.high_cardinality_cutoff}, target encoding"
+                        f"{HIGH_CARDINALITY}, target encoding"
                     )
                 else:
                     encoding = ENCODE_DROP
                     enc_why = (
                         f"{profile.unique_count} categories exceed "
-                        f"{cfg.high_cardinality_cutoff} with no target, dropped"
+                        f"{HIGH_CARDINALITY} with no target, dropped"
                     )
             else:
                 encoding = ENCODE_ONE_HOT
                 enc_why = f"{profile.unique_count} categories, one-hot"
             directives[name] = ColumnDirective(
                 imputation, SCALE_NONE, encoding, f"{why}; {enc_why}",
-                knn_neighbors=cfg.knn_neighbors if imputation == IMPUTE_KNN else 0,
+                knn_neighbors=KNN_NEIGHBORS if imputation == IMPUTE_KNN else 0,
             )
         else:
             # timestamps and non-chosen target candidates stay out of the
@@ -163,14 +163,9 @@ def mark_removed(plan: PreprocessPlan, removed: list[tuple[str, str]]) -> Prepro
     return plan
 
 
-def simplified_backup_plan(
-    metadata: DatasetMetadata,
-    schema: SchemaMap,
-    cfg: PlanConfig | None = None,
-) -> PreprocessPlan:
+def simplified_backup_plan(metadata: DatasetMetadata, schema: SchemaMap) -> PreprocessPlan:
     """Backup strategy after a preprocessing failure: median/most_frequent
     imputation, standard scaling, and high-cardinality columns dropped."""
-    cfg = cfg or PlanConfig()
     directives: dict[str, ColumnDirective] = {}
     for profile in metadata.profiles:
         name = profile.name
@@ -189,7 +184,7 @@ def simplified_backup_plan(
                 "backup plan: median imputation, standard scaling",
             )
         elif role == FEATURE_CATEGORICAL:
-            if profile.unique_count > cfg.high_cardinality_cutoff:
+            if profile.unique_count > HIGH_CARDINALITY:
                 directives[name] = ColumnDirective(
                     IMPUTE_NONE, SCALE_NONE, ENCODE_DROP,
                     "backup plan: high-cardinality column dropped",

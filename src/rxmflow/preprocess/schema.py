@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..config import PatternConfig
 from ..errors import AmbiguousTargetError
 from ..perception import (
     CATEGORICAL, CONSTANT, DATETIME, NUMERIC,
@@ -29,6 +28,16 @@ TIMESTAMP = "timestamp"
 TARGET_CANDIDATE = "target_candidate"
 FEATURE_NUMERIC = "feature_numeric"
 FEATURE_CATEGORICAL = "feature_categorical"
+
+# a name token starting with one of these marks a timestamp ("downtime" is
+# one token, so it does not match "time")
+TIMESTAMP_TOKENS = ("time", "date", "stamp")
+# a normalized name containing one of these marks a target candidate
+TARGET_TOKENS = (
+    "priority", "status", "failure", "target", "label", "quality", "efficiency",
+)
+IDENTIFIER_UNIQUENESS = 0.95        # at or above, with key-like values: identifier
+TIMESTAMP_DATE_SHARE = 0.90         # at or above: timestamp
 
 
 @dataclass
@@ -51,17 +60,17 @@ def _tokens(name: str) -> list[str]:
     return [t for t in re.split(r"[_\W]+", normalized_name(name)) if t]
 
 
-def _matches_timestamp(name: str, cfg: PatternConfig) -> str | None:
+def _matches_timestamp(name: str) -> str | None:
     for token in _tokens(name):
-        for prefix in cfg.timestamp_tokens:
+        for prefix in TIMESTAMP_TOKENS:
             if token.startswith(prefix):
                 return prefix
     return None
 
 
-def _matches_target(name: str, cfg: PatternConfig) -> str | None:
+def _matches_target(name: str) -> str | None:
     normalized = normalized_name(name)
-    for token in cfg.target_tokens:
+    for token in TARGET_TOKENS:
         if token in normalized:
             return token
     return None
@@ -71,7 +80,6 @@ def discover_schema(
     frame: DatasetFrame,
     metadata: DatasetMetadata,
     target_hint: str | None = None,
-    cfg: PatternConfig | None = None,
 ) -> SchemaMap:
     """Assign a role to every column and resolve the prediction target.
 
@@ -79,7 +87,6 @@ def discover_schema(
     hint disambiguates; the exception carries the candidates in column order
     so callers can fall back to the last one or ask a human.
     """
-    cfg = cfg or PatternConfig()
     if target_hint is not None and target_hint not in frame.column_names:
         raise KeyError(f"target hint {target_hint!r} is not a column")
 
@@ -89,16 +96,16 @@ def discover_schema(
 
     for name in frame.column_names:
         profile = metadata.profile(name)
-        id_pattern = identifier_pattern(name, cfg)
+        id_pattern = identifier_pattern(name)
         unique_id = (
-            profile.uniqueness_ratio >= cfg.identifier_uniqueness_cutoff
+            profile.uniqueness_ratio >= IDENTIFIER_UNIQUENESS
             and (
                 profile.inferred_dtype == CATEGORICAL
                 or (profile.inferred_dtype == NUMERIC and profile.integer_valued)
             )
         )
-        ts_pattern = _matches_timestamp(name, cfg)
-        target_pattern = _matches_target(name, cfg)
+        ts_pattern = _matches_timestamp(name)
+        target_pattern = _matches_target(name)
 
         if id_pattern:
             roles[name] = IDENTIFIER
@@ -112,7 +119,7 @@ def discover_schema(
         elif ts_pattern:
             roles[name] = TIMESTAMP
             evidence[name] = f"name token starts with {ts_pattern!r}"
-        elif profile.date_share >= cfg.datetime_parse_cutoff:
+        elif profile.date_share >= TIMESTAMP_DATE_SHARE:
             roles[name] = TIMESTAMP
             evidence[name] = "most non-missing cells parse as dates"
         elif target_pattern:
@@ -152,8 +159,7 @@ def resolve_ambiguous_target(
     frame: DatasetFrame,
     metadata: DatasetMetadata,
     candidates: list[str],
-    cfg: PatternConfig | None = None,
 ) -> SchemaMap:
     """Rule-based fallback: pick the last matching column as the target."""
-    return discover_schema(frame, metadata, target_hint=candidates[-1], cfg=cfg)
+    return discover_schema(frame, metadata, target_hint=candidates[-1])
 

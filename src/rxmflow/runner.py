@@ -11,9 +11,11 @@ loop at once.
 
 Every run ends in `_finalize`, which builds the completion report, writes
 the documents, renders the summary and sets the exit code. When the last
-step failed, the detailed results carry a `failure` entry (stage, exception
-class, error), no recommendations file is written and the exit code is
-EXIT_DATA_ERROR; `run()` then re-raises a data loading failure.
+step failed, or the planner finished before `summarize` succeeded with no
+step failing (PlannerGaveUpError), the detailed results carry a `failure`
+entry (stage, exception class, error), no recommendations file is written
+and the exit code is EXIT_DATA_ERROR; `run()` then re-raises a data loading
+failure.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from pathlib import Path
 from . import analytics, optimize
 from .audit import AuditLog
 from .clocks import SystemClock
-from .config import PatternConfig, PlanConfig, QualityConfig, RecommendationConfig
 from .errors import (
     AllModelsFailedError, AmbiguousTargetError, DataLoadError, EngineError,
-    SinkUnwritableError,
+    PlannerGaveUpError, SinkUnwritableError,
 )
 from .models.iforest import valid_contamination
-from .orchestrator import TriggerConfig, plan_next_step, slm_advise
+from .orchestrator import TOOL_SEQUENCE, plan_next_step, slm_advise
 from .perception import flag_quality_issues, inspect_frame, load_csv
 from .preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
@@ -56,24 +57,22 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_REJECTED = 2
 
+GOAL = "Generate prioritized maintenance recommendations from the dataset"
+TRAIN_RATIO = 0.8
+
 
 @dataclass
 class WorkflowConfig:
+    """The run's settings, one field per CLI flag that reaches the engine."""
     data_path: str
-    goal: str = "Generate prioritized maintenance recommendations from the dataset"
     task: str | None = None              # override, else inferred
     target: str | None = None            # target column hint
     seed: int = 0
-    train_ratio: float = 0.8
     contamination: object = "auto"
     auto_approve: bool = False
     include_routine: bool = False
     max_steps: int = 10
-    max_retries: int = 3
     log_dir: str = "logs"
-    quality: QualityConfig = field(default_factory=QualityConfig)
-    patterns: PatternConfig = field(default_factory=PatternConfig)
-    plan_cfg: PlanConfig = field(default_factory=PlanConfig)
 
     def __post_init__(self):
         if self.task is not None and self.task not in analytics.TASKS:
@@ -126,7 +125,6 @@ class WorkflowRunner:
         self.slm_backend = slm_backend
         self.io = io or ReviewIO()
         self.clock = clock or SystemClock()
-        self.trigger = TriggerConfig(max_retries=config.max_retries)
         self.artifacts = RunArtifacts()
         self._pending_lessons: list[str] = []
         self.audit = self._open_audit()
@@ -157,7 +155,7 @@ class WorkflowRunner:
     def run(self) -> WorkflowReport:
         config = self.config
         start = self.clock.now()
-        context = WorkflowContext(goal=config.goal, available_tools=DEFAULT_TOOLS)
+        context = WorkflowContext(goal=GOAL, available_tools=DEFAULT_TOOLS)
         dispatch = {
             "load_and_inspect_data": self._load_and_inspect_data,
             "preprocess_data": self._preprocess_data,
@@ -178,9 +176,14 @@ class WorkflowRunner:
                 )
                 break
             decision, provenance, context = plan_next_step(
-                context, self.backend, self.trigger, audit=audit_decision
+                context, self.backend, audit=audit_decision
             )
             if decision.finish:
+                succeeded = context.succeeded_tools()
+                if error is None and "summarize" not in succeeded:
+                    stage = next(t for t in TOOL_SEQUENCE if t not in succeeded)
+                    error = PlannerGaveUpError(
+                        stage, f"the planner finished before {stage}: {decision.reason}")
                 break
             step_start = self.clock.now()
             try:
@@ -227,8 +230,8 @@ class WorkflowRunner:
         art = self.artifacts
         config = self.config
         art.frame = load_csv(config.data_path)
-        art.metadata = inspect_frame(art.frame, config.quality)
-        art.quality_issues = flag_quality_issues(art.metadata, config.quality)
+        art.metadata = inspect_frame(art.frame)
+        art.quality_issues = flag_quality_issues(art.metadata)
         self.audit.append("perception", "dataset_inspected", {
             "dataset": Path(config.data_path).name,
             "n_rows": art.metadata.n_rows,
@@ -246,9 +249,7 @@ class WorkflowRunner:
         art = self.artifacts
         config = self.config
         try:
-            return discover_schema(
-                art.frame, art.metadata, config.target, config.patterns
-            )
+            return discover_schema(art.frame, art.metadata, config.target)
         except AmbiguousTargetError as exc:
             candidates = exc.candidates
             chosen = None
@@ -268,13 +269,11 @@ class WorkflowRunner:
                     chosen = None
             if chosen is not None:
                 self.audit.append("human", "target_selected", {"target": chosen})
-                return discover_schema(art.frame, art.metadata, chosen, config.patterns)
+                return discover_schema(art.frame, art.metadata, chosen)
             self.audit.append("preprocessing", "ambiguous_target_resolved", {
                 "candidates": candidates, "picked": candidates[-1],
             })
-            return resolve_ambiguous_target(
-                art.frame, art.metadata, candidates, config.patterns
-            )
+            return resolve_ambiguous_target(art.frame, art.metadata, candidates)
 
     def _split_rows(self):
         art = self.artifacts
@@ -295,7 +294,7 @@ class WorkflowRunner:
             })
         values = [cells[i] for i in usable]
         train_pos, test_pos = analytics.split_train_test(
-            len(usable), art.task, values, config.train_ratio, config.seed
+            len(usable), art.task, values, TRAIN_RATIO, config.seed
         )
         train_rows = [usable[i] for i in train_pos]
         test_rows = [usable[i] for i in test_pos]
@@ -310,12 +309,10 @@ class WorkflowRunner:
             "task": art.task, "target": art.schema.chosen_target,
         })
         art.feature_report = analyze_features(
-            art.frame, art.schema, config.plan_cfg, seed=config.seed,
-            supervised=art.task != analytics.ANOMALY,
+            art.frame, art.schema, art.task, seed=config.seed,
         )
         art.plan = mark_removed(
-            decide_tools(art.metadata, art.schema, config.plan_cfg),
-            art.feature_report.removed,
+            decide_tools(art.metadata, art.schema), art.feature_report.removed,
         )
         advice = slm_advise(
             self.slm_backend,
@@ -334,7 +331,7 @@ class WorkflowRunner:
             self.audit.append("preprocessing", "backup_plan_engaged", {
                 "error": str(exc),
             })
-            art.plan = simplified_backup_plan(art.metadata, art.schema, config.plan_cfg)
+            art.plan = simplified_backup_plan(art.metadata, art.schema)
             art.pipeline = fit_pipeline(art.frame, art.plan, art.schema, art.train_rows)
 
         art.X_train, _, art.y_train = apply_pipeline(
@@ -450,12 +447,11 @@ class WorkflowRunner:
     def _generate_recommendations(self):
         art = self.artifacts
         best = art.best_result
-        config = RecommendationConfig(include_routine=self.config.include_routine)
         if art.task == analytics.ANOMALY:
             # an anomaly run tests on all its rows, so the test ids are all ids
             art.recommendations = optimize.recommend_anomaly(
                 best.metrics.anomaly_scores, best.anomaly_flags,
-                art.X_test, art.ids_test, art.feature_names, config,
+                art.X_test, art.ids_test, art.feature_names,
             )
         else:
             if not best.feature_importances and art.feature_report.importances:
@@ -468,9 +464,10 @@ class WorkflowRunner:
                 else optimize.recommend_regression
             )
             art.recommendations = recommend(
-                best, art.ids_test, art.X_test, art.feature_names, config,
+                best, art.ids_test, art.X_test, art.feature_names,
+                self.config.include_routine,
             )
-        art.confidence = optimize.assess_confidence(best.metrics, art.task, config)
+        art.confidence = optimize.assess_confidence(best.metrics, art.task)
         distribution = self._priority_distribution()
         self.audit.append("optimization", "recommendations_generated", {
             "total": len(art.recommendations),
@@ -574,15 +571,17 @@ class WorkflowRunner:
 
     def _finalize(self, context, total_duration, error) -> WorkflowReport:
         """End the run: report, documents, summary and exit code. `error`
-        is the exception of the last step when that step failed."""
+        is the exception of the last step when that step failed, or the
+        PlannerGaveUpError of a planner that finished early."""
         art = self.artifacts
         rejected = art.review_outcome is not None and art.review_outcome.status == "rejected"
         if error is not None:
-            last = context.step_history[-1]
-            art.failure = {
-                "stage": last.tool_name, "reason": type(error).__name__,
-                "error": last.error,
-            }
+            if isinstance(error, PlannerGaveUpError):
+                stage, text = error.stage, str(error)
+            else:
+                last = context.step_history[-1]
+                stage, text = last.tool_name, last.error
+            art.failure = {"stage": stage, "reason": type(error).__name__, "error": text}
             art.exit_code = EXIT_DATA_ERROR
         elif rejected:
             art.exit_code = EXIT_REJECTED
@@ -596,7 +595,6 @@ class WorkflowRunner:
             review_lines = (art.review_outcome.summary_line(),)
         art.report = build_report(
             context, total_duration,
-            model_summary=best.metrics if best is not None else None,
             feature_kept=len(art.feature_report.kept) if art.feature_report else 0,
             feature_removed=len(art.feature_report.removed) if art.feature_report else 0,
             recommendations_total=len(art.recommendations),

@@ -98,7 +98,6 @@ class WorkflowReport:
     total_duration: float
     steps_succeeded: int
     steps_total: int
-    model_summary: object | None = None      # analytics.Metrics when a model ran
     feature_kept: int = 0
     feature_removed: int = 0
     recommendations_total: int = 0

@@ -1,10 +1,13 @@
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
+from rxmflow import cli
 from rxmflow.backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
 from rxmflow.cli import build_parser, main, make_backend
+from rxmflow.runner import RunArtifacts, WorkflowConfig
 from rxmflow.synth import maintenance_frame, write_csv
 
 from conftest import DEGENERATE_TARGETS, write_target_csv
@@ -153,3 +156,52 @@ def test_anomaly_flag_maps_to_task(csv_path, tmp_path):
         "--auto-approve", "--seed", "3", "--log-dir", str(tmp_path / "logs"),
     ])
     assert code == 0
+
+
+def test_every_config_field_is_set_from_the_cli(tmp_path, monkeypatch):
+    built = []
+
+    class Recorder:
+        def __init__(self, config, backend=None):
+            built.append(config)
+            self.artifacts = RunArtifacts()
+
+        def run(self):
+            pass
+    monkeypatch.setattr(cli, "WorkflowRunner", Recorder)
+    script = tmp_path / "script.json"
+    script.write_text("[]")
+    code = main([
+        "--data", "x.csv", "--task", "regression", "--target", "wear",
+        "--backend", f"scripted:{script}", "--backend-url", "http://127.0.0.1:1",
+        "--model-name", "m", "--contamination", "0.1", "--seed", "7",
+        "--auto-approve", "--max-steps", "4", "--include-routine",
+        "--log-dir", str(tmp_path / "logs"), "--verbose",
+    ])
+    assert code == 0
+    [config] = built
+    default = WorkflowConfig(data_path="")
+    unchanged = [f.name for f in fields(WorkflowConfig)
+                 if getattr(config, f.name) == getattr(default, f.name)]
+    assert unchanged == []
+
+
+@pytest.mark.parametrize("done, stage", [
+    (["load_and_inspect_data", "preprocess_data"], "analyze_data"),
+    ([], "load_and_inspect_data"),
+])
+def test_a_planner_that_gives_up_exits_one(csv_path, tmp_path, done, stage):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([
+        json.dumps({"tool": tool, "finish": False, "reason": f"run {tool}"})
+        for tool in done
+    ] + [json.dumps({"tool": "", "finish": True, "reason": "enough"})]))
+    logs = tmp_path / "logs"
+    code = main(["--data", csv_path, "--backend", f"scripted:{script}",
+                 "--auto-approve", "--log-dir", str(logs)])
+    assert code == 1
+    [detailed] = logs.glob("detailed_results_*.json")
+    failure = json.loads(detailed.read_text())["failure"]
+    assert (failure["stage"], failure["reason"]) == (stage, "PlannerGaveUpError")
+    assert failure["error"] == f"the planner finished before {stage}: enough"
+    assert not list(logs.glob("recommendations_*.json"))

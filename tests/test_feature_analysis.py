@@ -96,7 +96,7 @@ def test_identical_columns_deduplicated():
     frame, schema = schema_and_frame({
         "x1": values, "x2": list(values), "label": target,
     })
-    report = analyze_features(frame, schema)
+    report = analyze_features(frame, schema, "classification")
     assert report.pearson_correlations[("x1", "x2")] == pytest.approx(1.0)
     assert ("x2", REASON_REDUNDANT) in report.removed
     assert "x1" in report.kept
@@ -109,7 +109,7 @@ def test_kept_and_removed_partition_features():
         "const": [5.0] * 40,
         "label": ["a", "b"] * 20,
     })
-    report = analyze_features(frame, schema)
+    report = analyze_features(frame, schema, "classification")
     features = set(schema.feature_columns())
     removed = {name for name, _ in report.removed}
     assert set(report.kept) | removed == features
@@ -143,7 +143,7 @@ def test_equal_frequency_bins_are_balanced(rng):
 def test_clean_maintenance_frame_keeps_all_features():
     frame = maintenance_frame(n_rows=300)
     schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema)
+    report = analyze_features(frame, schema, "classification")
     assert len(report.kept) == 7
     assert report.removed == []
 
@@ -151,14 +151,16 @@ def test_clean_maintenance_frame_keeps_all_features():
 def test_importances_present_with_target_and_favor_signal():
     frame = maintenance_frame(n_rows=500)
     schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema, seed=3)
+    report = analyze_features(frame, schema, "classification", seed=3)
     assert report.importances is not None
     top2 = sorted(report.importances, key=report.importances.get, reverse=True)[:2]
     assert set(top2) == {"Downtime_Cost", "Vibration"}
 
 
 
-def test_advisory_forest_is_fitted_once_on_first_read(monkeypatch):
+@pytest.fixture
+def forest_fits(monkeypatch):
+    """The class names of the forests fitted, in fit order."""
     fits = []
 
     def counted(fit):
@@ -168,9 +170,14 @@ def test_advisory_forest_is_fitted_once_on_first_read(monkeypatch):
         return wrapper
     for forest in (RandomForestClassifier, RandomForestRegressor):
         monkeypatch.setattr(forest, "fit", counted(forest.fit))
+    return fits
+
+
+def test_advisory_forest_is_fitted_once_on_first_read(forest_fits):
+    fits = forest_fits
     frame = maintenance_frame(n_rows=300)
     schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema, seed=3)
+    report = analyze_features(frame, schema, "classification", seed=3)
     assert fits == []
     first = report.importances
     assert fits == ["RandomForestClassifier"]
@@ -179,19 +186,36 @@ def test_advisory_forest_is_fitted_once_on_first_read(monkeypatch):
     assert set(first) == set(report.kept)
 
 
+def test_advisory_forest_follows_the_run_task(forest_fits):
+    # ten target levels and stray text: a regression run still fits a
+    # regressor, on the float target cells only
+    n = 120
+    wear = [float(i % 10) for i in range(n)]
+    for i in (5, 40, 77):
+        wear[i] = "n/a"
+    frame, schema = schema_and_frame({
+        "x1": [float(i % 10) + 0.1 * (i % 7) for i in range(n)],
+        "x2": [float((i * 7) % 13) for i in range(n)],
+        "wear_target": wear,
+    }, target_hint="wear_target")
+    report = analyze_features(frame, schema, "regression", seed=3)
+    assert set(report.importances) == {"x1", "x2"}
+    assert forest_fits == ["RandomForestRegressor"]
+
+
 def test_high_cardinality_removed_only_without_target():
     cells = {
         "cat": [f"c{i}" for i in range(60)] * 2,
         "x": [float(i % 10) for i in range(120)],
     }
     frame, schema = schema_and_frame(dict(cells))
-    report = analyze_features(frame, schema)
+    report = analyze_features(frame, schema, "anomaly_detection")
     assert ("cat", REASON_HIGH_CARDINALITY) in report.removed
 
     with_target = dict(cells)
     with_target["label"] = ["a", "b"] * 60
     frame2, schema2 = schema_and_frame(with_target)
-    report2 = analyze_features(frame2, schema2)
+    report2 = analyze_features(frame2, schema2, "classification")
     assert "cat" in report2.kept
 
 
@@ -200,7 +224,7 @@ def test_no_features_is_an_error():
         "Machine_ID": [f"M{i}" for i in range(20)],
     })
     with pytest.raises(NoFeaturesError):
-        analyze_features(frame, schema)
+        analyze_features(frame, schema, "anomaly_detection")
 
 
 def test_redundant_pair_keeps_higher_mi_member():
@@ -212,7 +236,7 @@ def test_redundant_pair_keeps_higher_mi_member():
         "copy": jitter,        # near-copy, slightly noisier
         "label": label,
     })
-    report = analyze_features(frame, schema)
+    report = analyze_features(frame, schema, "classification")
     removed = {name for name, _ in report.removed}
     assert removed == {"copy"} or removed == {"signal"}
     kept = report.kept[0]

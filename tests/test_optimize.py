@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rxmflow import optimize
 from rxmflow.analytics import Metrics, ModelResult, ModelSpec
-from rxmflow.config import RecommendationConfig
 from rxmflow.errors import DegenerateStdError, MissingImportancesError
 from rxmflow.optimize import (
     CRITICAL, ELEVATED, ROUTINE, TargetStats, assess_confidence,
@@ -77,7 +77,7 @@ def test_regression_banding_strict_boundaries():
     result = regression_result([0.66, 0.65, 0.61, 0.60, 0.30])
     recs = recommend_regression(
         result, [f"M{i}" for i in range(5)], matrix_for(5),
-        ["vibration", "temperature"], RecommendationConfig(include_routine=True),
+        ["vibration", "temperature"], include_routine=True,
     )
     by_machine = {r.machine_id: r.priority for r in recs}
     assert by_machine["M0"] == CRITICAL        # above critical
@@ -118,13 +118,13 @@ def test_regression_degenerate_std_yields_no_actions(caplog):
     assert recs == []
 
 
-def test_higher_prediction_never_ranks_lower(rng):
+def test_higher_prediction_never_ranks_lower(rng, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_RECOMMENDATIONS", 20)
     predictions = sorted(rng.uniform(0.0, 1.0, 20).tolist(), reverse=True)
     result = regression_result(predictions, mean=0.3, std=0.1)
     recs = recommend_regression(
         result, [f"M{i:02d}" for i in range(20)], matrix_for(20),
-        ["vibration", "temperature"],
-        RecommendationConfig(include_routine=True, max_recommendations=20),
+        ["vibration", "temperature"], include_routine=True,
     )
     scores = [r.priority_score for r in recs]
     assert scores == sorted(scores, reverse=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rxmflow.backends import ScriptedBackend
 from rxmflow.errors import DecisionParseError
 from rxmflow.orchestrator import (
-    PROVENANCE_LLM, PROVENANCE_RULE, TOOL_SEQUENCE, TriggerConfig,
+    PROVENANCE_LLM, PROVENANCE_RULE, TOOL_SEQUENCE,
     build_prompt, parse_decision, plan_next_step, rule_based_next, slm_advise,
 )
 from rxmflow.workflow import (
@@ -330,7 +330,7 @@ def test_retry_prompt_carries_failure_note():
 
 def test_backend_called_at_most_max_retries():
     backend = ScriptedBackend(["junk"] * 10)
-    plan_next_step(fresh(), backend, TriggerConfig(max_retries=3))
+    plan_next_step(fresh(), backend)
     assert backend.calls == 3
 
 

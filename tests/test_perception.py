@@ -1,15 +1,17 @@
 from collections import Counter
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rxmflow.config import QualityConfig
+from rxmflow import perception
 from rxmflow.errors import EmptyFrameError, FileMissingError, MalformedCsvError
 from rxmflow.perception import (
-    _DATETIME_FORMATS, CATEGORICAL, CONSTANT, DATETIME, NUMERIC, ColumnProfile,
+    _DATETIME_FORMATS, CATEGORICAL, CONSTANT, DATETIME, DATETIME_PARSE_SHARE, NUMERIC,
+    ColumnProfile,
     _parse_datetime, _parses_as_date, flag_quality_issues,
     float_cells, inspect_frame, load_csv,
 )
@@ -297,7 +299,7 @@ def test_duplicate_rows_match_a_row_text_reference(rows):
     assert inspect_frame(frame).duplicate_row_count == duplicates
 
 
-def reference_profile(name, cells, n_rows, cfg):
+def reference_profile(name, cells, n_rows, numeric_share):
     """The per-cell profile that the one-pass scan must reproduce."""
     non_missing = [c for c in cells if c is not None]
     numbers = [c for c in non_missing if isinstance(c, float)]
@@ -312,11 +314,11 @@ def reference_profile(name, cells, n_rows, cfg):
     unique_count = len({str(c) for c in non_missing})
     if unique_count <= 1:
         dtype = CONSTANT
-    elif non_missing and len(numbers) / len(non_missing) >= cfg.numeric_parse_threshold:
+    elif non_missing and len(numbers) / len(non_missing) >= numeric_share:
         dtype = NUMERIC
         parse_failures = len(texts)
         missing_count += parse_failures
-    elif texts and date_share >= cfg.datetime_parse_threshold:
+    elif texts and date_share >= DATETIME_PARSE_SHARE:
         dtype = DATETIME
     else:
         dtype = CATEGORICAL
@@ -397,10 +399,10 @@ def profiled_columns(draw):
 @example([1.0] * 19 + ["a"], 0.95)
 @example([None, None], 0.95)
 def test_one_pass_profile_equals_the_per_cell_reference(cells, threshold):
-    cfg = QualityConfig(numeric_parse_threshold=threshold)
-    profile = inspect_frame(make_frame({"c": cells}), cfg).profile("c")
+    with mock.patch.object(perception, "NUMERIC_PARSE_SHARE", threshold):
+        profile = inspect_frame(make_frame({"c": cells})).profile("c")
     # repr, so that a NaN mean compares equal to a NaN mean
-    assert repr(profile) == repr(reference_profile("c", cells, len(cells), cfg))
+    assert repr(profile) == repr(reference_profile("c", cells, len(cells), threshold))
 
 
 @given(st.lists(mixed_pool_cell, max_size=30))
