@@ -160,11 +160,11 @@ def _advisory_importances(frame, kept, schema, task, seed):
     take = min(take, len(usable_rows))
     sub = rng.choice(len(usable_rows), size=take, replace=False)
 
-    forest, y = (
-        (RandomForestClassifier, np.array([str(v) for v in y_raw])) if classify
-        else (RandomForestRegressor, np.array(y_raw, dtype=float))
-    )
-    forest = forest(
+    if classify:
+        model, y = RandomForestClassifier, np.array([str(v) for v in y_raw])
+    else:
+        model, y = RandomForestRegressor, np.array(y_raw, dtype=float)
+    forest = model(
         n_estimators=IMPORTANCE_TREES, max_depth=IMPORTANCE_DEPTH, seed=seed,
     ).fit(X[sub], y[sub])
     return dict(zip(kept, forest.feature_importances_.tolist()))
