@@ -30,18 +30,13 @@ from .models.metrics import (
 from .optimize import TargetStats
 from .perception import CATEGORICAL, CONSTANT, DatasetMetadata
 from .preprocess.schema import SchemaMap
+# the task names are defined in workflow; analytics.ANOMALY and the rest stay valid
+from .workflow import ANOMALY, CLASSIFICATION, REGRESSION, SUPERVISED, TASKS  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
-ANOMALY = "anomaly_detection"
-
 STATUS_OK = "ok"
 STATUS_FAILED = "training_failed"
-
-SUPERVISED = (CLASSIFICATION, REGRESSION)
-TASKS = SUPERVISED + (ANOMALY,)
 
 SVM_MAX_SAMPLES = 2000
 

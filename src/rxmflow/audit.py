@@ -13,12 +13,6 @@ from dataclasses import asdict, dataclass
 from .clocks import SystemClock
 from .errors import SinkUnwritableError
 
-ACTORS = (
-    "orchestrator", "perception", "preprocessing",
-    "analytics", "optimization", "human",
-)
-
-
 @dataclass(frozen=True)
 class AuditRecord:
     timestamp: str               # ISO-8601

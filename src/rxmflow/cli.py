@@ -16,6 +16,7 @@ import sys
 from .backends import HttpBackend, OpenAIChatBackend, ScriptedBackend
 from .errors import EngineError
 from .runner import EXIT_DATA_ERROR, WorkflowConfig, WorkflowRunner
+from .workflow import ANOMALY, CLASSIFICATION, REGRESSION
 
 API_KEY_ENV = "RXMFLOW_API_KEY"
 
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--data", required=True, help="path to the CSV dataset")
     parser.add_argument(
-        "--task", choices=["auto", "classification", "regression", "anomaly"],
+        "--task", choices=["auto", CLASSIFICATION, REGRESSION, "anomaly"],
         default="auto", help="problem type (default: inferred from the schema)",
     )
     parser.add_argument("--target", help="target column name")
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
         config = WorkflowConfig(
             data_path=args.data,
             task=None if args.task == "auto" else (
-                "anomaly_detection" if args.task == "anomaly" else args.task
+                ANOMALY if args.task == "anomaly" else args.task
             ),
             target=args.target,
             seed=args.seed,

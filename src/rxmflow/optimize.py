@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateStdError, MissingImportancesError
+from .workflow import ANOMALY
 
 if TYPE_CHECKING:      # avoids a circular import; analytics imports TargetStats
     from .analytics import Metrics, ModelResult
@@ -297,7 +298,7 @@ def recommend_anomaly(
 
 
 def assess_confidence(metrics: "Metrics", task: str) -> ConfidenceAssessment:
-    if task == "anomaly_detection":
+    if task == ANOMALY:
         return ConfidenceAssessment(
             level="medium",
             warning="unsupervised run: no ground truth to validate against",

@@ -1,6 +1,10 @@
 """The planner: structured prompt, JSON tool decisions with bounded
 retries, and the deterministic rule-based fallback.
 
+All three read `workflow.STAGES`: the prompt lists each stage with its
+description, a reply must name a stage, and the fallback walks the stages
+in order and gives each one's rule-based reason.
+
 A planning step calls the backend at most MAX_ATTEMPTS (three) times.
 Parse failures are appended to the retry prompt and recorded as lessons;
 transport failures skip straight to the rule-based planner. Either way the
@@ -14,7 +18,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import BackendError, DecisionParseError
-from .workflow import DEFAULT_TOOLS, FAILED, WorkflowContext, record_lesson
+from .workflow import FAILED, STAGES, TOOLS, WorkflowContext, record_lesson
 
 logger = logging.getLogger(__name__)
 
@@ -22,25 +26,6 @@ PROVENANCE_LLM = "llm"
 PROVENANCE_RULE = "rule_based"
 
 MAX_ATTEMPTS = 3                    # backend calls per planning step
-
-TOOL_SEQUENCE = tuple(name for name, _ in DEFAULT_TOOLS)
-
-_RULE_REASONS = {
-    "load_and_inspect_data":
-        "No data is loaded yet; the workflow starts by loading and "
-        "inspecting the dataset.",
-    "preprocess_data":
-        "The data is inspected; it must be prepared through imputation, "
-        "scaling, encoding, and feature selection before analysis.",
-    "analyze_data":
-        "A fitted pipeline is ready; train and evaluate candidate models.",
-    "generate_recommendations":
-        "A model is trained; convert its predictions into ranked "
-        "maintenance recommendations.",
-    "summarize":
-        "Recommendations are ready; run the review gate and produce the "
-        "final summary.",
-}
 
 
 @dataclass(frozen=True)
@@ -64,7 +49,7 @@ def build_prompt(context: WorkflowContext) -> str:
         "",
         "AVAILABLE TOOLS:",
     ]
-    for i, (name, description) in enumerate(context.available_tools, start=1):
+    for i, (name, description, _) in enumerate(STAGES, start=1):
         lines.append(f"{i}. {name}: {description}")
     lines += ["", "STEP HISTORY:"]
     if context.step_history:
@@ -122,14 +107,14 @@ def _iter_json_candidates(text: str):
                 start = None
 
 
-def parse_decision(raw: str, registered_tools) -> PlannerDecision:
+def parse_decision(raw: str) -> PlannerDecision:
     """Extract and validate the first JSON tool decision in the text.
 
     Models often wrap the JSON in prose; the first balanced object that
     parses wins. Raises DecisionParseError with a machine-readable code:
-    no_json, missing_key, bad_type, or unknown_tool.
+    no_json, missing_key, bad_type, or unknown_tool (a tool that is not a
+    stage).
     """
-    registered = set(registered_tools)
     payload = None
     for candidate in _iter_json_candidates(raw):
         try:
@@ -155,14 +140,14 @@ def parse_decision(raw: str, registered_tools) -> PlannerDecision:
         raise DecisionParseError("bad_type", '"reason" must be non-empty')
     if finish:
         return PlannerDecision(tool="", finish=True, reason=reason)
-    if tool not in registered:
+    if tool not in TOOLS:
         raise DecisionParseError("unknown_tool", f"tool {tool!r} is not registered")
     return PlannerDecision(tool=tool, finish=False, reason=reason)
 
 
 def rule_based_next(context: WorkflowContext) -> PlannerDecision:
-    """Deterministic planner: walk the five-step sequence past succeeded
-    steps, re-issue the last failed step once, then finish."""
+    """Deterministic planner: walk STAGES past succeeded steps, giving each
+    row's reason, re-issue the last failed step once, then finish."""
     history = context.step_history
     if history and history[-1].outcome == FAILED:
         failed_tool = history[-1].tool_name
@@ -182,11 +167,9 @@ def rule_based_next(context: WorkflowContext) -> PlannerDecision:
             reason=f"Step {failed_tool} failed twice; stopping the workflow.",
         )
     succeeded = context.succeeded_tools()
-    for tool in TOOL_SEQUENCE:
+    for tool, _, reason in STAGES:
         if tool not in succeeded:
-            return PlannerDecision(
-                tool=tool, finish=False, reason=_RULE_REASONS[tool]
-            )
+            return PlannerDecision(tool=tool, finish=False, reason=reason)
     return PlannerDecision(
         tool="", finish=True, reason="All workflow steps have succeeded."
     )
@@ -203,7 +186,6 @@ def plan_next_step(
     lessons. `audit` is an optional callable(event, payload) used to log
     every decision with its reason.
     """
-    tools = context.tool_names()
     decision = None
     provenance = PROVENANCE_RULE
 
@@ -224,7 +206,7 @@ def plan_next_step(
                 )
                 break        # transport failure: no retries, fall back
             try:
-                decision = parse_decision(raw, tools)
+                decision = parse_decision(raw)
                 provenance = PROVENANCE_LLM
                 break
             except DecisionParseError as exc:

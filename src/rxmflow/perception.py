@@ -91,7 +91,6 @@ class DatasetMetadata:
     n_cols: int
     profiles: list[ColumnProfile]
     estimated_memory_bytes: int
-    preview: list[list]
     duplicate_row_count: int = 0
 
     def profile(self, name: str) -> ColumnProfile:
@@ -103,18 +102,12 @@ class DatasetMetadata:
 
 @dataclass(frozen=True)
 class QualityIssue:
-    kind: str                    # see _ISSUE_KINDS
+    kind: str                    # see flag_quality_issues
     detail: str
     column: str | None = None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "column": self.column, "detail": self.detail}
-
-
-_ISSUE_KINDS = (
-    "constant_column", "duplicate_rows", "high_missingness",
-    "parse_failures", "suspicious_cardinality",
-)
 
 
 def _parse_cell(raw: str):
@@ -312,7 +305,7 @@ def _profile_column(name: str, scan: _ColumnScan, n_rows: int) -> ColumnProfile:
 
 
 def inspect_frame(frame: DatasetFrame) -> DatasetMetadata:
-    """Compute per-column profiles, summary statistics, and a row preview."""
+    """Compute per-column profiles and summary statistics."""
     if frame.n_rows < 1 or not frame.column_names:
         raise EmptyFrameError("frame must have at least one row and one column")
 
@@ -329,7 +322,6 @@ def inspect_frame(frame: DatasetFrame) -> DatasetMetadata:
     )
     memory = 8 * frame.n_rows * numeric_cols + text_bytes
 
-    preview = [frame.row(i) for i in range(min(5, frame.n_rows))]
     # rows compare by the text of each cell: one row of per-column codes,
     # viewed as one opaque value, stands for the row
     codes = np.column_stack([scan.codes for scan in scans])
@@ -341,7 +333,6 @@ def inspect_frame(frame: DatasetFrame) -> DatasetMetadata:
         n_cols=len(frame.column_names),
         profiles=profiles,
         estimated_memory_bytes=memory,
-        preview=preview,
         duplicate_row_count=duplicates,
     )
 

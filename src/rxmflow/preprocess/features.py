@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
 from ..perception import DatasetFrame, float_cells
+from ..workflow import CLASSIFICATION, SUPERVISED
 from .pipeline import most_frequent
 from .plan import HIGH_CARDINALITY
 from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
@@ -43,7 +44,6 @@ class FeatureReport:
     mutual_information: dict[str, float] = field(default_factory=dict)
     removed: list[tuple[str, str]] = field(default_factory=list)
     kept: list[str] = field(default_factory=list)
-    target_name: str | None = None
     # the advisory forest fit with its inputs, run on the first read
     fit_importances: Callable[[], dict[str, float] | None] | None = field(
         default=None, repr=False, compare=False)
@@ -130,7 +130,7 @@ def _advisory_importances(frame, kept, schema, task, seed):
     the run's split, a regression target keeps only its float cells."""
     target = schema.chosen_target
     target_cells = frame.column(target)
-    classify = task == "classification"
+    classify = task == CLASSIFICATION
     kept_kind = (float, str) if classify else float
     usable_rows = [i for i, c in enumerate(target_cells) if isinstance(c, kept_kind)]
     if len(usable_rows) < 10:
@@ -184,7 +184,7 @@ def analyze_features(
     if not features:
         raise NoFeaturesError("schema has no feature columns")
 
-    report = FeatureReport(target_name=schema.chosen_target)
+    report = FeatureReport()
     removed: dict[str, str] = {}
 
     for name in features:
@@ -245,8 +245,7 @@ def analyze_features(
     report.removed = [(name, removed[name]) for name in features if name in removed]
     report.kept = [name for name in features if name not in removed]
 
-    # analytics.SUPERVISED; analytics imports this package, so not from there
-    if task in ("classification", "regression") and target is not None and report.kept:
+    if task in SUPERVISED and target is not None and report.kept:
         report.fit_importances = partial(
             _advisory_importances, frame, tuple(report.kept), schema, task, seed)
     return report

@@ -107,7 +107,6 @@ class FittedPipeline:
     knn_scale_params: list[tuple[float, float]] = field(default_factory=list)
     knn_train_scaled: np.ndarray | None = None
     knn_raw: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    degenerate_columns: list[str] = field(default_factory=list)
 
     def fitted_json(self) -> dict:
         return {fit.name: fit.fitted_json() for fit in self.column_fits}
@@ -138,7 +137,6 @@ def fit_pipeline(
 
     fits: list[ColumnFit] = []
     feature_names: list[str] = []
-    degenerate: list[str] = []
     knn_needed = False
 
     for name in frame.column_names:
@@ -182,8 +180,6 @@ def fit_pipeline(
             if fit.center is not None and fit.spread == 0.0:
                 fit.spread = 1.0
                 fit.degenerate = True
-            if fit.degenerate:
-                degenerate.append(name)
             feature_names.append(name)
         else:
             keys = [k for k in _category_keys(cells, train) if k is not None]
@@ -214,7 +210,6 @@ def fit_pipeline(
         identifier_columns=list(schema.identifier_columns()),
         feature_names=feature_names,
         target_name=target,
-        degenerate_columns=degenerate,
     )
 
     if knn_needed:

@@ -15,12 +15,12 @@ import numpy as np
 from .errors import SinkUnwritableError
 from .optimize import CRITICAL, ELEVATED, ROUTINE
 from .review import ReviewOutcome
-from .workflow import WorkflowReport
+from .workflow import ANOMALY, CLASSIFICATION, REGRESSION, WorkflowReport
 
 _TASK_DISPLAY = {
-    "classification": "Classification",
-    "regression": "Regression",
-    "anomaly_detection": "Anomaly Detection",
+    CLASSIFICATION: "Classification",
+    REGRESSION: "Regression",
+    ANOMALY: "Anomaly Detection",
 }
 
 _PREDICTION_HEAD = 50    # serialized prediction lists are capped at this many
@@ -34,8 +34,11 @@ def render_summary(
     report: WorkflowReport,
     model_result=None,
     review: ReviewOutcome | None = None,
+    failure: dict | None = None,
 ) -> str:
-    """Human-readable completion summary, section by section."""
+    """Human-readable completion summary, section by section. A failed
+    run's `failure` ({stage, reason, error}) is named in the completion
+    recap."""
     lines = [
         "INTELLIGENT SUMMARY",
         f"Dataset: {report.dataset_name or 'N/A'}",
@@ -80,9 +83,10 @@ def render_summary(
         f"Goal: {report.goal or 'N/A'}",
         f"Duration: {report.total_duration:.2f}s",
         f"Steps: {report.steps_succeeded}/{report.steps_total} succeeded ({percent:.1f}%)",
-        "",
-        "HITL INTERACTIONS",
     ]
+    if failure is not None:
+        lines.append(f"Failed: {failure['stage']} ({failure['reason']}): {failure['error']}")
+    lines += ["", "HITL INTERACTIONS"]
     if review is not None:
         lines.append(review.summary_line())
     for note in report.hitl_outcomes:

@@ -1,8 +1,9 @@
 """End-to-end workflow driver.
 
 The loop is plan, act, record: the planner (backed by a language model or
-the rule-based fallback) picks a tool, the matching agent runs with
-stage-level recovery, and the outcome lands in the workflow context.
+the rule-based fallback) picks a stage of `workflow.STAGES`, the runner's
+`_<stage>` method runs it with stage-level recovery, and the outcome lands
+in the workflow context.
 
 Stage recoveries: a model training failure triggers the next candidate, a
 preprocessing failure retries once with the simplified backup plan, the
@@ -33,7 +34,7 @@ from .errors import (
     PlannerGaveUpError, SinkUnwritableError,
 )
 from .models.iforest import valid_contamination
-from .orchestrator import TOOL_SEQUENCE, plan_next_step, slm_advise
+from .orchestrator import plan_next_step, slm_advise
 from .perception import flag_quality_issues, inspect_frame, load_csv
 from .preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
@@ -47,8 +48,8 @@ from .report import (
 )
 from .review import MODE_AUTO_APPROVE, MODE_INTERACTIVE, ReviewIO, review
 from .workflow import (
-    DEFAULT_TOOLS, FAILED, SUCCEEDED, StepRecord, WorkflowContext,
-    WorkflowReport, add_insight, build_report, record_lesson, record_step,
+    FAILED, SUCCEEDED, TOOLS, StepRecord, WorkflowContext, WorkflowReport,
+    add_insight, build_report, record_lesson, record_step,
 )
 
 logger = logging.getLogger(__name__)
@@ -155,14 +156,7 @@ class WorkflowRunner:
     def run(self) -> WorkflowReport:
         config = self.config
         start = self.clock.now()
-        context = WorkflowContext(goal=GOAL, available_tools=DEFAULT_TOOLS)
-        dispatch = {
-            "load_and_inspect_data": self._load_and_inspect_data,
-            "preprocess_data": self._preprocess_data,
-            "analyze_data": self._analyze_data,
-            "generate_recommendations": self._generate_recommendations,
-            "summarize": self._summarize,
-        }
+        context = WorkflowContext(goal=GOAL)
 
         def audit_decision(event, payload):
             self.audit.append("orchestrator", event, payload)
@@ -180,14 +174,14 @@ class WorkflowRunner:
             )
             if decision.finish:
                 succeeded = context.succeeded_tools()
-                if error is None and "summarize" not in succeeded:
-                    stage = next(t for t in TOOL_SEQUENCE if t not in succeeded)
+                if error is None and TOOLS[-1] not in succeeded:
+                    stage = next(t for t in TOOLS if t not in succeeded)
                     error = PlannerGaveUpError(
                         stage, f"the planner finished before {stage}: {decision.reason}")
                 break
             step_start = self.clock.now()
             try:
-                summary, insights = dispatch[decision.tool]()
+                summary, insights = getattr(self, f"_{decision.tool}")()
                 error = None
                 record = StepRecord(
                     tool_name=decision.tool, outcome=SUCCEEDED,
@@ -331,7 +325,10 @@ class WorkflowRunner:
             self.audit.append("preprocessing", "backup_plan_engaged", {
                 "error": str(exc),
             })
-            art.plan = simplified_backup_plan(art.metadata, art.schema)
+            art.plan = mark_removed(
+                simplified_backup_plan(art.metadata, art.schema),
+                art.feature_report.removed,
+            )
             art.pipeline = fit_pipeline(art.frame, art.plan, art.schema, art.train_rows)
 
         art.X_train, _, art.y_train = apply_pipeline(
@@ -619,7 +616,8 @@ class WorkflowRunner:
             logger.info("Detailed results saved to: %s", art.detailed_results_path)
         except SinkUnwritableError as exc:
             logger.warning("could not persist results: %s", exc)
-        art.summary_text = render_summary(art.report, best, art.review_outcome)
+        art.summary_text = render_summary(
+            art.report, best, art.review_outcome, art.failure)
         for line in art.summary_text.splitlines():
             logger.info(line)
         return art.report

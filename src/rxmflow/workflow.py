@@ -1,7 +1,16 @@
-"""Shared workflow state: goal, tool registry, step history, insights, lessons.
+"""Shared workflow state: the stage table, task names, step history,
+insights and lessons.
 
-Contexts are immutable; every operation returns a new context so a run can be
-replayed as a pure fold over its step records.
+`STAGES` is the one list of the workflow's stages, in order. Each row is
+(name, prompt description, rule-based reason): the planner prompt lists the
+descriptions, the rule-based planner walks the rows and gives their
+reasons, a planner reply must name a row, and the runner runs a stage by
+calling its `_<name>` method. Adding a stage is one row here plus one
+runner method.
+
+Contexts are immutable; every operation returns a new context so a run can
+be replayed as a pure fold over its step records. The step index and the
+error context are read from the step history, never stored beside it.
 """
 
 from __future__ import annotations
@@ -13,19 +22,35 @@ from .errors import UnknownToolError
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 
-# Canonical tool registry for the five-step maintenance workflow.
-DEFAULT_TOOLS: tuple[tuple[str, str], ...] = (
+CLASSIFICATION = "classification"
+REGRESSION = "regression"
+ANOMALY = "anomaly_detection"
+SUPERVISED = (CLASSIFICATION, REGRESSION)
+TASKS = SUPERVISED + (ANOMALY,)
+
+# (name, prompt description, rule-based reason), in workflow order
+STAGES: tuple[tuple[str, str, str], ...] = (
     ("load_and_inspect_data",
-     "Load the CSV dataset, profile its columns, and flag quality issues."),
+     "Load the CSV dataset, profile its columns, and flag quality issues.",
+     "No data is loaded yet; the workflow starts by loading and "
+     "inspecting the dataset."),
     ("preprocess_data",
-     "Discover the schema, analyze features, and fit a leakage-safe transform pipeline."),
+     "Discover the schema, analyze features, and fit a leakage-safe transform pipeline.",
+     "The data is inspected; it must be prepared through imputation, "
+     "scaling, encoding, and feature selection before analysis."),
     ("analyze_data",
-     "Select candidate models, train and evaluate them, and adapt if performance is low."),
+     "Select candidate models, train and evaluate them, and adapt if performance is low.",
+     "A fitted pipeline is ready; train and evaluate candidate models."),
     ("generate_recommendations",
-     "Convert model output into ranked prescriptive maintenance recommendations."),
+     "Convert model output into ranked prescriptive maintenance recommendations.",
+     "A model is trained; convert its predictions into ranked "
+     "maintenance recommendations."),
     ("summarize",
-     "Run the human review gate, persist results, and render the final summary."),
+     "Run the human review gate, persist results, and render the final summary.",
+     "Recommendations are ready; run the review gate and produce the "
+     "final summary."),
 )
+TOOLS = tuple(name for name, _, _ in STAGES)
 
 
 @dataclass(frozen=True)
@@ -46,35 +71,31 @@ class StepRecord:
 @dataclass(frozen=True)
 class WorkflowContext:
     goal: str
-    available_tools: tuple[tuple[str, str], ...] = DEFAULT_TOOLS
     step_history: tuple[StepRecord, ...] = ()
-    current_step_index: int = 0
     performance_insights: tuple[str, ...] = ()
     lessons_learned: tuple[str, ...] = ()
-    error_context: str | None = None
 
-    def tool_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.available_tools)
+    @property
+    def current_step_index(self) -> int:
+        return len(self.step_history)
+
+    @property
+    def error_context(self) -> str | None:
+        """The last step's error when it failed; a later success clears it,
+        so planner prompts do not resurface a stale error."""
+        if self.step_history and self.step_history[-1].outcome == FAILED:
+            return self.step_history[-1].error
+        return None
 
     def succeeded_tools(self) -> set[str]:
         return {r.tool_name for r in self.step_history if r.outcome == SUCCEEDED}
 
 
 def record_step(context: WorkflowContext, record: StepRecord) -> WorkflowContext:
-    """Append a step record, advancing the step index.
-
-    A failed step sets error_context to its error; a succeeding step clears
-    any stale error so later planner prompts do not resurface it.
-    """
-    if record.tool_name not in context.tool_names():
+    """Append a step record; its tool must be a row of STAGES."""
+    if record.tool_name not in TOOLS:
         raise UnknownToolError(f"tool {record.tool_name!r} is not registered")
-    error = record.error if record.outcome == FAILED else None
-    return replace(
-        context,
-        step_history=context.step_history + (record,),
-        current_step_index=context.current_step_index + 1,
-        error_context=error,
-    )
+    return replace(context, step_history=context.step_history + (record,))
 
 
 def record_lesson(context: WorkflowContext, failure_pattern: str) -> WorkflowContext:

@@ -42,7 +42,6 @@ def make_metadata(profiles, n_rows=100, memory_bytes=1024) -> DatasetMetadata:
         n_cols=len(profiles),
         profiles=list(profiles),
         estimated_memory_bytes=memory_bytes,
-        preview=[],
     )
 
 

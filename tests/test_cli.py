@@ -205,3 +205,18 @@ def test_a_planner_that_gives_up_exits_one(csv_path, tmp_path, done, stage):
     assert (failure["stage"], failure["reason"]) == (stage, "PlannerGaveUpError")
     assert failure["error"] == f"the planner finished before {stage}: enough"
     assert not list(logs.glob("recommendations_*.json"))
+
+
+def test_a_planner_that_gives_up_prints_its_failure(csv_path, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([
+        json.dumps({"tool": "load_and_inspect_data", "finish": False, "reason": "load"}),
+        json.dumps({"tool": "", "finish": True, "reason": "enough"}),
+    ]))
+    code = main(["--data", csv_path, "--backend", f"scripted:{script}",
+                 "--auto-approve", "--log-dir", str(tmp_path / "logs")])
+    assert code == 1
+    out = capsys.readouterr().out
+    recap = out[out.index("WORKFLOW COMPLETION RECAP"):out.index("HITL INTERACTIONS")]
+    assert ("Failed: preprocess_data (PlannerGaveUpError): "
+            "the planner finished before preprocess_data: enough") in recap.splitlines()

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from rxmflow.backends import ScriptedBackend
 from rxmflow.errors import DecisionParseError
 from rxmflow.orchestrator import (
-    PROVENANCE_LLM, PROVENANCE_RULE, TOOL_SEQUENCE,
+    PROVENANCE_LLM, PROVENANCE_RULE,
     build_prompt, parse_decision, plan_next_step, rule_based_next, slm_advise,
 )
 from rxmflow.workflow import (
-    DEFAULT_TOOLS, FAILED, SUCCEEDED, StepRecord, WorkflowContext,
+    FAILED, SUCCEEDED, TOOLS, StepRecord, WorkflowContext,
     add_insight, record_lesson, record_step,
 )
 
 from conftest import UnavailableBackend
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
-TOOLS = [name for name, _ in DEFAULT_TOOLS]
 
 
 def fresh(goal="Generate prioritized maintenance recommendations from the dataset"):
@@ -91,7 +90,7 @@ def test_prompt_section_order():
 
 def test_parse_plain_decision():
     raw = '{"tool":"preprocess_data","finish":false,"reason":"data must be prepared"}'
-    decision = parse_decision(raw, TOOLS)
+    decision = parse_decision(raw)
     assert decision.tool == "preprocess_data"
     assert decision.finish is False
     assert decision.reason == "data must be prepared"
@@ -99,58 +98,58 @@ def test_parse_plain_decision():
 
 def test_parse_prose_wrapped_json():
     raw = 'Sure! Here you go: {"tool":"analyze_data","finish":false,"reason":"next"} hope it helps'
-    assert parse_decision(raw, TOOLS).tool == "analyze_data"
+    assert parse_decision(raw).tool == "analyze_data"
 
 
 def test_parse_skips_broken_object_and_finds_valid_one():
     raw = '{"tool": oops} then {"tool":"summarize","finish":false,"reason":"wrap up"}'
-    assert parse_decision(raw, TOOLS).tool == "summarize"
+    assert parse_decision(raw).tool == "summarize"
 
 
 def test_parse_missing_key():
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision('{"finish":false,"reason":"x"}', TOOLS)
+        parse_decision('{"finish":false,"reason":"x"}')
     assert excinfo.value.code == "missing_key"
     assert "tool" in excinfo.value.detail
 
 
 def test_parse_bad_types():
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision('{"tool":"summarize","finish":"false","reason":"x"}', TOOLS)
+        parse_decision('{"tool":"summarize","finish":"false","reason":"x"}')
     assert excinfo.value.code == "bad_type"
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision('{"tool":"summarize","finish":false,"reason":""}', TOOLS)
+        parse_decision('{"tool":"summarize","finish":false,"reason":""}')
     assert excinfo.value.code == "bad_type"
 
 
 def test_parse_unknown_tool():
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision('{"tool":"launch_rockets","finish":false,"reason":"x"}', TOOLS)
+        parse_decision('{"tool":"launch_rockets","finish":false,"reason":"x"}')
     assert excinfo.value.code == "unknown_tool"
 
 
 def test_parse_no_json():
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision("I think we should preprocess the data next.", TOOLS)
+        parse_decision("I think we should preprocess the data next.")
     assert excinfo.value.code == "no_json"
 
 
 def test_parse_finish_clears_tool():
     decision = parse_decision(
-        '{"tool":"summarize","finish":true,"reason":"all done"}', TOOLS)
+        '{"tool":"summarize","finish":true,"reason":"all done"}')
     assert decision.finish is True
     assert decision.tool == ""
 
 
 def test_parse_handles_braces_inside_strings():
     raw = '{"tool":"summarize","finish":false,"reason":"render {recap} now"}'
-    assert parse_decision(raw, TOOLS).reason == "render {recap} now"
+    assert parse_decision(raw).reason == "render {recap} now"
 
 
 @given(st.text(max_size=300))
 def test_parse_is_total_on_arbitrary_text(raw):
     try:
-        decision = parse_decision(raw, TOOLS)
+        decision = parse_decision(raw)
         assert decision.finish or decision.tool in TOOLS
     except DecisionParseError as exc:
         assert exc.code in {"no_json", "missing_key", "bad_type", "unknown_tool"}
@@ -184,7 +183,7 @@ def planner_replies(draw):
 @given(planner_replies())
 def test_parse_raises_nothing_but_a_parse_error(raw):
     try:
-        decision = parse_decision(raw, TOOLS)
+        decision = parse_decision(raw)
     except DecisionParseError as exc:
         assert exc.code in {"no_json", "missing_key", "bad_type", "unknown_tool"}
     else:
@@ -193,9 +192,9 @@ def test_parse_raises_nothing_but_a_parse_error(raw):
 
 def test_parse_treats_a_too_deep_object_as_unparseable():
     with pytest.raises(DecisionParseError) as excinfo:
-        parse_decision(DEEP, TOOLS)
+        parse_decision(DEEP)
     assert excinfo.value.code == "no_json"
-    assert parse_decision(DEEP + " " + good(), TOOLS).tool == "load_and_inspect_data"
+    assert parse_decision(DEEP + " " + good()).tool == "load_and_inspect_data"
 
 
 def test_too_deep_reply_is_a_retryable_parse_failure():
@@ -220,7 +219,7 @@ def test_rule_sequence_advances_past_succeeded():
 
 def test_rule_sequence_finishes_after_all_five():
     context = fresh()
-    for tool in TOOL_SEQUENCE:
+    for tool in TOOLS:
         context = succeeded(context, tool)
     decision = rule_based_next(context)
     assert decision.finish is True and decision.tool == ""
@@ -246,8 +245,8 @@ def test_rule_sequence_visits_each_tool_at_most_twice():
             break
         seen.append(decision.tool)
         context = failed(context, decision.tool, "always fails")
-    assert len(seen) <= 2 * len(TOOL_SEQUENCE)
-    assert max(seen.count(t) for t in TOOL_SEQUENCE) <= 2
+    assert len(seen) <= 2 * len(TOOLS)
+    assert max(seen.count(t) for t in TOOLS) <= 2
 
 
 # -------------------------------------------------------------- plan_next_step

@@ -168,14 +168,6 @@ def test_numeric_stats_match_two_pass_oracle(rng):
     assert profile.missing_count + len(values) == frame.n_rows
 
 
-def test_preview_is_verbatim():
-    frame = make_frame({"a": [1.0, 2.0, 3.0], "b": ["x", None, "z"]})
-    metadata = inspect_frame(frame)
-    assert metadata.preview == [[1.0, "x"], [2.0, None], [3.0, None]] or \
-        metadata.preview == [frame.row(i) for i in range(3)]
-    assert metadata.preview[1] == [2.0, None]
-
-
 def test_stray_token_in_numeric_column_degrades_to_missing():
     cells = [float(i) for i in range(99)] + ["bad"]
     frame = make_frame({"x": cells})

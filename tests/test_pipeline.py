@@ -154,7 +154,7 @@ def test_degenerate_column_spread_replaced_by_one():
     fit = pipeline.column_fits[0]
     assert fit.spread == 1.0
     assert fit.degenerate
-    assert "x" in pipeline.degenerate_columns
+    assert [f.name for f in pipeline.column_fits if f.degenerate] == ["x"]
 
 
 def test_empty_train_set_rejected():

@@ -98,6 +98,19 @@ def test_regression_summary_shows_r2():
     assert "LinearRegression" in text
 
 
+def test_failure_is_named_in_the_completion_recap():
+    failure = {"stage": "analyze_data", "reason": "AllModelsFailedError",
+               "error": "every candidate failed to train"}
+    report = reference_report(steps_succeeded=2, steps_total=4)
+    lines = render_summary(report, None, None, failure).splitlines()
+    recap = lines.index("WORKFLOW COMPLETION RECAP")
+    assert lines[recap + 4] == (
+        "Failed: analyze_data (AllModelsFailedError): every candidate failed to train")
+    assert lines[recap + 5:recap + 7] == ["", "HITL INTERACTIONS"]
+    assert not any(line.startswith("Failed:") for line in
+                   render_summary(report, None, None).splitlines())
+
+
 def test_render_summary_is_pure():
     args = (reference_report(), forest_result(), ReviewOutcome("approved", 10, 10))
     assert render_summary(*args) == render_summary(*args)

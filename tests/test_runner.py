@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from rxmflow import analytics
+from rxmflow import runner as runner_module
 from rxmflow.backends import ScriptedBackend
 from rxmflow.clocks import TickClock
 from rxmflow.errors import DataLoadError
 from rxmflow.preprocess import features
+from rxmflow.preprocess.plan import ENCODE_DROP
 from rxmflow.review import ReviewIO
 from rxmflow.runner import (
     EXIT_DATA_ERROR, EXIT_OK, EXIT_REJECTED, WorkflowConfig, WorkflowRunner,
@@ -177,6 +179,30 @@ def test_stray_text_in_a_regression_target_is_dropped_as_missing(tmp_path):
     [dropped] = [r["payload"] for r in _audit_records(artifacts)
                  if r["event"] == "rows_dropped_missing_target"]
     assert dropped == {"dropped": 5}
+
+
+def test_backup_plan_keeps_the_feature_analysis_removals(tmp_path, monkeypatch):
+    frame = maintenance_frame(n_rows=300, seed=7)
+    frame.column_names.append("Const")
+    frame.columns.append([3.0] * frame.n_rows)
+    path = tmp_path / "const.csv"
+    write_csv(frame, path)
+    real_fit = runner_module.fit_pipeline
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("first fit fails")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "fit_pipeline", fail_once)
+    report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    assert report.steps_succeeded == 5
+    assert len(calls) == 2
+    assert ("Const", features.REASON_CONSTANT) in artifacts.feature_report.removed
+    assert artifacts.plan.directives["Const"].encoding == ENCODE_DROP
+    assert "Const" not in artifacts.pipeline.feature_names
 
 
 def test_rejected_review_withholds_actions_and_sets_exit_code(

@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from rxmflow.errors import UnknownToolError
 from rxmflow.workflow import (
-    DEFAULT_TOOLS, FAILED, SUCCEEDED, StepRecord, WorkflowContext,
+    FAILED, SUCCEEDED, TOOLS, StepRecord, WorkflowContext,
     build_report, record_lesson, record_step,
 )
-
-TOOL_NAMES = [name for name, _ in DEFAULT_TOOLS]
 
 
 def ctx(**kwargs):
@@ -28,7 +26,7 @@ def test_record_step_counts_from_empty():
 
 def test_five_succeeded_steps_make_report_ready_context():
     context = ctx()
-    for tool in TOOL_NAMES:
+    for tool in TOOLS:
         context = record_step(context, ok(tool))
     assert context.current_step_index == 5
     report = build_report(context, total_duration=39.94)
@@ -73,7 +71,7 @@ def test_record_lesson_rejects_empty():
 
 @st.composite
 def step_records(draw):
-    tool = draw(st.sampled_from(TOOL_NAMES))
+    tool = draw(st.sampled_from(TOOLS))
     failed = draw(st.booleans())
     return StepRecord(
         tool_name=tool,
