@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Replay a fixed set of deterministic runs and print a digest of each output.
+
+Usage (from the repository root):
+
+    python3 scripts/replay.py [CASE ...]
+
+Each case writes a small generated CSV and runs the workflow in-process
+under `TickClock` with a fixed seed and auto-approval. For every case the
+script prints four lines, `<case> <output> <sha256>`, one for each of the
+audit log, the detailed results, the recommendations file and the printed
+summary; a file the run did not write reads `absent`. With no CASE every
+case runs, in the order of `CASES`.
+
+A change that must keep behaviour runs this in a checkout of the parent
+commit and in the change, and diffs the two outputs: equal lines mean
+byte-identical files. The cases cover the three tasks under the rule
+planner and under scripted planners (one malformed reply that completes,
+and malformed replies with a planner that gives up after preprocessing),
+a gapped table that drives kNN imputation, adaptive search on noisy
+classification and regression, `include_routine`, a step cap, a target
+with a one-row class, a planner that gives up before any step, and two
+runs whose first pipeline fit fails so the backup plan engages.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rxmflow import runner  # noqa: E402
+from rxmflow.backends import ScriptedBackend  # noqa: E402
+from rxmflow.clocks import TickClock  # noqa: E402
+from rxmflow.perception import DatasetFrame  # noqa: E402
+from rxmflow.synth import (  # noqa: E402
+    failure_frame, maintenance_frame, network_frame, write_csv,
+)
+from rxmflow.workflow import ANOMALY, TOOLS  # noqa: E402
+
+SEED = 3
+OUTPUTS = ("audit", "detailed_results", "recommendations")
+
+
+def _decision(tool: str) -> str:
+    return json.dumps({"tool": tool, "finish": False, "reason": f"next: {tool}"})
+
+
+FINISH = json.dumps({"tool": "", "finish": True, "reason": "done"})
+MALFORMED = "I would start by loading the data."
+
+
+def completes():
+    """One malformed reply, then every stage in order, then finish."""
+    return [MALFORMED, *map(_decision, TOOLS), FINISH]
+
+
+def gives_up():
+    """Malformed replies around the first two stages, then finish."""
+    return [_decision(TOOLS[0]), MALFORMED, _decision(TOOLS[1]), MALFORMED, FINISH]
+
+
+def gives_up_at_start():
+    return [FINISH]
+
+
+def maintenance():
+    return maintenance_frame(n_rows=400, seed=7)
+
+
+def failure():
+    return failure_frame(n_rows=600, seed=11)
+
+
+def network():
+    return network_frame(n_rows=800, seed=13, n_outliers=8)
+
+
+def noisy_maintenance():
+    return maintenance_frame(n_rows=400, seed=7, noise=3.0, margin=0.0)
+
+
+def noisy_failure():
+    return failure_frame(n_rows=600, seed=11, noise=5.0)
+
+
+def gapped():
+    """failure() with six columns 30% blank (kNN) and one 15% blank (median)."""
+    frame = failure()
+    rng = np.random.default_rng([11, 1])
+    knn = ("Pressure", "Acoustic_Level", "Inspection_Duration",
+           "Technician_Available", "Downtime_Cost", "Energy_Consumption")
+    for name, share in [*((c, 0.30) for c in knn), ("Temperature", 0.15)]:
+        cells = frame.column(name)
+        for i in rng.choice(frame.n_rows, size=round(share * frame.n_rows), replace=False):
+            cells[int(i)] = None
+    return frame
+
+
+def one_row_class():
+    """An id, two readings and a priority label with a one-row class."""
+    gen = np.random.default_rng(0)
+    labels = ["Low"] * 99 + ["High"] * 100 + ["Medium"]
+    n = len(labels)
+    return DatasetFrame(
+        column_names=["Machine_ID", "temperature", "vibration", "Maintenance_Priority"],
+        columns=[
+            [f"M{i:04d}" for i in range(n)],
+            np.round(gen.normal(60.0, 5.0, n), 3).tolist(),
+            np.round(gen.normal(1.0, 0.2, n), 3).tolist(),
+            labels,
+        ],
+        n_rows=n,
+    )
+
+
+def with_constant():
+    frame = maintenance_frame(n_rows=300, seed=7)
+    frame.column_names.append("Const")
+    frame.columns.append([3.0] * frame.n_rows)
+    return frame
+
+
+ANOMALY_RUN = {"task": ANOMALY, "contamination": 0.02}
+
+# name -> (frame, config options, planner script or None, force the backup plan)
+CASES = {
+    "classify_rule": (maintenance, {}, None, False),
+    "regress_rule": (failure, {}, None, False),
+    "anomaly_rule": (network, ANOMALY_RUN, None, False),
+    "classify_scripted": (maintenance, {}, completes, False),
+    "regress_scripted": (failure, {}, completes, False),
+    "anomaly_scripted": (network, ANOMALY_RUN, completes, False),
+    "classify_gives_up": (maintenance, {}, gives_up, False),
+    "regress_gives_up": (failure, {}, gives_up, False),
+    "anomaly_gives_up": (network, ANOMALY_RUN, gives_up, False),
+    "gapped_knn_scripted": (gapped, {}, completes, False),
+    "classify_adaptive": (noisy_maintenance, {}, None, False),
+    "regress_adaptive": (noisy_failure, {}, None, False),
+    "classify_routine": (maintenance, {"include_routine": True}, None, False),
+    "regress_routine": (failure, {"include_routine": True}, None, False),
+    "max_steps_3": (maintenance, {"max_steps": 3}, None, False),
+    "one_row_class": (one_row_class, {}, None, False),
+    "gives_up_at_start": (maintenance, {}, gives_up_at_start, False),
+    "backup_constant": (with_constant, {}, None, True),
+    "backup_gapped_knn": (gapped, {}, None, True),
+}
+
+
+@contextlib.contextmanager
+def first_fit_fails():
+    """Make the runner's first fit_pipeline call raise, so the backup plan engages."""
+    real_fit = runner.fit_pipeline
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("first fit fails")
+        return real_fit(*args, **kwargs)
+
+    runner.fit_pipeline = fail_once
+    try:
+        yield
+    finally:
+        runner.fit_pipeline = real_fit
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def replay(name: str) -> dict[str, str]:
+    """{output: sha256 or "absent"} of one case's run."""
+    frame, options, script, force_backup = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.csv"
+        write_csv(frame(), path)
+        config = runner.WorkflowConfig(
+            data_path=str(path), seed=SEED, auto_approve=True,
+            log_dir=str(Path(tmp) / "logs"), **options,
+        )
+        backend = ScriptedBackend(script()) if script else None
+        with first_fit_fails() if force_backup else contextlib.nullcontext():
+            _, artifacts = runner.run_workflow(config, backend=backend, clock=TickClock())
+        digests = {}
+        for output in OUTPUTS:
+            files = sorted((Path(tmp) / "logs").glob(f"{output}_*"))
+            digests[output] = (
+                _digest(b"".join(f.read_bytes() for f in files)) if files else "absent")
+        digests["summary"] = _digest(artifacts.summary_text.encode())
+    return digests
+
+
+def main(argv=None) -> int:
+    names = list(sys.argv[1:] if argv is None else argv) or list(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        for output, digest in replay(name).items():
+            print(f"{name} {output} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,9 +5,13 @@ Mutual information uses the plug-in estimator in nats on a contingency
 table, with continuous variables discretized into 10 equal-frequency bins.
 Redundant pairs (|r| above the cutoff) lose the member with lower MI
 against the target; with no target, or on a tie, the later column goes.
-Forest importances are advisory only and never a removal criterion. The
-advisory forest is fitted on the first read of `FeatureReport.importances`,
-so a run whose selected model has importances of its own never fits it.
+A column is constant when it holds at most one distinct value, and with
+no target a categorical column with more than HIGH_CARDINALITY distinct
+values is removed; both counts are read from perception's profile, not
+from another scan of the cells. Forest importances are advisory only and
+never a removal criterion. The advisory forest is fitted on the first read
+of `FeatureReport.importances`, so a run whose selected model has
+importances of its own never fits it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import numpy as np
 
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
-from ..perception import DatasetFrame, float_cells
+from ..perception import DatasetFrame, DatasetMetadata, float_cells
 from ..workflow import CLASSIFICATION, SUPERVISED
 from .pipeline import most_frequent
 from .plan import HIGH_CARDINALITY
-from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
+from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap, target_rows
 
 REASON_CONSTANT = "constant"
 REASON_REDUNDANT = "redundant"
@@ -89,24 +93,6 @@ def mutual_information(x_codes: np.ndarray, y_codes: np.ndarray) -> float:
     return float(np.sum(joint[mask] * np.log(joint[mask] / np.outer(px, py)[mask])))
 
 
-def _is_constant(cells: list) -> bool:
-    """At most one distinct text among the non-missing cells.
-
-    Stops at the first text that differs from the first one, so a varying
-    column costs a few `str` calls, not one per cell.
-    """
-    first = None
-    for cell in cells:
-        if cell is None:
-            continue
-        text = str(cell)
-        if first is None:
-            first = text
-        elif text != first:
-            return False
-    return True
-
-
 def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.ndarray:
     """Per-row codes of one column, -1 where a cell is missing.
 
@@ -126,13 +112,10 @@ def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.n
 
 
 def _advisory_importances(frame, kept, schema, task, seed):
-    """25-tree depth-8 forest on a 50% row subsample; advisory only. As in
-    the run's split, a regression target keeps only its float cells."""
-    target = schema.chosen_target
-    target_cells = frame.column(target)
-    classify = task == CLASSIFICATION
-    kept_kind = (float, str) if classify else float
-    usable_rows = [i for i, c in enumerate(target_cells) if isinstance(c, kept_kind)]
+    """25-tree depth-8 forest on a 50% subsample of the target rows the
+    run's split also uses; advisory only."""
+    target_cells = frame.column(schema.chosen_target)
+    usable_rows = target_rows(target_cells, task)
     if len(usable_rows) < 10:
         return None
 
@@ -160,7 +143,7 @@ def _advisory_importances(frame, kept, schema, task, seed):
     take = min(take, len(usable_rows))
     sub = rng.choice(len(usable_rows), size=take, replace=False)
 
-    if classify:
+    if task == CLASSIFICATION:
         model, y = RandomForestClassifier, np.array([str(v) for v in y_raw])
     else:
         model, y = RandomForestRegressor, np.array(y_raw, dtype=float)
@@ -171,14 +154,17 @@ def _advisory_importances(frame, kept, schema, task, seed):
 
 
 def analyze_features(
-    frame: DatasetFrame, schema: SchemaMap, task: str, seed: int = 0,
+    frame: DatasetFrame, metadata: DatasetMetadata, schema: SchemaMap,
+    task: str, seed: int = 0,
 ) -> FeatureReport:
     """Partition features into kept and removed with full evidence.
 
-    `task` is the run's task. The advisory forest is deferred to the first
-    read of the report's importances, and kept only for a classification or
-    regression task with a target; an anomaly run that still names a target
-    reads None.
+    `metadata` is perception's profile of the same frame, and `task` is
+    the run's task. Raises NoFeaturesError when the schema has no feature
+    column or every feature column is removed. The advisory forest is
+    deferred to the first read of the report's importances, and kept only
+    for a classification or regression task with a target; an anomaly run
+    that still names a target reads None.
     """
     features = [c for c in frame.column_names if c in schema.feature_columns()]
     if not features:
@@ -188,7 +174,7 @@ def analyze_features(
     removed: dict[str, str] = {}
 
     for name in features:
-        if _is_constant(frame.column(name)):
+        if metadata.profile(name).unique_count <= 1:
             removed[name] = REASON_CONSTANT
 
     numeric = [
@@ -238,14 +224,15 @@ def analyze_features(
         for name in features:
             if name in removed or schema.roles[name] != FEATURE_CATEGORICAL:
                 continue
-            distinct = {str(c) for c in frame.column(name) if c is not None}
-            if len(distinct) > HIGH_CARDINALITY:
+            if metadata.profile(name).unique_count > HIGH_CARDINALITY:
                 removed[name] = REASON_HIGH_CARDINALITY
 
     report.removed = [(name, removed[name]) for name in features if name in removed]
     report.kept = [name for name in features if name not in removed]
+    if not report.kept:
+        raise NoFeaturesError("feature analysis removed every feature column")
 
-    if task in SUPERVISED and target is not None and report.kept:
+    if task in SUPERVISED and target is not None:
         report.fit_importances = partial(
             _advisory_importances, frame, tuple(report.kept), schema, task, seed)
     return report

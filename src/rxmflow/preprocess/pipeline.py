@@ -213,7 +213,7 @@ def fit_pipeline(
     )
 
     if knn_needed:
-        _fit_knn_store(pipeline, frame, schema, plan, train)
+        _fit_knn_store(pipeline, frame, train)
     return pipeline
 
 
@@ -235,13 +235,8 @@ def _target_codes(frame, target, train) -> dict[int, float]:
     }
 
 
-def _fit_knn_store(pipeline, frame, schema, plan, train):
-    numeric_cols = [
-        name for name in frame.column_names
-        if schema.roles.get(name) == FEATURE_NUMERIC
-        and plan.directives.get(name) is not None
-        and plan.directives[name].encoding != ENCODE_DROP
-    ]
+def _fit_knn_store(pipeline, frame, train):
+    numeric_cols = [fit.name for fit in pipeline.column_fits if fit.numeric]
     params = []
     scaled = np.full((len(train), len(numeric_cols)), np.nan)
     for j, name in enumerate(numeric_cols):

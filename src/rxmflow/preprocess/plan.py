@@ -14,6 +14,13 @@ Rule table, per column:
   identifiers                    -> passthrough everywhere
   the target column              -> excluded from every directive
 
+Backup plan, derived from the plan above after a preprocessing failure:
+  knn or median / most_frequent  -> median (numeric) / most_frequent
+                                    (categorical)
+  any scaling                    -> standard scaling
+  target encoding                -> dropped (high cardinality)
+  drop and identifier directives -> carried over, as are the advisory notes
+
 Both missingness interval boundaries are closed on the median path. knn on
 a categorical column imputes the mode of the neighbors instead of the mean.
 """
@@ -163,45 +170,32 @@ def mark_removed(plan: PreprocessPlan, removed: list[tuple[str, str]]) -> Prepro
     return plan
 
 
-def simplified_backup_plan(metadata: DatasetMetadata, schema: SchemaMap) -> PreprocessPlan:
-    """Backup strategy after a preprocessing failure: median/most_frequent
-    imputation, standard scaling, and high-cardinality columns dropped."""
+def simplified_backup_plan(plan: PreprocessPlan, schema: SchemaMap) -> PreprocessPlan:
+    """Backup strategy after a preprocessing failure, derived from the plan
+    that failed: its knn and median imputation become median (numeric) or
+    most-frequent (categorical), every numeric feature is standard-scaled,
+    and a target-encoded column is dropped. Dropped and identifier
+    directives and the advisory notes carry over."""
     directives: dict[str, ColumnDirective] = {}
-    for profile in metadata.profiles:
-        name = profile.name
+    for name, directive in plan.directives.items():
         role = schema.roles.get(name)
-        if name == schema.chosen_target:
-            continue
-        if role == IDENTIFIER:
-            directives[name] = ColumnDirective(
-                IMPUTE_NONE, SCALE_NONE, ENCODE_PASSTHROUGH,
-                "identifier, passed through unchanged",
-            )
-        elif role == FEATURE_NUMERIC:
-            imputation = IMPUTE_MEDIAN if profile.missing_pct > 0 else IMPUTE_NONE
-            directives[name] = ColumnDirective(
-                imputation, SCALE_STANDARD, ENCODE_PASSTHROUGH,
-                "backup plan: median imputation, standard scaling",
-            )
-        elif role == FEATURE_CATEGORICAL:
-            if profile.unique_count > HIGH_CARDINALITY:
-                directives[name] = ColumnDirective(
-                    IMPUTE_NONE, SCALE_NONE, ENCODE_DROP,
-                    "backup plan: high-cardinality column dropped",
-                )
-            else:
-                imputation = (
-                    IMPUTE_MOST_FREQUENT if profile.missing_pct > 0 else IMPUTE_NONE
-                )
-                directives[name] = ColumnDirective(
-                    imputation, SCALE_NONE, ENCODE_ONE_HOT,
-                    "backup plan: most-frequent imputation, one-hot",
-                )
-        else:
+        gap = directive.imputation != IMPUTE_NONE
+        if directive.encoding == ENCODE_DROP or role == IDENTIFIER:
+            directives[name] = directive
+        elif directive.encoding == ENCODE_TARGET:
             directives[name] = ColumnDirective(
                 IMPUTE_NONE, SCALE_NONE, ENCODE_DROP,
-                f"role {role}, excluded from the feature matrix",
+                "backup plan: high-cardinality column dropped",
             )
-    plan = PreprocessPlan(directives=directives)
-    plan.advisory_notes.append("simplified backup plan in effect")
-    return plan
+        elif role == FEATURE_NUMERIC:
+            directives[name] = ColumnDirective(
+                IMPUTE_MEDIAN if gap else IMPUTE_NONE, SCALE_STANDARD, ENCODE_PASSTHROUGH,
+                "backup plan: median imputation, standard scaling",
+            )
+        else:
+            directives[name] = ColumnDirective(
+                IMPUTE_MOST_FREQUENT if gap else IMPUTE_NONE, SCALE_NONE, ENCODE_ONE_HOT,
+                "backup plan: most-frequent imputation, one-hot",
+            )
+    return PreprocessPlan(
+        directives, [*plan.advisory_notes, "simplified backup plan in effect"])

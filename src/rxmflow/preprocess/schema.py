@@ -9,7 +9,8 @@ model.
 Date parsing is not repeated here: a column is a timestamp when the date
 share on its perception profile reaches the schema's own cutoff, which is
 lower than perception's, so a column perception calls categorical can
-still hold timestamps.
+still hold timestamps, and a column perception types as datetime always
+meets the cutoff.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass, field
 
 from ..errors import AmbiguousTargetError
 from ..perception import (
-    CATEGORICAL, CONSTANT, DATETIME, NUMERIC,
+    CATEGORICAL, CONSTANT, NUMERIC,
     DatasetFrame, DatasetMetadata, identifier_pattern, normalized_name,
 )
+from ..workflow import REGRESSION
 
 IDENTIFIER = "identifier"
 TIMESTAMP = "timestamp"
@@ -135,9 +137,6 @@ def discover_schema(
             else:
                 roles[name] = FEATURE_CATEGORICAL
             evidence[name] = "constant column, kept for the analysis stage to remove"
-        elif profile.inferred_dtype == DATETIME:
-            roles[name] = TIMESTAMP
-            evidence[name] = "cells parse as dates"
         else:
             roles[name] = FEATURE_CATEGORICAL
             evidence[name] = "categorical values"
@@ -153,6 +152,14 @@ def discover_schema(
         raise AmbiguousTargetError(candidates)
 
     return SchemaMap(roles=roles, chosen_target=chosen, evidence=evidence)
+
+
+def target_rows(cells: list, task: str) -> list[int]:
+    """The rows a supervised task learns from: those whose target cell is a
+    float or, for classification, text. Stray text in a regression target
+    is missing, as in any numeric column."""
+    kept = float if task == REGRESSION else (float, str)
+    return [i for i, cell in enumerate(cells) if isinstance(cell, kept)]
 
 
 def resolve_ambiguous_target(

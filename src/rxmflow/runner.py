@@ -41,7 +41,7 @@ from .preprocess import (
     fit_pipeline, simplified_backup_plan,
 )
 from .preprocess.plan import mark_removed
-from .preprocess.schema import resolve_ambiguous_target
+from .preprocess.schema import resolve_ambiguous_target, target_rows
 from .report import (
     emit_detailed_results, metrics_json, model_attempt_json, render_summary,
     write_recommendations,
@@ -278,9 +278,7 @@ class WorkflowRunner:
             rows = list(range(frame.n_rows))
             return rows, rows, rows
         cells = frame.column(target)
-        # stray text in a regression target is missing, as in any numeric column
-        kept = float if art.task == analytics.REGRESSION else (float, str)
-        usable = [i for i in range(frame.n_rows) if isinstance(cells[i], kept)]
+        usable = target_rows(cells, art.task)
         dropped = frame.n_rows - len(usable)
         if dropped:
             self.audit.append("preprocessing", "rows_dropped_missing_target", {
@@ -303,7 +301,7 @@ class WorkflowRunner:
             "task": art.task, "target": art.schema.chosen_target,
         })
         art.feature_report = analyze_features(
-            art.frame, art.schema, art.task, seed=config.seed,
+            art.frame, art.metadata, art.schema, art.task, seed=config.seed,
         )
         art.plan = mark_removed(
             decide_tools(art.metadata, art.schema), art.feature_report.removed,
@@ -325,18 +323,15 @@ class WorkflowRunner:
             self.audit.append("preprocessing", "backup_plan_engaged", {
                 "error": str(exc),
             })
-            art.plan = mark_removed(
-                simplified_backup_plan(art.metadata, art.schema),
-                art.feature_report.removed,
-            )
+            art.plan = simplified_backup_plan(art.plan, art.schema)
             art.pipeline = fit_pipeline(art.frame, art.plan, art.schema, art.train_rows)
 
-        art.X_train, _, art.y_train = apply_pipeline(
-            art.pipeline, art.frame, art.train_rows
-        )
-        art.X_test, identifiers, art.y_test = apply_pipeline(
-            art.pipeline, art.frame, art.test_rows
-        )
+        transformed = apply_pipeline(art.pipeline, art.frame, art.train_rows)
+        art.X_train, _, art.y_train = transformed
+        # an anomaly run tests on the rows it trains on: transform them once
+        if art.test_rows is not art.train_rows:
+            transformed = apply_pipeline(art.pipeline, art.frame, art.test_rows)
+        art.X_test, identifiers, art.y_test = transformed
         art.feature_names = art.pipeline.feature_names
         # machine ids: the first identifier column, else the row number
         primary = next(iter(identifiers.values()), [""] * len(art.test_rows))

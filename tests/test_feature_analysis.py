@@ -11,7 +11,7 @@ from rxmflow.perception import float_cells, inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    _is_constant, equal_frequency_bins, mutual_information, pearson,
+    equal_frequency_bins, mutual_information, pearson,
 )
 from rxmflow.synth import maintenance_frame
 
@@ -20,8 +20,8 @@ from conftest import make_frame
 
 def schema_and_frame(columns, target_hint=None):
     frame = make_frame(columns)
-    schema = discover_schema(frame, inspect_frame(frame), target_hint)
-    return frame, schema
+    metadata = inspect_frame(frame)
+    return frame, metadata, discover_schema(frame, metadata, target_hint)
 
 
 def brute_force_mi(x_codes, y_codes):
@@ -82,39 +82,33 @@ def test_pearson_matches_the_per_cell_reference(pairs):
     )
 
 
-@given(st.lists(st.one_of(
-    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]), st.none(),
-    st.sampled_from(["0.0", "-0.0", "a"]),
-), max_size=12))
-def test_constant_check_matches_the_distinct_text_set(cells):
-    assert _is_constant(cells) == (len({str(c) for c in cells if c is not None}) <= 1)
-
-
 def test_identical_columns_deduplicated():
     values = [float(i % 13) * 1.5 for i in range(60)]
     target = ["a" if v > 8 else "b" for v in values]
-    frame, schema = schema_and_frame({
+    frame, metadata, schema = schema_and_frame({
         "x1": values, "x2": list(values), "label": target,
     })
-    report = analyze_features(frame, schema, "classification")
+    report = analyze_features(frame, metadata, schema, "classification")
     assert report.pearson_correlations[("x1", "x2")] == pytest.approx(1.0)
     assert ("x2", REASON_REDUNDANT) in report.removed
     assert "x1" in report.kept
 
 
 def test_kept_and_removed_partition_features():
-    frame, schema = schema_and_frame({
+    frame, metadata, schema = schema_and_frame({
         "x1": [float(i) for i in range(40)],
         "x2": [float(i) for i in range(40)],
+        "x3": [0.5 * (i % 7) for i in range(40)],
         "const": [5.0] * 40,
         "label": ["a", "b"] * 20,
     })
-    report = analyze_features(frame, schema, "classification")
+    report = analyze_features(frame, metadata, schema, "classification")
     features = set(schema.feature_columns())
     removed = {name for name, _ in report.removed}
     assert set(report.kept) | removed == features
     assert set(report.kept) & removed == set()
     assert ("const", REASON_CONSTANT) in report.removed
+    assert "x3" in report.kept
 
 
 def test_mi_matches_brute_force_on_small_table(rng):
@@ -142,16 +136,18 @@ def test_equal_frequency_bins_are_balanced(rng):
 
 def test_clean_maintenance_frame_keeps_all_features():
     frame = maintenance_frame(n_rows=300)
-    schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema, "classification")
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata, "Maintenance_Priority")
+    report = analyze_features(frame, metadata, schema, "classification")
     assert len(report.kept) == 7
     assert report.removed == []
 
 
 def test_importances_present_with_target_and_favor_signal():
     frame = maintenance_frame(n_rows=500)
-    schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema, "classification", seed=3)
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata, "Maintenance_Priority")
+    report = analyze_features(frame, metadata, schema, "classification", seed=3)
     assert report.importances is not None
     top2 = sorted(report.importances, key=report.importances.get, reverse=True)[:2]
     assert set(top2) == {"Downtime_Cost", "Vibration"}
@@ -176,8 +172,9 @@ def forest_fits(monkeypatch):
 def test_advisory_forest_is_fitted_once_on_first_read(forest_fits):
     fits = forest_fits
     frame = maintenance_frame(n_rows=300)
-    schema = discover_schema(frame, inspect_frame(frame), "Maintenance_Priority")
-    report = analyze_features(frame, schema, "classification", seed=3)
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata, "Maintenance_Priority")
+    report = analyze_features(frame, metadata, schema, "classification", seed=3)
     assert fits == []
     first = report.importances
     assert fits == ["RandomForestClassifier"]
@@ -193,12 +190,12 @@ def test_advisory_forest_follows_the_run_task(forest_fits):
     wear = [float(i % 10) for i in range(n)]
     for i in (5, 40, 77):
         wear[i] = "n/a"
-    frame, schema = schema_and_frame({
+    frame, metadata, schema = schema_and_frame({
         "x1": [float(i % 10) + 0.1 * (i % 7) for i in range(n)],
         "x2": [float((i * 7) % 13) for i in range(n)],
         "wear_target": wear,
     }, target_hint="wear_target")
-    report = analyze_features(frame, schema, "regression", seed=3)
+    report = analyze_features(frame, metadata, schema, "regression", seed=3)
     assert set(report.importances) == {"x1", "x2"}
     assert forest_fits == ["RandomForestRegressor"]
 
@@ -208,35 +205,45 @@ def test_high_cardinality_removed_only_without_target():
         "cat": [f"c{i}" for i in range(60)] * 2,
         "x": [float(i % 10) for i in range(120)],
     }
-    frame, schema = schema_and_frame(dict(cells))
-    report = analyze_features(frame, schema, "anomaly_detection")
+    frame, metadata, schema = schema_and_frame(dict(cells))
+    report = analyze_features(frame, metadata, schema, "anomaly_detection")
     assert ("cat", REASON_HIGH_CARDINALITY) in report.removed
 
     with_target = dict(cells)
     with_target["label"] = ["a", "b"] * 60
-    frame2, schema2 = schema_and_frame(with_target)
-    report2 = analyze_features(frame2, schema2, "classification")
+    frame2, metadata2, schema2 = schema_and_frame(with_target)
+    report2 = analyze_features(frame2, metadata2, schema2, "classification")
     assert "cat" in report2.kept
 
 
 def test_no_features_is_an_error():
-    frame, schema = schema_and_frame({
+    frame, metadata, schema = schema_and_frame({
         "Machine_ID": [f"M{i}" for i in range(20)],
     })
     with pytest.raises(NoFeaturesError):
-        analyze_features(frame, schema, "anomaly_detection")
+        analyze_features(frame, metadata, schema, "anomaly_detection")
+
+
+def test_removing_every_feature_is_an_error():
+    frame, metadata, schema = schema_and_frame({
+        "Machine_ID": [f"M{i}" for i in range(20)],
+        "blank": [None] * 20,
+        "flat": [2.0] * 20,
+    })
+    with pytest.raises(NoFeaturesError, match="removed every feature"):
+        analyze_features(frame, metadata, schema, "anomaly_detection")
 
 
 def test_redundant_pair_keeps_higher_mi_member():
     base = [float(i % 20) for i in range(200)]
     jitter = [v + 0.001 * (i % 3) for i, v in enumerate(base)]
     label = ["hot" if v > 10 else "cold" for v in base]
-    frame, schema = schema_and_frame({
+    frame, metadata, schema = schema_and_frame({
         "signal": base,        # perfectly predictive
         "copy": jitter,        # near-copy, slightly noisier
         "label": label,
     })
-    report = analyze_features(frame, schema, "classification")
+    report = analyze_features(frame, metadata, schema, "classification")
     removed = {name for name, _ in report.removed}
     assert removed == {"copy"} or removed == {"signal"}
     kept = report.kept[0]

@@ -19,7 +19,9 @@ from rxmflow.runner import (
 )
 from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write_csv
 
-from conftest import DEGENERATE_TARGETS, UnavailableBackend, write_target_csv
+from conftest import (
+    DEGENERATE_TARGETS, UnavailableBackend, make_frame, write_target_csv,
+)
 
 SEQUENCE = [
     "load_and_inspect_data", "preprocess_data", "analyze_data",
@@ -181,12 +183,8 @@ def test_stray_text_in_a_regression_target_is_dropped_as_missing(tmp_path):
     assert dropped == {"dropped": 5}
 
 
-def test_backup_plan_keeps_the_feature_analysis_removals(tmp_path, monkeypatch):
-    frame = maintenance_frame(n_rows=300, seed=7)
-    frame.column_names.append("Const")
-    frame.columns.append([3.0] * frame.n_rows)
-    path = tmp_path / "const.csv"
-    write_csv(frame, path)
+def _fail_first_fit(monkeypatch):
+    """Make the runner's first fit_pipeline call fail; returns the calls."""
     real_fit = runner_module.fit_pipeline
     calls = []
 
@@ -197,12 +195,57 @@ def test_backup_plan_keeps_the_feature_analysis_removals(tmp_path, monkeypatch):
         return real_fit(*args, **kwargs)
 
     monkeypatch.setattr(runner_module, "fit_pipeline", fail_once)
+    return calls
+
+
+def test_backup_plan_keeps_the_feature_analysis_removals(tmp_path, monkeypatch):
+    frame = maintenance_frame(n_rows=300, seed=7)
+    frame.column_names.append("Const")
+    frame.columns.append([3.0] * frame.n_rows)
+    path = tmp_path / "const.csv"
+    write_csv(frame, path)
+    calls = _fail_first_fit(monkeypatch)
     report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
     assert report.steps_succeeded == 5
     assert len(calls) == 2
     assert ("Const", features.REASON_CONSTANT) in artifacts.feature_report.removed
     assert artifacts.plan.directives["Const"].encoding == ENCODE_DROP
     assert "Const" not in artifacts.pipeline.feature_names
+
+
+def test_backup_plan_keeps_the_tactical_note(maintenance_csv, tmp_path, monkeypatch):
+    calls = _fail_first_fit(monkeypatch)
+    report, artifacts = run_workflow(
+        config_for(maintenance_csv, tmp_path),
+        slm_backend=ScriptedBackend(["Median imputation looks fine."]),
+        clock=TickClock(),
+    )
+    assert report.steps_succeeded == 5
+    assert len(calls) == 2
+    document = json.loads(artifacts.detailed_results_path.read_text())
+    assert document["preprocess_plan"]["__advisory_notes__"] == [
+        "tactical note: Median imputation looks fine.",
+        "simplified backup plan in effect",
+    ]
+
+
+def test_removing_every_feature_fails_preprocessing(tmp_path):
+    # an id, a blank and a constant sensor: feature analysis keeps nothing
+    n = 300
+    path = tmp_path / "no_features.csv"
+    write_csv(make_frame({
+        "Machine_ID": [f"M{i:04d}" for i in range(n)],
+        "Sensor_A": [None] * n,
+        "Sensor_B": [7.0] * n,
+        "Maintenance_Priority": [("High", "Medium", "Low")[i % 3] for i in range(n)],
+    }), path)
+    report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    assert (report.steps_succeeded, report.steps_total) == (1, 3)
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert artifacts.failure["stage"] == "preprocess_data"
+    assert artifacts.failure["reason"] == "NoFeaturesError"
+    assert artifacts.best_result is None
+    assert artifacts.recommendations_path is None
 
 
 def test_rejected_review_withholds_actions_and_sets_exit_code(
@@ -607,6 +650,32 @@ def _small_network():
 
 
 ANOMALY_RUN = dict(task="anomaly_detection", contamination=0.02)
+
+
+@pytest.mark.parametrize("frame, options", [
+    (_small_network, ANOMALY_RUN),
+    (_maintenance, {}),
+])
+def test_an_anomaly_run_transforms_its_rows_once(tmp_path, monkeypatch, frame, options):
+    real_apply = runner_module.apply_pipeline
+    transformed = []
+
+    def spy(pipeline, frame, rows):
+        transformed.append(rows)
+        return real_apply(pipeline, frame, rows)
+
+    monkeypatch.setattr(runner_module, "apply_pipeline", spy)
+    path = tmp_path / "rows.csv"
+    write_csv(frame(), path)
+    report, artifacts = run_workflow(
+        config_for(str(path), tmp_path, **options), clock=TickClock())
+    assert report.steps_succeeded == 5
+    if artifacts.task == analytics.ANOMALY:
+        assert transformed == [artifacts.train_rows]
+        assert artifacts.X_test is artifacts.X_train
+    else:
+        assert transformed == [artifacts.train_rows, artifacts.test_rows]
+    assert artifacts.X_test.shape[0] == len(artifacts.ids_test) == len(artifacts.test_rows)
 
 
 # digests of the runs from before the model families moved into one table:

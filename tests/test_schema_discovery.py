@@ -1,11 +1,13 @@
 import pytest
 
 from rxmflow.errors import AmbiguousTargetError
-from rxmflow.perception import CATEGORICAL, CONSTANT, inspect_frame
+from rxmflow.perception import (
+    CATEGORICAL, CONSTANT, DATETIME_PARSE_SHARE, inspect_frame,
+)
 from rxmflow.preprocess import discover_schema
 from rxmflow.preprocess.schema import (
     FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, TARGET_CANDIDATE,
-    TIMESTAMP, resolve_ambiguous_target,
+    TIMESTAMP, TIMESTAMP_DATE_SHARE, resolve_ambiguous_target,
 )
 from rxmflow.synth import maintenance_frame, network_frame
 
@@ -89,6 +91,12 @@ def test_mostly_dates_is_categorical_in_perception_but_a_timestamp():
     assert profile.date_share == pytest.approx(0.92)
     assert profile.inferred_dtype == CATEGORICAL
     assert discover_schema(frame, metadata).roles["recorded"] == TIMESTAMP
+
+
+def test_every_datetime_profile_meets_the_timestamp_share():
+    # discover_schema has no branch for perception's DATETIME type: the
+    # date-share branch before it catches every such column
+    assert DATETIME_PARSE_SHARE >= TIMESTAMP_DATE_SHARE
 
 
 def test_remaining_columns_become_features_by_dtype():

@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rxmflow.preprocess import decide_tools, simplified_backup_plan
+from rxmflow.preprocess.features import (
+    REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
+)
 from rxmflow.preprocess.plan import (
     ENCODE_DROP, ENCODE_ONE_HOT, ENCODE_PASSTHROUGH, ENCODE_TARGET,
-    IMPUTE_KNN, IMPUTE_MEDIAN, IMPUTE_MOST_FREQUENT, IMPUTE_NONE,
-    SCALE_ROBUST, SCALE_STANDARD, mark_removed,
+    HIGH_CARDINALITY, IMPUTE_KNN, IMPUTE_MEDIAN, IMPUTE_MOST_FREQUENT,
+    IMPUTE_NONE, SCALE_NONE, SCALE_ROBUST, SCALE_STANDARD, ColumnDirective,
+    PreprocessPlan, mark_removed,
 )
 from rxmflow.preprocess.schema import (
-    FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, SchemaMap,
-    TARGET_CANDIDATE,
+    FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, TARGET_CANDIDATE,
+    TIMESTAMP, SchemaMap,
 )
 from rxmflow.perception import CATEGORICAL, NUMERIC
 
@@ -146,8 +152,105 @@ def test_backup_plan_is_simple_and_drops_high_cardinality():
     roles = {
         "x": FEATURE_NUMERIC, "c": FEATURE_CATEGORICAL, "d": FEATURE_CATEGORICAL,
     }
-    plan = simplified_backup_plan(make_metadata(profiles), SchemaMap(roles=roles))
+    schema = SchemaMap(roles=roles)
+    plan = simplified_backup_plan(decide_tools(make_metadata(profiles), schema), schema)
     assert plan.directives["x"].imputation == IMPUTE_MEDIAN
     assert plan.directives["x"].scaling == SCALE_STANDARD
     assert plan.directives["c"].encoding == ENCODE_DROP
     assert plan.directives["d"].encoding == ENCODE_ONE_HOT
+
+
+def metadata_walk_backup(metadata, schema):
+    """Reference: the backup plan as its own walk over the metadata, the way
+    it was built before it was derived from the run's plan."""
+    directives = {}
+    for profile in metadata.profiles:
+        name = profile.name
+        role = schema.roles.get(name)
+        if name == schema.chosen_target:
+            continue
+        if role == IDENTIFIER:
+            directives[name] = ColumnDirective(
+                IMPUTE_NONE, SCALE_NONE, ENCODE_PASSTHROUGH,
+                "identifier, passed through unchanged",
+            )
+        elif role == FEATURE_NUMERIC:
+            imputation = IMPUTE_MEDIAN if profile.missing_pct > 0 else IMPUTE_NONE
+            directives[name] = ColumnDirective(
+                imputation, SCALE_STANDARD, ENCODE_PASSTHROUGH,
+                "backup plan: median imputation, standard scaling",
+            )
+        elif role == FEATURE_CATEGORICAL:
+            if profile.unique_count > HIGH_CARDINALITY:
+                directives[name] = ColumnDirective(
+                    IMPUTE_NONE, SCALE_NONE, ENCODE_DROP,
+                    "backup plan: high-cardinality column dropped",
+                )
+            else:
+                imputation = (
+                    IMPUTE_MOST_FREQUENT if profile.missing_pct > 0 else IMPUTE_NONE
+                )
+                directives[name] = ColumnDirective(
+                    imputation, SCALE_NONE, ENCODE_ONE_HOT,
+                    "backup plan: most-frequent imputation, one-hot",
+                )
+        else:
+            directives[name] = ColumnDirective(
+                IMPUTE_NONE, SCALE_NONE, ENCODE_DROP,
+                f"role {role}, excluded from the feature matrix",
+            )
+    plan = PreprocessPlan(directives=directives)
+    plan.advisory_notes.append("simplified backup plan in effect")
+    return plan
+
+
+ROLES = (
+    FEATURE_NUMERIC, FEATURE_CATEGORICAL, IDENTIFIER, TIMESTAMP, TARGET_CANDIDATE,
+)
+# every imputation band with its edges, and both sides of the cardinality cut
+column = st.tuples(
+    st.sampled_from(ROLES),
+    st.one_of(st.sampled_from([0.0, 0.05, 0.10, 0.15, 0.20, 0.21, 1.0]),
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from([0, 1, 2, 10, HIGH_CARDINALITY, HIGH_CARDINALITY + 1, 300]),
+    st.sampled_from([None, REASON_CONSTANT, REASON_REDUNDANT]),
+)
+
+
+@given(
+    st.lists(column, min_size=1, max_size=8),
+    st.integers(min_value=-1, max_value=7),
+    st.sampled_from([50 * MB, 150 * MB]),
+    st.lists(st.text(max_size=5), max_size=2),
+)
+def test_backup_plan_from_the_plan_matches_the_metadata_walk(
+        columns, target_at, memory_bytes, notes):
+    profiles, roles = [], {}
+    for i, (role, missing_pct, unique_count, _) in enumerate(columns):
+        dtype = NUMERIC if role == FEATURE_NUMERIC else CATEGORICAL
+        profiles.append(make_profile(
+            f"c{i}", dtype, missing_pct=missing_pct, unique_count=unique_count))
+        roles[f"c{i}"] = role
+    target = f"c{target_at}" if 0 <= target_at < len(columns) else None
+    metadata = make_metadata(profiles, memory_bytes=memory_bytes)
+    schema = SchemaMap(roles=roles, chosen_target=target)
+    # feature analysis's rule: a drawn removal of a feature column, and with
+    # no target every high-cardinality categorical
+    removed = []
+    for i, (role, _, unique_count, reason) in enumerate(columns):
+        name = f"c{i}"
+        if name == target or role not in (FEATURE_NUMERIC, FEATURE_CATEGORICAL):
+            continue
+        if (target is None and role == FEATURE_CATEGORICAL
+                and unique_count > HIGH_CARDINALITY):
+            reason = REASON_HIGH_CARDINALITY
+        if reason is not None:
+            removed.append((name, reason))
+
+    plan = mark_removed(decide_tools(metadata, schema), removed)
+    plan.advisory_notes.extend(notes)
+    backup = simplified_backup_plan(plan, schema)
+    reference = mark_removed(metadata_walk_backup(metadata, schema), removed)
+    assert backup.directives == reference.directives
+    assert list(backup.directives) == list(reference.directives)
+    assert backup.advisory_notes == notes + reference.advisory_notes
