@@ -19,8 +19,9 @@ planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
 a gapped table that drives kNN imputation, adaptive search on noisy
 classification and regression, `include_routine`, a step cap, a target
-with a one-row class, a planner that gives up before any step, and two
-runs whose first pipeline fit fails so the backup plan engages.
+with a one-row class, a planner that gives up before any step, two runs
+whose first pipeline fit fails so the backup plan engages, a planner that
+skips ahead to `summarize` and one that keeps repeating a stage.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from rxmflow.perception import DatasetFrame  # noqa: E402
 from rxmflow.synth import (  # noqa: E402
     failure_frame, maintenance_frame, network_frame, write_csv,
 )
-from rxmflow.workflow import ANOMALY, TOOLS  # noqa: E402
+from rxmflow.workflow import ANOMALY, LOAD, SUMMARIZE, TOOLS  # noqa: E402
 
 SEED = 3
 OUTPUTS = ("audit", "detailed_results", "recommendations")
@@ -70,6 +71,16 @@ def gives_up():
 
 def gives_up_at_start():
     return [FINISH]
+
+
+def skips_ahead():
+    """Summarize straight after loading, then finish."""
+    return [_decision(LOAD), _decision(SUMMARIZE), FINISH]
+
+
+def repeats_a_stage():
+    """Every reply names the loading stage again."""
+    return [_decision(LOAD)] * 20
 
 
 def maintenance():
@@ -152,6 +163,8 @@ CASES = {
     "gives_up_at_start": (maintenance, {}, gives_up_at_start, False),
     "backup_constant": (with_constant, {}, None, True),
     "backup_gapped_knn": (gapped, {}, None, True),
+    "skips_ahead": (maintenance, {}, skips_ahead, False),
+    "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),
 }
 
 

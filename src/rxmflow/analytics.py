@@ -4,8 +4,8 @@ Every candidate family is one row of the FAMILIES table below. SVM and SVR
 are desk-scale models (full kernel matrix) and are skipped above 2000
 samples; the skip is logged. Training failures become a status on the
 result rather than an exception so the caller can move on to the next
-candidate. The adaptive loop triggers only when the first result is
-strictly below threshold (accuracy < 0.6 or R^2 < 0.1).
+candidate. The adaptive loop triggers only when the first result failed
+to train or is strictly below threshold (accuracy < 0.6 or R^2 < 0.1).
 """
 
 from __future__ import annotations
@@ -112,12 +112,16 @@ class ModelResult:
     error: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveSearchLog:
     trigger_reason: str
     attempts: list[ModelResult]
     best_index: int
     primary_metric_name: str
+
+    @property
+    def best(self) -> ModelResult:
+        return self.attempts[self.best_index]
 
 
 def infer_task(schema: SchemaMap, metadata: DatasetMetadata, override: str | None = None) -> str:
@@ -316,8 +320,10 @@ def adaptive_search(
 ) -> AdaptiveSearchLog:
     """Explore the remaining candidates when the first misses the trigger.
 
+    A first candidate that failed to train triggers exploration too.
     Boundaries are strict: accuracy exactly 0.6 or R^2 exactly 0.1 do not
-    trigger exploration. `trainer` exists so tests can script metric
+    trigger exploration. Raises AllModelsFailedError, with the attempts,
+    when no candidate trained. `trainer` exists so tests can script metric
     sequences; it defaults to fit_predict_evaluate.
     """
     trainer = trainer or (
@@ -327,46 +333,19 @@ def adaptive_search(
         )
     )
     primary_name = (first_result.metrics or Metrics()).primary_name(task)
-    if task not in SUPERVISED:
-        return AdaptiveSearchLog(
-            trigger_reason="single-family task; no exploration",
-            attempts=[first_result],
-            best_index=0,
-            primary_metric_name=primary_name,
-        )
-
-    def primary(result: ModelResult) -> float | None:
-        if result.status != STATUS_OK or result.metrics is None:
-            return None
-        return result.metrics.primary(task)
-
-    threshold = ADAPTIVE_THRESHOLDS[task]
-    first_metric = primary(first_result)
-    if first_metric is None:
+    threshold = ADAPTIVE_THRESHOLDS.get(task)
+    if first_result.status != STATUS_OK:
         reason = "first model failed to train"
-    elif first_metric < threshold:
+    elif threshold is None:
+        reason, candidates = "single-family task; no exploration", []
+    elif (first_metric := first_result.metrics.primary(task)) < threshold:
         reason = f"{primary_name}={first_metric:.4f} below {threshold}"
     else:
-        return AdaptiveSearchLog(
-            trigger_reason="first model met the performance threshold",
-            attempts=[first_result],
-            best_index=0,
-            primary_metric_name=primary_name,
-        )
-    attempts = [first_result]
-    for spec in candidates:
-        attempts.append(trainer(spec))
-
-    scored = [
-        (i, primary(result)) for i, result in enumerate(attempts)
-        if primary(result) is not None
-    ]
-    if not scored:
-        raise AllModelsFailedError("every candidate failed to train")
-    best_index = max(scored, key=lambda pair: (pair[1], -pair[0]))[0]
-    return AdaptiveSearchLog(
-        trigger_reason=reason,
-        attempts=attempts,
-        best_index=best_index,
-        primary_metric_name=primary_name,
-    )
+        reason, candidates = "first model met the performance threshold", []
+    attempts = [first_result, *map(trainer, candidates)]
+    trained = [i for i, result in enumerate(attempts) if result.status == STATUS_OK]
+    if not trained:
+        raise AllModelsFailedError(attempts)
+    # the best primary metric wins, and the earliest attempt breaks a tie
+    best_index = max(trained, key=lambda i: (attempts[i].metrics.primary(task), -i))
+    return AdaptiveSearchLog(reason, attempts, best_index, primary_name)

@@ -64,7 +64,11 @@ class ConstantTargetError(EngineError):
 
 
 class AllModelsFailedError(EngineError):
-    pass
+    """Every candidate model failed to train; carries the failed attempts."""
+
+    def __init__(self, attempts):
+        self.attempts = list(attempts)
+        super().__init__("every candidate failed to train")
 
 
 class DegenerateStdError(EngineError):
@@ -88,6 +92,10 @@ class PlannerGaveUpError(EngineError):
         super().__init__(detail)
 
 
+class StageOrderError(EngineError):
+    """A stage was picked before every earlier stage succeeded."""
+
+
 class BackendError(EngineError):
     """Language-model backend failure.
 
@@ -103,7 +111,8 @@ class BackendError(EngineError):
 class DecisionParseError(EngineError):
     """Planner output could not be parsed into a valid tool decision.
 
-    code is one of {"no_json", "missing_key", "bad_type", "unknown_tool"}.
+    code is one of {"no_json", "missing_key", "bad_type", "unknown_tool",
+    "repeated_tool"}.
     """
 
     def __init__(self, code, detail=""):

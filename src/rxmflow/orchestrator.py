@@ -2,11 +2,12 @@
 retries, and the deterministic rule-based fallback.
 
 All three read `workflow.STAGES`: the prompt lists each stage with its
-description, a reply must name a stage, and the fallback walks the stages
-in order and gives each one's rule-based reason.
+description, a reply must name a stage that has not yet succeeded, and the
+fallback walks the stages in order and gives each one's rule-based reason.
 
 A planning step calls the backend at most MAX_ATTEMPTS (three) times.
-Parse failures are appended to the retry prompt and recorded as lessons;
+Parse failures (a reply that repeats a succeeded stage is one) are
+appended to the retry prompt and recorded as lessons;
 transport failures skip straight to the rule-based planner. Either way the
 step always yields a valid decision.
 """
@@ -107,13 +108,14 @@ def _iter_json_candidates(text: str):
                 start = None
 
 
-def parse_decision(raw: str) -> PlannerDecision:
+def parse_decision(raw: str, succeeded=frozenset()) -> PlannerDecision:
     """Extract and validate the first JSON tool decision in the text.
 
     Models often wrap the JSON in prose; the first balanced object that
     parses wins. Raises DecisionParseError with a machine-readable code:
-    no_json, missing_key, bad_type, or unknown_tool (a tool that is not a
-    stage).
+    no_json, missing_key, bad_type, unknown_tool (a tool that is not a
+    stage), or repeated_tool (a stage in `succeeded`, whose record later
+    stages were built from).
     """
     payload = None
     for candidate in _iter_json_candidates(raw):
@@ -142,6 +144,8 @@ def parse_decision(raw: str) -> PlannerDecision:
         return PlannerDecision(tool="", finish=True, reason=reason)
     if tool not in TOOLS:
         raise DecisionParseError("unknown_tool", f"tool {tool!r} is not registered")
+    if tool in succeeded:
+        raise DecisionParseError("repeated_tool", f"tool {tool!r} already succeeded")
     return PlannerDecision(tool=tool, finish=False, reason=reason)
 
 
@@ -206,7 +210,7 @@ def plan_next_step(
                 )
                 break        # transport failure: no retries, fall back
             try:
-                decision = parse_decision(raw)
+                decision = parse_decision(raw, context.succeeded_tools())
                 provenance = PROVENANCE_LLM
                 break
             except DecisionParseError as exc:

@@ -3,15 +3,19 @@
 The loop is plan, act, record: the planner (backed by a language model or
 the rule-based fallback) picks a stage of `workflow.STAGES`, the runner's
 `_<stage>` method runs it with stage-level recovery, and the outcome lands
-in the workflow context.
+in the workflow context. A stage method returns one immutable record, and
+`run()` keeps it in `RunArtifacts.records` under the stage's name when the
+stage succeeds; later stages read only those records. A stage picked
+before every earlier stage has a record fails with StageOrderError.
 
-Stage recoveries: a model training failure triggers the next candidate, a
-preprocessing failure retries once with the simplified backup plan, the
-planner re-issues a failed step once, and a data loading failure ends the
-loop at once.
+Stage recoveries: a first candidate model that fails to train hands the
+others to adaptive search, a preprocessing failure retries once with the
+simplified backup plan, the planner re-issues a failed step once, and a
+data loading failure ends the loop at once.
 
 Every run ends in `_finalize`, which builds the completion report, writes
-the documents, renders the summary and sets the exit code. When the last
+the documents (the detailed results fill in the sections of the stages
+with a record), renders the summary and sets the exit code. When the last
 step failed, or the planner finished before `summarize` succeeded with no
 step failing (PlannerGaveUpError), the detailed results carry a `failure`
 entry (stage, exception class, error), no recommendations file is written
@@ -22,16 +26,17 @@ failure.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
 
-from . import analytics, optimize
+from . import analytics, optimize, perception, preprocess
 from .audit import AuditLog
 from .clocks import SystemClock
 from .errors import (
     AllModelsFailedError, AmbiguousTargetError, DataLoadError, EngineError,
-    PlannerGaveUpError, SinkUnwritableError,
+    PlannerGaveUpError, SinkUnwritableError, StageOrderError,
 )
 from .models.iforest import valid_contamination
 from .orchestrator import plan_next_step, slm_advise
@@ -48,8 +53,9 @@ from .report import (
 )
 from .review import MODE_AUTO_APPROVE, MODE_INTERACTIVE, ReviewIO, review
 from .workflow import (
-    FAILED, SUCCEEDED, TOOLS, StepRecord, WorkflowContext, WorkflowReport,
-    add_insight, build_report, record_lesson, record_step,
+    ANALYZE, FAILED, LOAD, PREPROCESS, RECOMMEND, SUCCEEDED, SUMMARIZE, TOOLS,
+    StepRecord, WorkflowContext, WorkflowReport, add_insight, build_report,
+    record_lesson, record_step,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,38 +90,74 @@ class WorkflowConfig:
                 f"contamination must be 'auto' or a fraction in (0, 0.5], got {c!r}")
 
 
+@dataclass(frozen=True)
+class Perception:
+    """The load_and_inspect_data record."""
+    frame: perception.DatasetFrame
+    metadata: perception.DatasetMetadata
+    quality_issues: list[perception.QualityIssue]
+
+
+@dataclass(frozen=True)
+class Preparation:
+    """The preprocess_data record: the resolved schema and task, the fitted
+    pipeline, the row split and both transformed sides."""
+    schema: preprocess.SchemaMap
+    task: str
+    feature_report: preprocess.FeatureReport
+    plan: preprocess.PreprocessPlan
+    pipeline: preprocess.FittedPipeline
+    usable_rows: list[int]       # train plus test, each row once
+    train_rows: list[int]
+    test_rows: list[int]
+    X_train: object
+    y_train: list | None
+    X_test: object
+    y_test: list | None
+    ids_test: list[str]
+
+    @property
+    def feature_names(self) -> list[str]:
+        return self.pipeline.feature_names
+
+
+@dataclass(frozen=True)
+class Advice:
+    """The generate_recommendations record."""
+    recommendations: list[optimize.Recommendation]
+    confidence: optimize.ConfidenceAssessment
+
+
+def _view(stage: str, name: str, empty=None):
+    """A read-only RunArtifacts attribute: one field of a stage's record,
+    or `empty` while the stage has no record."""
+    def read(self):
+        record = self.records.get(stage)
+        return empty if record is None else getattr(record, name)
+    return property(read)
+
+
 @dataclass
 class RunArtifacts:
-    frame: object = None
-    metadata: object = None
-    quality_issues: list = field(default_factory=list)
-    schema: object = None
-    feature_report: object = None
-    plan: object = None
-    pipeline: object = None
-    task: str | None = None
-    usable_rows: list = field(default_factory=list)
-    train_rows: list = field(default_factory=list)
-    test_rows: list = field(default_factory=list)
-    X_train: object = None
-    y_train: list | None = None
-    X_test: object = None
-    y_test: list | None = None
-    feature_names: list = field(default_factory=list)
-    ids_test: list = field(default_factory=list)
-    attempts: list = field(default_factory=list)
-    adaptive_log: object = None
-    best_result: object = None
-    recommendations: list = field(default_factory=list)
-    confidence: object = None
-    review_outcome: object = None
+    """A run's outcome, plus `records`: the record of each stage that
+    succeeded, keyed by stage name (analyze_data keeps its
+    AdaptiveSearchLog and summarize its ReviewOutcome)."""
+    records: dict = field(default_factory=dict)
+    step_durations: dict = field(default_factory=dict)
     report: WorkflowReport | None = None
     summary_text: str = ""
-    step_durations: dict = field(default_factory=dict)
     recommendations_path: Path | None = None
     detailed_results_path: Path | None = None
     failure: dict | None = None
     exit_code: int = EXIT_OK
+
+    frame = _view(LOAD, "frame")
+    task = _view(PREPROCESS, "task")
+    pipeline = _view(PREPROCESS, "pipeline")
+    usable_rows = _view(PREPROCESS, "usable_rows", ())
+    attempts = _view(ANALYZE, "attempts", ())
+    best_result = _view(ANALYZE, "best")
+    recommendations = _view(RECOMMEND, "recommendations", ())
 
 
 class WorkflowRunner:
@@ -144,9 +186,6 @@ class WorkflowRunner:
             logger.warning("audit sink unwritable (%s); auditing in memory only", exc)
             return AuditLog(None, clock=self.clock)
 
-    def _review_mode(self) -> str:
-        return MODE_AUTO_APPROVE if self.config.auto_approve else MODE_INTERACTIVE
-
     def _note_lesson(self, pattern: str):
         self._pending_lessons.append(pattern)
         self.audit.append("orchestrator", "lesson_recorded", {"pattern": pattern})
@@ -155,11 +194,9 @@ class WorkflowRunner:
 
     def run(self) -> WorkflowReport:
         config = self.config
+        records = self.artifacts.records
         start = self.clock.now()
         context = WorkflowContext(goal=GOAL)
-
-        def audit_decision(event, payload):
-            self.audit.append("orchestrator", event, payload)
 
         error = None        # the exception of the last step, if it failed
         while True:
@@ -170,39 +207,38 @@ class WorkflowRunner:
                 )
                 break
             decision, provenance, context = plan_next_step(
-                context, self.backend, audit=audit_decision
+                context, self.backend,
+                audit=lambda event, payload: self.audit.append("orchestrator", event, payload),
             )
+            tool = decision.tool
             if decision.finish:
-                succeeded = context.succeeded_tools()
-                if error is None and TOOLS[-1] not in succeeded:
-                    stage = next(t for t in TOOLS if t not in succeeded)
+                if error is None and SUMMARIZE not in records:
+                    stage = next(t for t in TOOLS if t not in records)
                     error = PlannerGaveUpError(
                         stage, f"the planner finished before {stage}: {decision.reason}")
                 break
             step_start = self.clock.now()
             try:
-                summary, insights = getattr(self, f"_{decision.tool}")()
+                missing = [t for t in TOOLS[:TOOLS.index(tool)] if t not in records]
+                if missing:
+                    raise StageOrderError(f"{tool} needs {missing[0]} to succeed first")
+                records[tool], summary, insights = getattr(self, f"_{tool}")()
                 error = None
-                record = StepRecord(
-                    tool_name=decision.tool, outcome=SUCCEEDED,
-                    duration=(self.clock.now() - step_start).total_seconds(),
-                    summary=summary,
-                )
-                self.artifacts.step_durations[decision.tool] = record.duration
             except Exception as exc:
-                error, insights = exc, []
-                record = StepRecord(
-                    tool_name=decision.tool, outcome=FAILED,
-                    duration=(self.clock.now() - step_start).total_seconds(),
-                    summary="step failed", error=str(exc) or type(exc).__name__,
-                )
+                error, summary, insights = exc, "step failed", []
+            step = StepRecord(
+                tool_name=tool, outcome=FAILED if error else SUCCEEDED,
+                duration=(self.clock.now() - step_start).total_seconds(),
+                summary=summary, error=(str(error) or type(error).__name__) if error else None,
+            )
+            if error is not None:
                 # an exception the engine does not raise itself is a bug: keep its traceback
-                logger.warning("step %s failed: %s", decision.tool, record.error,
-                               exc_info=not isinstance(exc, EngineError))
+                logger.warning("step %s failed: %s", tool, step.error,
+                               exc_info=None if isinstance(error, EngineError) else error)
                 self.audit.append("orchestrator", "step_failed", {
-                    "tool": decision.tool, "error": record.error,
+                    "tool": tool, "error": step.error,
                 })
-            context = record_step(context, record)
+            context = record_step(context, step)
             for note in insights:
                 context = add_insight(context, note)
             for lesson in self._pending_lessons:
@@ -218,67 +254,58 @@ class WorkflowRunner:
             raise error
         return report
 
-    # ------------------------------------------------------------------ tools
+    # ----------------------------------------------------------------- stages
+    # each returns (its stage's record, step summary, insights)
 
     def _load_and_inspect_data(self):
-        art = self.artifacts
-        config = self.config
-        art.frame = load_csv(config.data_path)
-        art.metadata = inspect_frame(art.frame)
-        art.quality_issues = flag_quality_issues(art.metadata)
+        path = self.config.data_path
+        frame = load_csv(path)
+        metadata = inspect_frame(frame)
+        issues = flag_quality_issues(metadata)
         self.audit.append("perception", "dataset_inspected", {
-            "dataset": Path(config.data_path).name,
-            "n_rows": art.metadata.n_rows,
-            "n_cols": art.metadata.n_cols,
-            "quality_issues": [i.to_json() for i in art.quality_issues],
+            "dataset": Path(path).name,
+            "n_rows": metadata.n_rows,
+            "n_cols": metadata.n_cols,
+            "quality_issues": [i.to_json() for i in issues],
         })
-        summary = f"loaded {art.metadata.n_rows} rows x {art.metadata.n_cols} columns"
-        insights = [
-            f"dataset has {art.metadata.n_rows} rows, {art.metadata.n_cols} columns, "
-            f"{len(art.quality_issues)} quality issues",
-        ]
-        return summary, insights
+        summary = f"loaded {metadata.n_rows} rows x {metadata.n_cols} columns"
+        insight = (f"dataset has {metadata.n_rows} rows, {metadata.n_cols} columns, "
+                   f"{len(issues)} quality issues")
+        return Perception(frame, metadata, issues), summary, [insight]
 
-    def _resolve_schema(self):
-        art = self.artifacts
+    def _resolve_schema(self, seen: Perception):
         config = self.config
         try:
-            return discover_schema(art.frame, art.metadata, config.target)
+            return discover_schema(seen.frame, seen.metadata, config.target)
         except AmbiguousTargetError as exc:
             candidates = exc.candidates
-            chosen = None
+            answer = None
             # an anomaly override never uses the target, so do not bother
             # the reviewer with candidate selection
-            prompt_worthy = config.task != analytics.ANOMALY
-            if not config.auto_approve and prompt_worthy:
+            if not config.auto_approve and config.task != analytics.ANOMALY:
                 try:
                     answer = self.io.prompt(
                         "Multiple target candidates: "
                         + ", ".join(candidates)
                         + f". Enter a column name (blank keeps {candidates[-1]}):"
                     )
-                    if answer in candidates:
-                        chosen = answer
                 except EOFError:
-                    chosen = None
-            if chosen is not None:
-                self.audit.append("human", "target_selected", {"target": chosen})
-                return discover_schema(art.frame, art.metadata, chosen)
+                    pass
+            if answer in candidates:
+                self.audit.append("human", "target_selected", {"target": answer})
+                return discover_schema(seen.frame, seen.metadata, answer)
             self.audit.append("preprocessing", "ambiguous_target_resolved", {
                 "candidates": candidates, "picked": candidates[-1],
             })
-            return resolve_ambiguous_target(art.frame, art.metadata, candidates)
+            return resolve_ambiguous_target(seen.frame, seen.metadata, candidates)
 
-    def _split_rows(self):
-        art = self.artifacts
-        config = self.config
-        frame = art.frame
-        target = art.schema.chosen_target
-        if art.task == analytics.ANOMALY or target is None:
+    def _split_rows(self, frame, schema, task):
+        target = schema.chosen_target
+        if task == analytics.ANOMALY or target is None:
             rows = list(range(frame.n_rows))
             return rows, rows, rows
         cells = frame.column(target)
-        usable = target_rows(cells, art.task)
+        usable = target_rows(cells, task)
         dropped = frame.n_rows - len(usable)
         if dropped:
             self.audit.append("preprocessing", "rows_dropped_missing_target", {
@@ -286,26 +313,25 @@ class WorkflowRunner:
             })
         values = [cells[i] for i in usable]
         train_pos, test_pos = analytics.split_train_test(
-            len(usable), art.task, values, TRAIN_RATIO, config.seed
+            len(usable), task, values, TRAIN_RATIO, self.config.seed
         )
         train_rows = [usable[i] for i in train_pos]
         test_rows = [usable[i] for i in test_pos]
         return usable, train_rows, test_rows
 
     def _preprocess_data(self):
-        art = self.artifacts
         config = self.config
-        art.schema = self._resolve_schema()
-        art.task = analytics.infer_task(art.schema, art.metadata, config.task)
+        seen = self.artifacts.records[LOAD]
+        frame = seen.frame
+        schema = self._resolve_schema(seen)
+        task = analytics.infer_task(schema, seen.metadata, config.task)
         self.audit.append("preprocessing", "task_inferred", {
-            "task": art.task, "target": art.schema.chosen_target,
+            "task": task, "target": schema.chosen_target,
         })
-        art.feature_report = analyze_features(
-            art.frame, art.metadata, art.schema, art.task, seed=config.seed,
+        feature_report = analyze_features(
+            frame, seen.metadata, schema, task, seed=config.seed,
         )
-        art.plan = mark_removed(
-            decide_tools(art.metadata, art.schema), art.feature_report.removed,
-        )
+        plan = mark_removed(decide_tools(seen.metadata, schema), feature_report.removed)
         advice = slm_advise(
             self.slm_backend,
             "Given per-column missingness and cardinality, any concerns with "
@@ -313,237 +339,202 @@ class WorkflowRunner:
             on_failure=self._note_lesson,
         )
         if advice:
-            art.plan.advisory_notes.append(f"tactical note: {advice}")
+            plan.advisory_notes.append(f"tactical note: {advice}")
             self.audit.append("preprocessing", "tactical_advice", {"text": advice})
 
-        art.usable_rows, art.train_rows, art.test_rows = self._split_rows()
+        usable_rows, train_rows, test_rows = self._split_rows(frame, schema, task)
         try:
-            art.pipeline = fit_pipeline(art.frame, art.plan, art.schema, art.train_rows)
+            pipeline = fit_pipeline(frame, plan, schema, train_rows)
         except Exception as exc:
             self.audit.append("preprocessing", "backup_plan_engaged", {
                 "error": str(exc),
             })
-            art.plan = simplified_backup_plan(art.plan, art.schema)
-            art.pipeline = fit_pipeline(art.frame, art.plan, art.schema, art.train_rows)
+            plan = simplified_backup_plan(plan, schema)
+            pipeline = fit_pipeline(frame, plan, schema, train_rows)
 
-        transformed = apply_pipeline(art.pipeline, art.frame, art.train_rows)
-        art.X_train, _, art.y_train = transformed
+        X_train, _, y_train = transformed = apply_pipeline(pipeline, frame, train_rows)
         # an anomaly run tests on the rows it trains on: transform them once
-        if art.test_rows is not art.train_rows:
-            transformed = apply_pipeline(art.pipeline, art.frame, art.test_rows)
-        art.X_test, identifiers, art.y_test = transformed
-        art.feature_names = art.pipeline.feature_names
+        if test_rows is not train_rows:
+            transformed = apply_pipeline(pipeline, frame, test_rows)
+        X_test, identifiers, y_test = transformed
         # machine ids: the first identifier column, else the row number
-        primary = next(iter(identifiers.values()), [""] * len(art.test_rows))
-        art.ids_test = [key or f"row-{i}" for i, key in zip(art.test_rows, primary)]
+        primary = next(iter(identifiers.values()), [""] * len(test_rows))
+        ids_test = [key or f"row-{i}" for i, key in zip(test_rows, primary)]
+        features_out = len(pipeline.feature_names)
         self.audit.append("preprocessing", "pipeline_fitted", {
-            "features_out": len(art.feature_names),
-            "kept": art.feature_report.kept,
-            "removed": [list(pair) for pair in art.feature_report.removed],
+            "features_out": features_out,
+            "kept": feature_report.kept,
+            "removed": [list(pair) for pair in feature_report.removed],
         })
-        kept, removed = len(art.feature_report.kept), len(art.feature_report.removed)
-        summary = f"fitted pipeline with {len(art.feature_names)} output features"
-        insights = [f"Feature kept: {kept}, removed: {removed}"]
-        return summary, insights
+        kept, removed = len(feature_report.kept), len(feature_report.removed)
+        prepared = Preparation(
+            schema, task, feature_report, plan, pipeline,
+            usable_rows, train_rows, test_rows,
+            X_train, y_train, X_test, y_test, ids_test,
+        )
+        summary = f"fitted pipeline with {features_out} output features"
+        return prepared, summary, [f"Feature kept: {kept}, removed: {removed}"]
 
     def _approve_contamination(self):
-        config = self.config
-        if config.auto_approve:
-            return config.contamination
+        default = self.config.contamination
+        if self.config.auto_approve:
+            return default
         try:
             answer = self.io.prompt(
-                f"Isolation forest contamination [{config.contamination}] "
+                f"Isolation forest contamination [{default}] "
                 "(blank keeps it, or enter a fraction):"
             )
-        except EOFError:
-            return config.contamination
-        if not answer:
-            return config.contamination
-        try:
             value = answer if answer == "auto" else float(answer)
-        except ValueError:
-            return config.contamination
+        except (EOFError, ValueError):      # no answer, a blank or not a number
+            return default
         if value != "auto" and not valid_contamination(value):
-            return config.contamination
+            return default
         self.audit.append("human", "parameter_approved", {
             "parameter": "contamination", "value": value,
         })
         return value
 
     def _analyze_data(self):
-        art = self.artifacts
         config = self.config
-        contamination = config.contamination
-        if art.task == analytics.ANOMALY:
-            contamination = self._approve_contamination()
-        candidates = analytics.select_candidates(
-            art.task, len(art.usable_rows), seed=config.seed,
-            contamination=contamination,
-        )
-        pre_attempts = []
-        first_result = None
-        remaining: list = []
-        for i, spec in enumerate(candidates):
-            result = analytics.fit_predict_evaluate(
-                art.X_train, art.y_train, art.X_test, art.y_test,
-                spec, art.task, feature_names=art.feature_names,
-            )
-            self.audit.append("analytics", "model_attempt", {
-                "family": spec.family, "status": result.status,
-                "error": result.error,
-            })
-            if result.status == analytics.STATUS_OK:
-                first_result = result
-                remaining = candidates[i + 1:]
-                break
-            pre_attempts.append(result)
-        if first_result is None:
-            art.attempts = pre_attempts
-            raise AllModelsFailedError("every candidate failed to train")
-
+        prep = self.artifacts.records[PREPROCESS]
+        task = prep.task
+        contamination = (self._approve_contamination() if task == analytics.ANOMALY
+                         else config.contamination)
+        first, *rest = analytics.select_candidates(
+            task, len(prep.usable_rows), seed=config.seed, contamination=contamination)
+        data = (prep.X_train, prep.y_train, prep.X_test, prep.y_test)
+        result = analytics.fit_predict_evaluate(
+            *data, first, task, feature_names=prep.feature_names)
+        self.audit.append("analytics", "model_attempt", {
+            "family": first.family, "status": result.status,
+            "error": result.error,
+        })
+        # a first candidate that failed to train hands the rest to the search
         log = analytics.adaptive_search(
-            art.X_train, art.y_train, art.X_test, art.y_test,
-            art.task, first_result, remaining,
-            feature_names=art.feature_names,
-        )
+            *data, task, result, rest, feature_names=prep.feature_names)
         if len(log.attempts) > 1:
             self.audit.append("analytics", "adaptive_search", {
                 "trigger_reason": log.trigger_reason,
                 "attempts": [r.spec.family for r in log.attempts],
                 "best_index": log.best_index,
             })
-        art.attempts = pre_attempts + log.attempts
-        art.adaptive_log = log
-        art.best_result = log.attempts[log.best_index]
 
-        best = art.best_result
+        best = log.best
         metrics = best.metrics
         name = best.spec.display_name
-        if art.task in analytics.SUPERVISED:
-            metric, value = metrics.primary_name(art.task), metrics.primary(art.task)
+        if task in analytics.SUPERVISED:
+            metric, value = metrics.primary_name(task), metrics.primary(task)
             note = f"{metric}={value:.4f} with {name}"
             summary = f"{name} {metric} {value:.4f}"
         else:
-            n = len(art.usable_rows)
+            n = len(prep.usable_rows)
             pct = 100.0 * metrics.anomaly_count / n if n else 0.0
-            note = (
-                f"{metrics.anomaly_count} anomalies flagged "
-                f"({pct:.1f}% of {n} samples)"
-            )
+            note = f"{metrics.anomaly_count} anomalies flagged ({pct:.1f}% of {n} samples)"
             summary = f"{name} flagged {metrics.anomaly_count} anomalies"
         self.audit.append("analytics", "model_selected", {
             "family": best.spec.family, "metrics": metrics_json(metrics),
         })
-        return summary, [note]
+        return log, summary, [note]
 
     def _generate_recommendations(self):
-        art = self.artifacts
-        best = art.best_result
-        if art.task == analytics.ANOMALY:
+        prep = self.artifacts.records[PREPROCESS]
+        best = self.artifacts.records[ANALYZE].best
+        task = prep.task
+        if task == analytics.ANOMALY:
             # an anomaly run tests on all its rows, so the test ids are all ids
-            art.recommendations = optimize.recommend_anomaly(
+            recommendations = optimize.recommend_anomaly(
                 best.metrics.anomaly_scores, best.anomaly_flags,
-                art.X_test, art.ids_test, art.feature_names,
+                prep.X_test, prep.ids_test, prep.feature_names,
             )
         else:
-            if not best.feature_importances and art.feature_report.importances:
+            if not best.feature_importances and prep.feature_report.importances:
                 # model family without native importances: use the advisory
                 # forest importances, fitted here on this first read
-                best.feature_importances = art.feature_report.importances
+                best.feature_importances = prep.feature_report.importances
             recommend = (
                 optimize.recommend_classification
-                if art.task == analytics.CLASSIFICATION
+                if task == analytics.CLASSIFICATION
                 else optimize.recommend_regression
             )
-            art.recommendations = recommend(
-                best, art.ids_test, art.X_test, art.feature_names,
+            recommendations = recommend(
+                best, prep.ids_test, prep.X_test, prep.feature_names,
                 self.config.include_routine,
             )
-        art.confidence = optimize.assess_confidence(best.metrics, art.task)
-        distribution = self._priority_distribution()
+        confidence = optimize.assess_confidence(best.metrics, task)
+        distribution = dict(Counter(r.priority for r in recommendations))
         self.audit.append("optimization", "recommendations_generated", {
-            "total": len(art.recommendations),
+            "total": len(recommendations),
             "priority_distribution": distribution,
-            "confidence": art.confidence.level,
-            "warning": art.confidence.warning,
+            "confidence": confidence.level,
+            "warning": confidence.warning,
         })
         parts = ", ".join(f"{k}: {v}" for k, v in distribution.items())
-        insights = [f"{len(art.recommendations)} recommendations ({parts})"]
-        if art.confidence.warning:
-            insights.append(f"confidence {art.confidence.level}: {art.confidence.warning}")
-        summary = f"{len(art.recommendations)} ranked recommendations"
-        return summary, insights
+        insights = [f"{len(recommendations)} recommendations ({parts})"]
+        if confidence.warning:
+            insights.append(f"confidence {confidence.level}: {confidence.warning}")
+        summary = f"{len(recommendations)} ranked recommendations"
+        return Advice(recommendations, confidence), summary, insights
 
     def _summarize(self):
-        art = self.artifacts
-        art.review_outcome = review(
-            art.recommendations, self.io, self._review_mode(),
+        mode = MODE_AUTO_APPROVE if self.config.auto_approve else MODE_INTERACTIVE
+        outcome = review(
+            self.artifacts.records[RECOMMEND].recommendations, self.io, mode,
             audit=lambda event, payload: self.audit.append("human", event, payload),
         )
-        summary = f"review outcome: {art.review_outcome.status}"
-        return summary, []
+        return outcome, f"review outcome: {outcome.status}", []
 
     # -------------------------------------------------------------- reporting
 
-    def _priority_distribution(self) -> dict:
-        distribution: dict[str, int] = {}
-        for rec in self.artifacts.recommendations:
-            distribution[rec.priority] = distribution.get(rec.priority, 0) + 1
-        return distribution
-
-    def _detailed_sections(self, generated: list[dict], approved: list[dict]) -> dict:
+    def _detailed_sections(self, generated: list[dict], approved: list[dict],
+                           attempts) -> dict:
         art = self.artifacts
+        seen, prep, log, advice, outcome = map(art.records.get, TOOLS)
         dataset = {
-            "name": Path(self.config.data_path).name,
-            "n_rows": art.metadata.n_rows if art.metadata else None,
-            "n_cols": art.metadata.n_cols if art.metadata else None,
-            "estimated_memory_bytes": (
-                art.metadata.estimated_memory_bytes if art.metadata else None
-            ),
-            "duplicate_rows": (
-                art.metadata.duplicate_row_count if art.metadata else None
-            ),
-            "quality_issues": [i.to_json() for i in art.quality_issues],
+            "name": Path(self.config.data_path).name, "n_rows": None,
+            "n_cols": None, "estimated_memory_bytes": None,
+            "duplicate_rows": None, "quality_issues": [],
         }
-        schema = None
-        if art.schema is not None:
+        if seen is not None:
+            metadata = seen.metadata
+            dataset.update(
+                n_rows=metadata.n_rows, n_cols=metadata.n_cols,
+                estimated_memory_bytes=metadata.estimated_memory_bytes,
+                duplicate_rows=metadata.duplicate_row_count,
+                quality_issues=[i.to_json() for i in seen.quality_issues],
+            )
+        schema = plan = None
+        if prep is not None:
             schema = {
-                "roles": art.schema.roles,
-                "chosen_target": art.schema.chosen_target,
-                "evidence": art.schema.evidence,
+                "roles": prep.schema.roles,
+                "chosen_target": prep.schema.chosen_target,
+                "evidence": prep.schema.evidence,
             }
-        plan = None
-        if art.plan is not None:
-            plan = art.plan.to_json(art.schema)
-            if art.pipeline is not None:
-                fitted = art.pipeline.fitted_json()
-                for name, entry in plan.items():
-                    entry["fitted"] = fitted.get(name)
-            plan["__advisory_notes__"] = art.plan.advisory_notes
-            if art.feature_report is not None:
-                plan["__kept__"] = art.feature_report.kept
-                plan["__removed__"] = [list(p) for p in art.feature_report.removed]
+            plan = prep.plan.to_json(prep.schema)
+            fitted = prep.pipeline.fitted_json()
+            for name, entry in plan.items():
+                entry["fitted"] = fitted.get(name)
+            plan["__advisory_notes__"] = prep.plan.advisory_notes
+            plan["__kept__"] = prep.feature_report.kept
+            plan["__removed__"] = [list(p) for p in prep.feature_report.removed]
         adaptive = None
-        if art.adaptive_log is not None:
+        if log is not None:
             adaptive = {
-                "trigger_reason": art.adaptive_log.trigger_reason,
-                "best_index": art.adaptive_log.best_index,
-                "primary_metric_name": art.adaptive_log.primary_metric_name,
-                "attempt_families": [
-                    r.spec.family for r in art.adaptive_log.attempts
-                ],
+                "trigger_reason": log.trigger_reason,
+                "best_index": log.best_index,
+                "primary_metric_name": log.primary_metric_name,
+                "attempt_families": [r.spec.family for r in log.attempts],
             }
         confidence = None
-        if art.confidence is not None:
+        if advice is not None:
             confidence = {
-                "level": art.confidence.level,
-                "warning": art.confidence.warning,
+                "level": advice.confidence.level,
+                "warning": advice.confidence.warning,
             }
         sections = {
             "dataset": dataset,
             "schema": schema,
             "preprocess_plan": plan,
-            "model_attempts": [model_attempt_json(r) for r in art.attempts],
+            "model_attempts": [model_attempt_json(r) for r in attempts],
             "adaptive_log": adaptive,
             "recommendations": {
                 "generated_total": len(generated),
@@ -551,7 +542,7 @@ class WorkflowRunner:
                 "approved_actions": approved,
             },
             "confidence": confidence,
-            "review": art.review_outcome.to_json() if art.review_outcome else None,
+            "review": outcome.to_json() if outcome else None,
             "durations": {
                 "steps": art.step_durations,
                 "total": art.report.total_duration,
@@ -566,7 +557,11 @@ class WorkflowRunner:
         is the exception of the last step when that step failed, or the
         PlannerGaveUpError of a planner that finished early."""
         art = self.artifacts
-        rejected = art.review_outcome is not None and art.review_outcome.status == "rejected"
+        art.step_durations = {
+            s.tool_name: s.duration for s in context.step_history if s.outcome == SUCCEEDED}
+        prep = art.records.get(PREPROCESS)
+        outcome = art.records.get(SUMMARIZE)
+        rejected = outcome is not None and outcome.status == "rejected"
         if error is not None:
             if isinstance(error, PlannerGaveUpError):
                 stage, text = error.stage, str(error)
@@ -577,26 +572,21 @@ class WorkflowRunner:
             art.exit_code = EXIT_DATA_ERROR
         elif rejected:
             art.exit_code = EXIT_REJECTED
-        distribution = self._priority_distribution()
         best = art.best_result
-        feature_columns = (
-            len(art.schema.feature_columns()) if art.schema is not None else 0
-        )
-        review_lines = ()
-        if art.review_outcome is not None:
-            review_lines = (art.review_outcome.summary_line(),)
         art.report = build_report(
             context, total_duration,
-            feature_kept=len(art.feature_report.kept) if art.feature_report else 0,
-            feature_removed=len(art.feature_report.removed) if art.feature_report else 0,
+            feature_kept=len(prep.feature_report.kept) if prep else 0,
+            feature_removed=len(prep.feature_report.removed) if prep else 0,
             recommendations_total=len(art.recommendations),
-            priority_distribution=distribution,
-            hitl_outcomes=review_lines,
+            priority_distribution=dict(Counter(r.priority for r in art.recommendations)),
+            hitl_outcomes=(outcome.summary_line(),) if outcome else (),
             dataset_name=Path(self.config.data_path).name,
-            task_kind=art.task or "",
-            feature_columns=feature_columns,
+            task_kind=prep.task if prep else "",
+            feature_columns=len(prep.schema.feature_columns()) if prep else 0,
             model_name=best.spec.display_name if best is not None else "",
         )
+        # a run whose every candidate failed lists them from the exception
+        attempts = error.attempts if isinstance(error, AllModelsFailedError) else art.attempts
         generated = optimize.recommendations_to_json(art.recommendations)
         approved = [] if rejected else generated
         try:
@@ -605,14 +595,13 @@ class WorkflowRunner:
                     approved, self.config.log_dir, self.clock
                 )
             art.detailed_results_path = emit_detailed_results(
-                self._detailed_sections(generated, approved),
+                self._detailed_sections(generated, approved, attempts),
                 self.config.log_dir, self.clock,
             )
             logger.info("Detailed results saved to: %s", art.detailed_results_path)
         except SinkUnwritableError as exc:
             logger.warning("could not persist results: %s", exc)
-        art.summary_text = render_summary(
-            art.report, best, art.review_outcome, art.failure)
+        art.summary_text = render_summary(art.report, best, outcome, art.failure)
         for line in art.summary_text.splitlines():
             logger.info(line)
         return art.report

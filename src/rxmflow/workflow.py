@@ -4,8 +4,12 @@ insights and lessons.
 `STAGES` is the one list of the workflow's stages, in order. Each row is
 (name, prompt description, rule-based reason): the planner prompt lists the
 descriptions, the rule-based planner walks the rows and gives their
-reasons, a planner reply must name a row, and the runner runs a stage by
-calling its `_<name>` method. Adding a stage is one row here plus one
+reasons, a planner reply must name a row that has not yet succeeded, and
+the runner runs a stage by calling its `_<name>` method. That method
+returns the stage's record, which the runner keeps under the stage's name;
+a stage runs only once every earlier row has a record. The names are also
+unpacked once (`LOAD`, `PREPROCESS`, ...) for code that reads one stage's
+record. Adding a stage is one row here, one name in that unpacking and one
 runner method.
 
 Contexts are immutable; every operation returns a new context so a run can
@@ -51,6 +55,7 @@ STAGES: tuple[tuple[str, str, str], ...] = (
      "final summary."),
 )
 TOOLS = tuple(name for name, _, _ in STAGES)
+LOAD, PREPROCESS, ANALYZE, RECOMMEND, SUMMARIZE = TOOLS
 
 
 @dataclass(frozen=True)

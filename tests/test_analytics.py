@@ -301,6 +301,32 @@ def test_adaptive_all_failed_raises():
         )
 
 
+def test_adaptive_explores_every_other_candidate_after_a_failed_first():
+    failed = ModelResult(spec=ModelSpec("a", {}, 0), status="training_failed",
+                         error="x")
+    log = adaptive_search(
+        None, None, None, None, CLASSIFICATION, failed,
+        [ModelSpec("b", {}, 0), ModelSpec("c", {}, 0)],
+        trainer=scripted_trainer([0.9, 0.95]),
+    )
+    assert log.trigger_reason == "first model failed to train"
+    assert len(log.attempts) == 3
+    assert log.best is log.attempts[2]
+
+
+@pytest.mark.parametrize("task, rest", [
+    (CLASSIFICATION, [ModelSpec("b", {}, 0), ModelSpec("c", {}, 0)]),
+    (ANOMALY, []),
+])
+def test_all_failed_error_carries_the_attempts(task, rest):
+    failed = ModelResult(spec=ModelSpec("a", {}, 0), status="training_failed",
+                         error="x")
+    with pytest.raises(AllModelsFailedError) as caught:
+        adaptive_search(None, None, None, None, task, failed, rest,
+                        trainer=lambda spec: failed)
+    assert caught.value.attempts == [failed] * (1 + len(rest))
+
+
 def test_isolation_forest_counts_on_synthetic(rng):
     X = np.vstack([rng.normal(size=(990, 3)), rng.normal(size=(10, 3)) + 8.0])
     spec = select_candidates(ANOMALY, 1000, contamination=0.01)[0]

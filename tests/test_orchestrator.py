@@ -205,6 +205,14 @@ def test_too_deep_reply_is_a_retryable_parse_failure():
     assert any("no_json" in lesson for lesson in context.lessons_learned)
 
 
+def test_a_succeeded_stage_is_a_repeated_tool():
+    raw = '{"tool": "load_and_inspect_data", "finish": false, "reason": "again"}'
+    with pytest.raises(DecisionParseError) as caught:
+        parse_decision(raw, {"load_and_inspect_data"})
+    assert caught.value.code == "repeated_tool"
+    assert parse_decision(raw, {"preprocess_data"}).tool == "load_and_inspect_data"
+
+
 # ------------------------------------------------------------- rule_based_next
 
 def test_rule_sequence_from_empty():
@@ -308,6 +316,19 @@ def test_fallback_totality_across_backend_behaviors():
         decision, provenance, _ = plan_next_step(fresh(), backend)
         assert decision.finish or decision.tool in TOOLS
         assert provenance in (PROVENANCE_LLM, PROVENANCE_RULE)
+
+
+def test_repeating_a_succeeded_stage_falls_back_to_rules():
+    context = succeeded(fresh(), "load_and_inspect_data")
+    backend = ScriptedBackend([good()] * 3)
+    decision, provenance, context = plan_next_step(context, backend)
+    assert provenance == PROVENANCE_RULE
+    assert decision.tool == "preprocess_data"
+    assert backend.calls == 3
+    assert context.lessons_learned == (
+        "planner JSON parse failure (repeated_tool): "
+        "tool 'load_and_inspect_data' already succeeded",
+    ) * 3
 
 
 def test_retry_prompt_carries_failure_note():

@@ -18,6 +18,7 @@ from rxmflow.runner import (
     run_workflow,
 )
 from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write_csv
+from rxmflow.workflow import ANALYZE, LOAD, PREPROCESS, RECOMMEND, SUMMARIZE
 
 from conftest import (
     DEGENERATE_TARGETS, UnavailableBackend, make_frame, write_target_csv,
@@ -208,8 +209,9 @@ def test_backup_plan_keeps_the_feature_analysis_removals(tmp_path, monkeypatch):
     report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
     assert report.steps_succeeded == 5
     assert len(calls) == 2
-    assert ("Const", features.REASON_CONSTANT) in artifacts.feature_report.removed
-    assert artifacts.plan.directives["Const"].encoding == ENCODE_DROP
+    prep = artifacts.records[PREPROCESS]
+    assert ("Const", features.REASON_CONSTANT) in prep.feature_report.removed
+    assert prep.plan.directives["Const"].encoding == ENCODE_DROP
     assert "Const" not in artifacts.pipeline.feature_names
 
 
@@ -248,6 +250,104 @@ def test_removing_every_feature_fails_preprocessing(tmp_path):
     assert artifacts.recommendations_path is None
 
 
+def _decide(tool):
+    return json.dumps({"tool": tool, "finish": False, "reason": f"run {tool}"})
+
+
+FINISH = json.dumps({"tool": "", "finish": True, "reason": "done"})
+
+
+@pytest.mark.parametrize("order, missing", [
+    ([LOAD, ANALYZE], PREPROCESS),
+    ([LOAD, RECOMMEND], PREPROCESS),
+    ([LOAD, SUMMARIZE], PREPROCESS),
+    ([PREPROCESS], LOAD),
+])
+def test_a_stage_picked_before_an_earlier_one_succeeded_fails_the_run(
+        maintenance_csv, tmp_path, order, missing):
+    backend = ScriptedBackend([*map(_decide, order), FINISH])
+    report, artifacts = run_workflow(
+        config_for(maintenance_csv, tmp_path), backend=backend, clock=TickClock())
+    stage = order[-1]
+    assert (report.steps_succeeded, report.steps_total) == (len(order) - 1, len(order))
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert artifacts.failure == {
+        "stage": stage, "reason": "StageOrderError",
+        "error": f"{stage} needs {missing} to succeed first",
+    }
+    assert list(artifacts.records) == order[:-1]
+    assert artifacts.recommendations_path is None
+    events = {r["event"] for r in _audit_records(artifacts)}
+    assert not events & {"model_attempt", "recommendation_review"}
+
+
+def test_a_planner_that_repeats_a_stage_is_overruled(maintenance_csv, tmp_path):
+    # every reply names the loading stage again: after its first success each
+    # planning step refuses three replies and the rule planner decides
+    backend = ScriptedBackend([_decide(LOAD)] * 20)
+    report, artifacts = run_workflow(
+        config_for(maintenance_csv, tmp_path), backend=backend, clock=TickClock())
+    assert (report.steps_succeeded, report.steps_total) == (5, 5)
+    assert artifacts.exit_code == EXIT_OK
+    assert artifacts.recommendations
+    assert json.loads(artifacts.recommendations_path.read_text())
+    decisions = [r["payload"] for r in _audit_records(artifacts)
+                 if r["event"] == "planner_decision"]
+    assert [d["provenance"] for d in decisions] == ["llm"] + ["rule_based"] * 5
+    assert backend.calls == 1 + 3 * 5
+
+
+def _failing_families(monkeypatch, families):
+    """Make every candidate of `families` fail to train."""
+    real = analytics.fit_predict_evaluate
+
+    def train(*args, **kwargs):
+        spec = args[4]
+        if spec.family in families:
+            return analytics.ModelResult(
+                spec=spec, status=analytics.STATUS_FAILED, error="scripted failure")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(analytics, "fit_predict_evaluate", train)
+
+
+def test_a_failed_first_candidate_hands_the_rest_to_adaptive_search(
+        maintenance_csv, tmp_path, monkeypatch):
+    _failing_families(monkeypatch, {"random_forest_clf"})
+    report, artifacts = run_workflow(
+        config_for(maintenance_csv, tmp_path), clock=TickClock())
+    assert report.steps_succeeded == 5
+    log = artifacts.records[ANALYZE]
+    assert log.trigger_reason == "first model failed to train"
+    assert [r.spec.family for r in log.attempts] == [
+        "random_forest_clf", "logistic_regression", "svm_rbf_clf"]
+    assert log.attempts[0].status == analytics.STATUS_FAILED
+    accuracies = [r.metrics.accuracy for r in log.attempts[1:]]
+    assert artifacts.best_result is log.attempts[1 + accuracies.index(max(accuracies))]
+
+
+@pytest.mark.parametrize("frame, options, families", [
+    (lambda: maintenance_frame(n_rows=400, seed=7), {},
+     ["random_forest_clf", "logistic_regression", "svm_rbf_clf"]),
+    (lambda: network_frame(n_rows=800, seed=13, n_outliers=8),
+     {"task": "anomaly_detection", "contamination": 0.02}, ["isolation_forest"]),
+], ids=["every_classifier", "isolation_forest"])
+def test_no_candidate_training_fails_the_analysis(tmp_path, monkeypatch, frame,
+                                                  options, families):
+    _failing_families(monkeypatch, set(families))
+    path = tmp_path / "failing.csv"
+    write_csv(frame(), path)
+    report, artifacts = run_workflow(
+        config_for(str(path), tmp_path, **options), clock=TickClock())
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert (artifacts.failure["stage"], artifacts.failure["reason"]) == (
+        ANALYZE, "AllModelsFailedError")
+    assert ANALYZE not in artifacts.records
+    assert artifacts.recommendations_path is None
+    document = json.loads(artifacts.detailed_results_path.read_text())
+    assert [(a["family"], a["status"], a["error"]) for a in document["model_attempts"]] == [
+        (family, analytics.STATUS_FAILED, "scripted failure") for family in families]
+
+
 def test_rejected_review_withholds_actions_and_sets_exit_code(
         maintenance_csv, tmp_path):
     config = config_for(maintenance_csv, tmp_path, auto_approve=False)
@@ -274,7 +374,7 @@ def test_interactive_target_prompt_feeds_schema(maintenance_csv, tmp_path):
         clock=TickClock(),
     )
     runner.run()
-    assert runner.artifacts.schema.chosen_target == "Failure_Probability"
+    assert runner.artifacts.records[PREPROCESS].schema.chosen_target == "Failure_Probability"
     assert runner.artifacts.task == "regression"
 
 
@@ -292,7 +392,7 @@ def test_anomaly_override_skips_target_prompt(tmp_path):
     )
     report = runner.run()
     assert report.steps_succeeded == 5
-    assert runner.artifacts.review_outcome.status == "approved"
+    assert runner.artifacts.records[SUMMARIZE].status == "approved"
 
 
 @pytest.mark.parametrize("answer, approved", [
@@ -338,13 +438,15 @@ def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path):
     write_csv(network_frame(n_rows=800, seed=13, n_outliers=8), path)
     _, anomaly = run_workflow(
         config_for(str(path), tmp_path, task="anomaly_detection"), clock=TickClock())
-    assert anomaly.schema.chosen_target is not None
-    assert anomaly.feature_report.importances is None
-    assert anomaly.feature_report.mutual_information
+    prep = anomaly.records[PREPROCESS]
+    assert prep.schema.chosen_target is not None
+    assert prep.feature_report.importances is None
+    assert prep.feature_report.mutual_information
 
     _, classified = run_workflow(config_for(maintenance_csv, tmp_path), clock=TickClock())
     assert classified.task == "classification"
-    assert set(classified.feature_report.importances) == set(classified.feature_report.kept)
+    report = classified.records[PREPROCESS].feature_report
+    assert set(report.importances) == set(report.kept)
 
 
 @pytest.mark.parametrize("contamination", ["auto", 0.01, 0.5])
@@ -400,7 +502,7 @@ def test_adaptive_exploration_on_nonlinear_target(tmp_path, rng):
     config = config_for(str(path), tmp_path, target="wear_target")
     report, artifacts = run_workflow(config, clock=TickClock())
     assert artifacts.task == "regression"
-    log = artifacts.adaptive_log
+    log = artifacts.records[ANALYZE]
     assert len(log.attempts) == 5                  # all candidates explored
     assert "below" in log.trigger_reason
     best = artifacts.best_result
@@ -437,8 +539,9 @@ def test_max_steps_caps_the_loop(maintenance_csv, tmp_path):
 def test_insights_flow_into_report_numbers(maintenance_csv, tmp_path):
     report, artifacts = run_workflow(
         config_for(maintenance_csv, tmp_path), clock=TickClock())
-    assert report.feature_kept == len(artifacts.feature_report.kept)
-    assert report.feature_removed == len(artifacts.feature_report.removed)
+    feature_report = artifacts.records[PREPROCESS].feature_report
+    assert report.feature_kept == len(feature_report.kept)
+    assert report.feature_removed == len(feature_report.removed)
     assert report.dataset_name == "maintenance.csv"
     assert report.task_kind == "classification"
     assert report.model_name == "RandomForestClassifier"
@@ -456,9 +559,10 @@ def test_tactical_advice_never_changes_directives(maintenance_csv, tmp_path):
         slm_backend=ScriptedBackend(["use median impute"]),
         clock=TickClock(),
     )[1]
-    assert "tactical note: use median impute" in advised.plan.advisory_notes
-    for name, directive in plain.plan.directives.items():
-        other = advised.plan.directives[name]
+    plain_plan, advised_plan = (a.records[PREPROCESS].plan for a in (plain, advised))
+    assert "tactical note: use median impute" in advised_plan.advisory_notes
+    for name, directive in plain_plan.directives.items():
+        other = advised_plan.directives[name]
         assert (directive.imputation, directive.scaling, directive.encoding) == \
             (other.imputation, other.scaling, other.encoding)
 
@@ -598,7 +702,7 @@ def test_svm_winner_reads_the_advisory_importances(tmp_path, monkeypatch,
     assert report.steps_succeeded == 5
     best = artifacts.best_result
     assert best.spec.family == family
-    assert best.feature_importances is artifacts.feature_report.importances
+    assert best.feature_importances is artifacts.records[PREPROCESS].feature_report.importances
     assert (
         _sha256(json.dumps(best.feature_importances).encode()),
         _sha256(artifacts.recommendations_path.read_bytes()),
@@ -626,7 +730,8 @@ def test_winner_with_own_importances_fits_no_advisory_forest(
     assert report.steps_succeeded == 5
     assert artifacts.best_result.spec.family == family
     assert artifacts.best_result.feature_importances
-    assert "importances" not in vars(artifacts.feature_report)   # never read
+    # never read
+    assert "importances" not in vars(artifacts.records[PREPROCESS].feature_report)
 
 
 def _maintenance():
@@ -670,12 +775,13 @@ def test_an_anomaly_run_transforms_its_rows_once(tmp_path, monkeypatch, frame, o
     report, artifacts = run_workflow(
         config_for(str(path), tmp_path, **options), clock=TickClock())
     assert report.steps_succeeded == 5
-    if artifacts.task == analytics.ANOMALY:
-        assert transformed == [artifacts.train_rows]
-        assert artifacts.X_test is artifacts.X_train
+    prep = artifacts.records[PREPROCESS]
+    if prep.task == analytics.ANOMALY:
+        assert transformed == [prep.train_rows]
+        assert prep.X_test is prep.X_train
     else:
-        assert transformed == [artifacts.train_rows, artifacts.test_rows]
-    assert artifacts.X_test.shape[0] == len(artifacts.ids_test) == len(artifacts.test_rows)
+        assert transformed == [prep.train_rows, prep.test_rows]
+    assert prep.X_test.shape[0] == len(prep.ids_test) == len(prep.test_rows)
 
 
 # digests of the runs from before the model families moved into one table:
