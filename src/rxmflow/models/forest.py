@@ -6,11 +6,13 @@ here as they are read. Its split features are what successive calls of
 replay those calls from the seed a block at a time (`lockstep.Choices`)
 rather than make them. So each tree is the tree it would be if grown alone,
 whatever the schedule. The classification forest grows its trees in
-lockstep groups (`tree.grow_classifiers`) over one ranked table; the
-regression forest fits its trees one after another. They differ also in
-how tree outputs combine. Per-split feature subsampling defaults to
-sqrt(p) for classification and p // 3 for regression; bootstrap
-resampling is on by default.
+lockstep groups (`tree.grow_classifiers`) over one ranked table, each tree
+on the distinct rows of its bootstrap with their draw counts as weights;
+the regression forest fits its trees one after another, each on its
+bootstrap's rows, copies and all. They differ also in how tree outputs
+combine. Per-split feature subsampling defaults to sqrt(p) for
+classification and p // 3 for regression; bootstrap resampling is on by
+default.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """What the lockstep growers share: each tree's random draws, replayed from
-its PCG64 stream, and the index helpers of a flat row buffer.
+its PCG64 stream, and the index helpers of their flat row buffers.
 
 A tree's draws are what its own `numpy.random.Generator` would make. The
 forests replay them for many trees at once, so this is the one module that

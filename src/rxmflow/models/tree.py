@@ -24,30 +24,43 @@ drawn feature). No step of a round is taken once per node in Python.
   `lockstep.Choices` replays them from the seed's PCG64 stream, a block of
   calls per tree at a time (the stream itself is described in
   `lockstep`). The regression tree draws from the same replay.
+- Rows. A tree's rows are the distinct rows of its bootstrap, each once,
+  in one flat buffer for the group, with the number of times the bootstrap
+  drew it as an integer weight beside it. A node's size is the sum of its
+  weights, so `min_samples_split`, the Gini terms and the importances count
+  bootstrap copies, as a tree grown on the bootstrap itself does.
+  (scikit-learn's `n_node_samples` counts distinct rows; matching it would
+  change the trees.) The copies of a row go the same way at every split, so
+  the search and the partition skip them.
 - Node state. The nodes of a group share flat arrays, numbered as they
   are made: class counts and, once split, feature, threshold and children.
   Each tree's stack is an array of the nodes it has yet to search, as
-  (node, start, end, depth) rows beside their impurity; a child too
+  (node, start, end, depth, size) rows beside their impurity; a child too
   small, too deep or pure to be split is a leaf from the start and is
   never stacked. `fill` renumbers each tree into preorder from subtree
   sizes summed level by level.
 
-What keeps every tree bit-identical to one grown node by node:
+What keeps every tree bit-identical to one grown node by node on the
+bootstrap, copies and all:
 
 - a tree's stack pops its searched nodes in the same depth-first order, so
   it spends its draws in the same order;
 - values are replaced by their dense rank over the whole table, so one
   stable 16-bit radix sort by rank and a second by segment order every
-  segment at once;
-- class counts are prefix sums per class over the pass, made relative to
-  each segment's start; they are integers, so exact;
-- the Gini terms use the same float expressions, summed over a tree's own
-  classes in the order a per-node `.sum()` takes (left to right below 8
-  classes, numpy's pairwise order from 8 on).
+  segment at once; copies of a row share its rank, so the boundaries
+  between ranks are the same, in the same order, and the first best one
+  and its midpoint threshold do not change;
+- class counts are prefix sums of the weights per class over the pass,
+  made relative to each segment's start; they are integers, so exact and
+  equal to counts of the copies. They are kept element-major, (row,
+  class), so a boundary reads one contiguous row;
+- the Gini terms use the same float expressions on the same integers,
+  summed over a tree's own classes in the order a per-node `.sum()` takes
+  (left to right below 8 classes, numpy's pairwise order from 8 on).
 
-A node is a [start, end) range of its tree's row buffer; a split
-partitions that range in place. A split hands its children their class
-counts, unless the midpoint rounded onto the upper value, when the
+A node is a [start, end) range of the group's buffers; a split partitions
+that range in place, weights alongside. A split hands its children their
+class counts, unless the midpoint rounded onto the upper value, when the
 children are counted from their rows.
 
 Regression trees grow one node at a time (`_Grower`): flat cumulative sums
@@ -55,6 +68,8 @@ of float y across segments would round differently.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -168,19 +183,23 @@ class ClassTable:
         self.n_ranks = int(self.ranks.max()) + 1 if self.ranks.size else 1
 
 
-def _square_sums(p, owner, own):
-    """Sum of p * p down each column of the class-major `p`.
+def _square_sums(counts, size, owner, own):
+    """Sum of p * p along each row of p = counts / size, counts element-major.
 
-    Column i belongs to tree `owner[i]` and is summed over that tree's
-    classes `own[owner[i]]` in the order its per-node `.sum()` takes.
+    Row i belongs to tree `owner[i]` and is summed over that tree's classes
+    `own[owner[i]]` in the order its per-node `.sum()` takes.
     """
-    sq = p * p
-    if len(sq) < 8:
-        return sq.sum(axis=0)       # left to right; a class the tree lacks adds +0.0
-    out = np.empty(sq.shape[1])
+    sq = counts / size[:, None]
+    sq *= sq
+    if sq.shape[1] < 8:             # left to right; a class the tree lacks adds +0.0
+        out = sq[:, 0].copy()
+        for c in range(1, sq.shape[1]):
+            out += sq[:, c]
+        return out
+    out = np.empty(len(sq))
     for g in np.unique(owner):      # pairwise order over the tree's own classes
-        cols = np.flatnonzero(owner == g)
-        out[cols] = np.ascontiguousarray(sq[np.ix_(own[g], cols)].T).sum(axis=1)
+        at = np.flatnonzero(owner == g)
+        out[at] = sq[np.ix_(at, own[g])].sum(axis=1)
     return out
 
 
@@ -200,12 +219,18 @@ def _first_per_group(hits, group):
 class _Lockstep:
     """Grows a group of classification trees, one searched node per tree per round.
 
-    Tree g's rows (indices into the table) are row g of `buf`. The nodes of
-    the group share flat arrays, numbered as they are made, roots first; a
-    node is made a leaf and turned into a split when its search finds one.
-    `fill` renumbers each tree into preorder. `stack[g, :top[g]]` holds the
-    nodes tree g has yet to search, the next one last, as rows (node, start,
-    end, depth) with their impurity in `stack_impurity`; a node too small,
+    Tree g's rows are the distinct rows of its bootstrap, in table order, at
+    `rows[offsets[g]:offsets[g + 1]]`, and `weights` holds beside each row
+    the number of times the bootstrap drew it. A node is a [start, end)
+    range of these buffers, and its size is the sum of its weights, so it
+    counts bootstrap copies. Weighted class counts are integers, so every
+    Gini term is the one the copies give, and copies share a rank, so the
+    boundaries fall between the same distinct ranks. The nodes of the group
+    share flat arrays, numbered as they are made, roots first; a node is
+    made a leaf and turned into a split when its search finds one. `fill`
+    renumbers each tree into preorder. `stack[g, :top[g]]` holds the nodes
+    tree g has yet to search, the next one last, as rows (node, start, end,
+    depth, size) with their impurity in `stack_impurity`; a node too small,
     too deep or pure to be split is never stacked.
     """
 
@@ -213,17 +238,28 @@ class _Lockstep:
         self.table = table
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
-        n_features = table.XT.shape[0]
+        n_features, n_table = table.XT.shape
+        n_classes = len(table.classes)
         self.all_features = np.arange(n_features)
         draws = max_features is not None and max_features < n_features
         self.draws = Choices(seeds, n_features, max_features) if draws else None
-        self.buf = np.array(rows, dtype=np.int32).reshape(len(rows), -1)
-        self.flat = self.buf.reshape(-1)                # a view: splits write through
-        n_trees, n_rows = self.buf.shape
-        n_classes = len(table.classes)
-        counts = np.array([np.bincount(table.y[r], minlength=n_classes) for r in self.buf],
-                          dtype=np.intp).reshape(n_trees, n_classes).T
-        self.own = [np.flatnonzero(c) for c in counts.T]
+        distinct, weights, counts = [], [], []
+        for r in rows:                          # one bootstrap at a time
+            copies = np.bincount(r, minlength=n_table)
+            at = np.flatnonzero(copies)
+            distinct.append(at.astype(np.int32))
+            weights.append(copies[at].astype(np.int32))
+            counts.append(np.bincount(table.y[at], weights=copies[at], minlength=n_classes))
+        self.rows, self.weights = np.concatenate(distinct), np.concatenate(weights)
+        self.offsets = np.cumsum([0] + [len(d) for d in distinct])
+        counts = np.array(counts, dtype=np.intp)
+        n_trees = len(counts)
+        self.n_rows = counts.sum(axis=1)        # each bootstrap's length
+        # a pass searches one node per tree at most, so its cumulative counts
+        # stay below every bootstrap's length times the features drawn
+        drawn = n_features if self.draws is None else max_features
+        self.count_type = np.int32 if self.n_rows.sum() * drawn < 2**31 else np.int64
+        self.own = [np.flatnonzero(c) for c in counts]
         self.importances = np.zeros((n_trees, n_features))
         self.n_nodes = 0
         self.counts = np.zeros((0, n_classes), dtype=np.int32)
@@ -231,30 +267,32 @@ class _Lockstep:
         self.threshold = np.zeros(0)
         self.left = np.zeros(0, dtype=np.int32)
         self.right = np.zeros(0, dtype=np.int32)
-        self.stack = np.zeros((n_trees, 16, 4), dtype=np.intp)
+        self.stack = np.zeros((n_trees, 16, 5), dtype=np.intp)
         self.stack_impurity = np.zeros((n_trees, 16))
         self.top = np.zeros(n_trees, dtype=np.intp)
-        trees, zeros = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+        trees = np.arange(n_trees)
         roots = self._add(counts)
-        self._push(trees, np.column_stack([roots, zeros, zeros + n_rows, zeros]),
-                   self._impurity(counts, trees))
+        self._push(trees, np.column_stack([roots, self.offsets[:-1], self.offsets[1:],
+                                           np.zeros(n_trees, dtype=np.intp), self.n_rows]),
+                   self._impurity(counts, self.n_rows, trees))
 
-    def _impurity(self, counts, owner):
-        """Gini impurity of each class-count column of tree `owner`."""
-        return 1.0 - _square_sums(counts / counts.sum(axis=0), owner, self.own)
+    def _impurity(self, counts, size, owner):
+        """Gini impurity of each row of class counts, of `size` rows of tree `owner`."""
+        return 1.0 - _square_sums(counts, size, owner, self.own)
 
-    def _class_counts(self, trees, starts, lengths):
-        """Class-major counts of each tree's rows [start, start + length)."""
+    def _class_counts(self, starts, lengths):
+        """Element-major class counts of the rows [start, start + length)."""
         n_classes = len(self.table.classes)
-        member = np.repeat(np.arange(len(trees)), lengths)
-        y = self.table.y[self.flat[ranges(trees * self.buf.shape[1] + starts, lengths)]]
-        return np.bincount(member * n_classes + y, minlength=len(trees) * n_classes
-                           ).reshape(len(trees), n_classes).T
+        member = np.repeat(np.arange(len(starts)), lengths)
+        where = ranges(starts, lengths)
+        return np.bincount(member * n_classes + self.table.y[self.rows[where]],
+                           weights=self.weights[where], minlength=len(starts) * n_classes
+                           ).astype(np.intp).reshape(len(starts), n_classes)
 
     def _add(self, counts):
-        """Make a leaf of each class-count column and return their ids,
+        """Make a leaf of each row of class counts and return their ids,
         doubling the node arrays when full."""
-        first, n = self.n_nodes, counts.shape[1]
+        first, n = self.n_nodes, len(counts)
         if first + n > len(self.feature):
             size = max(2 * len(self.feature), first + n)
             for name, empty in (("counts", 0), ("feature", -1), ("threshold", 0.0),
@@ -264,14 +302,14 @@ class _Lockstep:
                 new[:first] = old[:first]
                 setattr(self, name, new)
         self.n_nodes = first + n
-        self.counts[first:first + n] = counts.T
+        self.counts[first:first + n] = counts
         return np.arange(first, first + n)
 
     def _push(self, trees, pending, impurity):
-        """Stack those of the (node, start, end, depth) rows that may be split,
-        one row each of the distinct `trees`."""
-        _, start, end, depth = pending.T
-        searched = ~(impurity <= 0.0) & (end - start >= self.min_samples_split)
+        """Stack those of the (node, start, end, depth, size) rows that may be
+        split, one row each of the distinct `trees`."""
+        depth, size = pending[:, 3], pending[:, 4]
+        searched = ~(impurity <= 0.0) & (size >= self.min_samples_split)
         if self.max_depth is not None:
             searched &= depth < self.max_depth
         trees = trees[searched]
@@ -304,52 +342,63 @@ class _Lockstep:
                 last = max(first + 1, int(np.searchsorted(elements, done + PASS_ELEMENTS,
                                                           side="right")))
                 batch = slice(first, last)
-                self._search(trees[batch], pending[batch], impurity[batch], feats[batch])
+                found = self._search(trees[batch], pending[batch], impurity[batch], feats[batch])
+                if found is not None:
+                    self._split(*found)
                 first = last
 
     def _search(self, tree, pending, impurity, feats):
-        """Score every drawn feature of the pending nodes in one pass; split them.
+        """Score every drawn feature of the pending nodes in one pass.
 
         Node i belongs to tree[i], is the row pending[i] of its stack and
-        draws the features feats[i].
+        draws the features feats[i]. Returns the arguments of `_split` for
+        the nodes that split, or None. The pass's arrays are freed before
+        the split allocates its own.
         """
         table = self.table
-        n_rows, n_table = self.buf.shape[1], table.XT.shape[1]
-        start = pending[:, 1]
-        size = pending[:, 2] - start
+        n_table = table.XT.shape[1]
+        start, end, size = pending[:, 1], pending[:, 2], pending[:, 4]
         drawn = feats.shape[1]
 
         # one segment per (node, drawn feature), in draw order
         seg_node = np.repeat(np.arange(len(pending)), drawn)
         seg_feat = feats.reshape(-1)
-        seg_len = size[seg_node]
+        seg_len = (end - start)[seg_node]
         seg_end = np.cumsum(seg_len)
         seg_start = seg_end - seg_len
         seg = np.repeat(np.arange(len(seg_len)), seg_len)
-        rows = self.flat[ranges((tree * n_rows + start)[seg_node], seg_len)]
+        where = ranges(start[seg_node], seg_len)
+        rows = self.rows[where]
         rank = table.ranks.reshape(-1)[seg_feat[seg] * n_table + rows]
         order = stable_argsort(rank, table.n_ranks)
         order = order[stable_argsort(seg[order], len(seg_len))]
-        rows, rank = rows[order], rank[order]
+        rows, rank, weight = rows[order], rank[order], self.weights[where[order]]
 
-        # class counts left of each position, relative to its segment's start
-        cum = np.cumsum(table.y[rows] == np.arange(len(table.classes))[:, None], axis=1)
-        base = cum[:, seg_start - 1]
-        base[:, 0] = 0
-        total = cum[:, seg_end - 1] - base
+        # weighted class counts and sizes left of each position, relative to
+        # its segment's start; element-major, so a boundary reads one row
+        cum = np.zeros((len(rows), len(table.classes)), dtype=self.count_type)
+        cum[np.arange(len(rows)), table.y[rows]] = weight
+        np.cumsum(cum, axis=0, out=cum)
+        base = cum.take(seg_start - 1, axis=0)      # take: faster row gathers
+        base[0] = 0
+        total = cum.take(seg_end - 1, axis=0) - base
+        cum_size = np.cumsum(weight, dtype=self.count_type)
+        base_size = cum_size[seg_start - 1]
+        base_size[0] = 0
         # a boundary: the next row is in the same segment and has a larger value
         at = np.flatnonzero((rank[1:] != rank[:-1]) & (seg[1:] == seg[:-1]))
         if not len(at):
-            return
+            return None
         at_seg = seg[at]
         owner = tree[seg_node[at_seg]]
-        left = cum[:, at] - base[:, at_seg]
-        right = total[:, at_seg] - left
-        n_left = at + 1 - seg_start[at_seg]
-        n_right = seg_len[at_seg] - n_left
-        imp_left = 1.0 - _square_sums(left / n_left, owner, self.own)
-        imp_right = 1.0 - _square_sums(right / n_right, owner, self.own)
-        weighted = (n_left * imp_left + n_right * imp_right) / seg_len[at_seg]
+        left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
+        right = total.take(at_seg, axis=0) - left
+        n_left = cum_size[at] - base_size[at_seg]
+        at_size = size[seg_node[at_seg]]
+        n_right = at_size - n_left
+        imp_left = self._impurity(left, n_left, owner)
+        imp_right = self._impurity(right, n_right, owner)
+        weighted = (n_left * imp_left + n_right * imp_right) / at_size
 
         # the first best boundary of each segment, then each node's first best segment
         starts = _run_starts(at_seg)
@@ -365,52 +414,62 @@ class _Lockstep:
         winner = _first_per_group(np.flatnonzero(gain == best[seg_node]), seg_node)
         split = np.flatnonzero(best > 1e-15)
         if not len(split):
-            return
-        self._split(tree[split], pending[split], winner[split], best[split],
-                    seg_feat, seg_start, best_at, rows, cum, base, total)
-
-    def _split(self, tree, pending, segs, gains, seg_feat, seg_start, best_at, rows, cum,
-               base, total):
-        """Partition each node's rows at its winning boundary; make and stack its children."""
-        table = self.table
-        n_rows, n_table = self.buf.shape[1], table.XT.shape[1]
-        XT = table.XT.reshape(-1)
-        node, start, end, depth = pending.T
-        size = end - start
+            return None
+        segs = winner[split]
         b = best_at[segs]
         feature = seg_feat[segs]
+        XT = table.XT.reshape(-1)
         threshold = (XT[feature * n_table + rows[b]] + XT[feature * n_table + rows[b + 1]]) / 2.0
-        n_left = b + 1 - seg_start[segs]
-        left = cum[:, b] - base[:, segs]
-        right = total[:, segs] - left
+        left = cum.take(b, axis=0) - base.take(segs, axis=0)
+        return (tree[split], pending[split], best[split], feature, threshold,
+                b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left)
 
-        # stable in-place partition of every node's range: x <= threshold first
-        where = ranges(tree * n_rows + start, size)
-        member = np.repeat(np.arange(len(node)), size)
-        values = self.flat[where]
+    def _split(self, tree, pending, gains, feature, threshold, n_left, left, right):
+        """Partition each node's rows at its winning boundary, x <= threshold
+        first; make and stack its children.
+
+        `n_left` is the number of distinct rows below the winning boundary,
+        and `left` and `right` the class counts on either side of it: the
+        children's, unless the midpoint rounded onto the upper value.
+        """
+        n_table = self.table.XT.shape[1]
+        XT = self.table.XT.reshape(-1)
+        node, start, end, depth, size = pending.T
+
+        # stable in-place partition of every node's range, weights alongside
+        length = end - start
+        where = ranges(start, length)
+        member = np.repeat(np.arange(len(node)), length)
+        values = self.rows[where]
         goes_left = XT[feature[member] * n_table + values] <= threshold[member]
-        self.flat[where] = values[stable_argsort(2 * member + ~goes_left, 2 * len(node))]
+        order = stable_argsort(2 * member + ~goes_left, 2 * len(node))
+        self.rows[where] = values[order]
+        self.weights[where] = self.weights[where[order]]
         n_goes = np.bincount(member[goes_left], minlength=len(node))
         mid = start + n_goes
 
-        keep = np.flatnonzero((n_goes > 0) & (n_goes < size))
+        keep = np.flatnonzero((n_goes > 0) & (n_goes < length))
         moved = keep[n_goes[keep] != n_left[keep]]
         if len(moved):
             # the midpoint rounded onto the upper value: count the children's rows
-            left[:, moved] = self._class_counts(tree[moved], start[moved], n_goes[moved])
-            right[:, moved] = self._class_counts(tree[moved], mid[moved], end[moved] - mid[moved])
-        self.importances[tree[keep], feature[keep]] += (size[keep] / n_rows) * gains[keep]
+            left[moved] = self._class_counts(start[moved], n_goes[moved])
+            right[moved] = self._class_counts(mid[moved], end[moved] - mid[moved])
+        self.importances[tree[keep], feature[keep]] += (
+            size[keep] / self.n_rows[tree[keep]]) * gains[keep]
         tree, node, start, mid, end = tree[keep], node[keep], start[keep], mid[keep], end[keep]
-        counts = np.concatenate([left[:, keep], right[:, keep]], axis=1)
-        impurity = self._impurity(counts, np.concatenate([tree, tree]))
+        counts = np.concatenate([left[keep], right[keep]])
+        sizes = counts.sum(axis=1)
+        impurity = self._impurity(counts, sizes, np.concatenate([tree, tree]))
         children = self._add(counts)
         lefts, rights = children[:len(node)], children[len(node):]
         self.feature[node], self.threshold[node] = feature[keep], threshold[keep]
         self.left[node], self.right[node] = lefts, rights
         depth = depth[keep] + 1
         # the right child goes below the left, to be searched after it
-        self._push(tree, np.column_stack([rights, mid, end, depth]), impurity[len(node):])
-        self._push(tree, np.column_stack([lefts, start, mid, depth]), impurity[:len(node)])
+        self._push(tree, np.column_stack([rights, mid, end, depth, sizes[len(node):]]),
+                   impurity[len(node):])
+        self._push(tree, np.column_stack([lefts, start, mid, depth, sizes[:len(node)]]),
+                   impurity[:len(node)])
 
     def _preorder(self, n_trees):
         """The group's node ids, tree after tree, each tree in preorder; each
@@ -473,7 +532,7 @@ def grow_classifiers(trees, table, rows):
         group = trees[first:first + GROUP_TREES]
         t = group[0]
         _Lockstep(
-            table, [next(rows) for _ in group], [tree.seed for tree in group],
+            table, islice(rows, len(group)), [tree.seed for tree in group],
             t.max_depth, t.min_samples_split, t.max_features,
         ).grow().fill(group)
 

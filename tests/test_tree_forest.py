@@ -335,7 +335,7 @@ tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 
     bootstrap=st.booleans(),
     max_features=st.sampled_from([None, 1, 2, "sqrt"]),
     max_depth=st.sampled_from([None, 2]),
-    min_samples_split=st.sampled_from([2, 5]),
+    min_samples_split=st.sampled_from([2, 5, 12]),
     group=st.sampled_from([2, 25]),
     pass_elements=st.sampled_from([16, 8192]),
 )
@@ -364,6 +364,43 @@ def test_lockstep_trees_equal_trees_grown_node_by_node(
         total = importances.sum()
         expected = importances / total if total > 0 else importances
         assert tree.feature_importances_.tobytes() == expected.tobytes()
+
+
+def test_split_minimum_counts_bootstrap_copies_not_distinct_rows():
+    # seed 2 draws rows 0, 2, 3 and 6 twice each: 4 distinct rows, 8 draws
+    X = np.column_stack([np.arange(8.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]])
+    y = np.array(["a", "b", "a", "b", "a", "b", "a", "b"])
+    idx = np.random.default_rng(2).integers(0, 8, size=8)
+    assert len(np.unique(idx)) < 6 <= len(idx)
+    forest = RandomForestClassifier(n_estimators=1, max_features=None, min_samples_split=6,
+                                    seed=2).fit(X, y)
+    tree = forest.trees_[0]
+    feature, threshold, left, right, value, importances = _reference_tree(
+        X[idx], y[idx], None, 6, None, 2)
+    assert tree.feature_[0] >= 0                      # the root splits
+    assert tree.feature_.tolist() == feature
+    assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
+    assert tree.left_.tolist() == left and tree.right_.tolist() == right
+    assert tree.value_.tobytes() == value.tobytes()
+    assert tree.feature_importances_.tobytes() == (importances / importances.sum()).tobytes()
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_lockstep_buffers_hold_each_distinct_row_once_with_its_count(bootstrap):
+    rng, X = _golden_table(25, n=50)
+    y = rng.integers(0, 3, 50)
+    rows = [np.random.default_rng(seed).integers(0, 50, size=50) if bootstrap
+            else np.arange(50) for seed in range(4)]
+    grower = tree_module._Lockstep(tree_module.ClassTable(X, y), iter(rows), [0, 1, 2, 3],
+                                   None, 2, 2)
+    for g, idx in enumerate(rows):
+        at = slice(grower.offsets[g], grower.offsets[g + 1])
+        distinct, weights = grower.rows[at], grower.weights[at]
+        assert distinct.tolist() == np.unique(idx).tolist()
+        assert weights.tolist() == np.bincount(idx)[distinct].tolist()
+        assert weights.sum() == len(idx)
+        if not bootstrap:
+            assert (weights == 1).all()
 
 
 n_and_k = st.one_of(
