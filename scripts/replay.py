@@ -17,7 +17,8 @@ commit and in the change, and diffs the two outputs: equal lines mean
 byte-identical files. The cases cover the three tasks under the rule
 planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
-a gapped table that drives kNN imputation, adaptive search on noisy
+a gapped table that drives kNN imputation, a wider gapped table whose kNN
+distances sum 8 or more coordinates, adaptive search on noisy
 classification and regression, `include_routine`, a step cap, a target
 with a one-row class, a planner that gives up before any step, two runs
 whose first pipeline fit fails so the backup plan engages, a planner that
@@ -116,6 +117,18 @@ def gapped():
     return frame
 
 
+def wide_network():
+    """A network table with three numeric columns 30% blank, so kNN imputes
+    over 8 or more coordinates."""
+    frame = network_frame(n_rows=600)
+    rng = np.random.default_rng([13, 1])
+    for name in ("Temperature", "Network_Latency", "Production_Speed"):
+        cells = frame.column(name)
+        for i in rng.choice(frame.n_rows, size=round(0.30 * frame.n_rows), replace=False):
+            cells[int(i)] = None
+    return frame
+
+
 def one_row_class():
     """An id, two readings and a priority label with a one-row class."""
     gen = np.random.default_rng(0)
@@ -163,6 +176,7 @@ CASES = {
     "gives_up_at_start": (maintenance, {}, gives_up_at_start, False),
     "backup_constant": (with_constant, {}, None, True),
     "backup_gapped_knn": (gapped, {}, None, True),
+    "wide_knn": (wide_network, {}, None, False),
     "skips_ahead": (maintenance, {}, skips_ahead, False),
     "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),
 }

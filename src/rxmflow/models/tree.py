@@ -187,7 +187,8 @@ def _square_sums(counts, size, owner, own):
     """Sum of p * p along each row of p = counts / size, counts element-major.
 
     Row i belongs to tree `owner[i]` and is summed over that tree's classes
-    `own[owner[i]]` in the order its per-node `.sum()` takes.
+    `own[owner[i]]` in the order its per-node `.sum()` takes. Below 8 classes
+    that order does not depend on the tree, and `owner` is not read.
     """
     sq = counts / size[:, None]
     sq *= sq
@@ -390,7 +391,7 @@ class _Lockstep:
         if not len(at):
             return None
         at_seg = seg[at]
-        owner = tree[seg_node[at_seg]]
+        owner = tree[seg_node[at_seg]] if len(table.classes) >= 8 else None
         left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
         right = total.take(at_seg, axis=0) - left
         n_left = cum_size[at] - base_size[at_seg]

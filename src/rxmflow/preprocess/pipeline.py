@@ -22,6 +22,10 @@ Conventions worth pinning down:
     distances to the training rows are computed once and shared by all of
     its missing knn columns; equal distances break toward the lower
     training position
+  - the distances are computed over a feature-major copy of the store, one
+    contiguous row per coordinate, and the squared differences are summed
+    in numpy's pairwise order for a row of m values, so each distance is
+    bit-identical to a row-major `.sum(axis=-1)` over (n_train, m)
   - a missing cell under imputation "none" still falls back to the fitted
     train median/mode so the matrix stays finite
 """
@@ -292,14 +296,54 @@ def _nearest_value(fit, raw, candidates, d2, usable):
     return most_frequent([str(v) for v in raw[chosen]])
 
 
+def _pairwise_sum(terms):
+    """Elementwise sum of the equal-length arrays in terms, added in the
+    grouping numpy's pairwise summation gives a row of len(terms) values, so
+    it equals `np.stack(terms, axis=-1).sum(axis=-1)` bit for bit.
+
+    Below 8 terms the sum runs left to right. Up to 128 terms, eight
+    accumulators take every eighth term of the first multiple of 8, combine
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the tail is
+    added left to right. Beyond 128 the terms split in two halves, the first
+    a multiple of 8 long, whose sums are added.
+    """
+    m = len(terms)
+    if m < 8:
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
+    if m <= 128:
+        r = [term.copy() for term in terms[:8]]
+        end = m - m % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in terms[end:]:
+            total += term
+        return total
+    half = m // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
 def _knn_impute(pipeline, frame, rows, numeric):
     """Impute the missing knn cells of rows: {column: per-row values}, set
     only where the cell is missing.
 
-    Each query row's squared distances to every training row are computed
-    once, over one (n_train, m) array so each row's sum is the same
-    reduction as over any subset of rows, and shared by its missing knn
-    columns. Rows that share no coordinate with the query are unusable.
+    The store is taken feature-major, one contiguous row of n_train values
+    per coordinate, with 0 where a value is missing and a 0/1 float scale
+    that zeroes such a coordinate's difference. Each query row's squared
+    differences are computed only for the coordinates it has; a coordinate
+    it lacks adds a shared row of +0.0. The m rows are summed by
+    `_pairwise_sum`, in the order numpy sums each row of an (n_train, m)
+    array: a different order rounds differently and can reorder near ties,
+    so keeping numpy's makes every distance the one a row-major
+    `.sum(axis=-1)` gives, the same over any subset of training rows. The
+    distances are shared by the query row's missing knn columns. Rows that
+    share no coordinate with the query are unusable, and a query with no
+    coordinate has no usable row.
     """
     fits = [fit for fit in pipeline.column_fits if fit.imputation == IMPUTE_KNN]
     if not fits:
@@ -316,18 +360,23 @@ def _knn_impute(pipeline, frame, rows, numeric):
     candidates = {name: (raw, np.flatnonzero(mask))
                   for name, (raw, mask) in pipeline.knn_raw.items()}
     query = _scaled_query_coords(pipeline, numeric, len(rows))
-    store = pipeline.knn_train_scaled
-    store_present = ~np.isnan(store)
-    store_zeroed = np.where(store_present, store, 0.0)
-    diff = np.empty_like(store)
+    store = np.ascontiguousarray(pipeline.knn_train_scaled.T)
+    present = ~np.isnan(store)
+    zeroed = np.where(present, store, 0.0)
+    scale = present.astype(float)       # a float multiply beats a bool one
+    n_train = store.shape[1]
+    zero = np.zeros(n_train)
     for k in np.flatnonzero(np.any([missing[fit.name] for fit in fits], axis=0)):
-        q_present = ~np.isnan(query[k])
-        np.subtract(store_zeroed, np.where(q_present, query[k], 0.0), out=diff)
-        diff *= store_present
-        diff[:, ~q_present] = 0.0
-        diff *= diff
-        d2 = diff.sum(axis=-1)
-        usable = store_present @ q_present     # shares a coordinate
+        q = query[k]
+        have = np.flatnonzero(~np.isnan(q))
+        terms = [zero] * len(store)
+        for j in have.tolist():
+            diff = zeroed[j] - q[j]
+            diff *= scale[j]
+            diff *= diff
+            terms[j] = diff
+        d2 = _pairwise_sum(terms) if len(have) else np.full(n_train, np.inf)
+        usable = present[have].any(axis=0)      # shares a coordinate
         d2[~usable] = np.inf
         for fit in fits:
             if missing[fit.name][k]:

@@ -305,12 +305,22 @@ def apply_per_cell(pipeline, frame, rows):
     return np.hstack(blocks)
 
 
+@pytest.mark.parametrize(
+    "width", [*range(1, 21), *range(127, 131), *range(255, 261)])
+def test_pairwise_sum_matches_numpy_row_sum(width):
+    # nonnegative values from 1e-8 to 1e8, whose sums round differently by order
+    rng = np.random.default_rng(width)
+    cols = [10.0 ** rng.uniform(-8.0, 8.0, 500) for _ in range(width)]
+    expected = np.stack(cols, axis=-1).sum(axis=-1)
+    assert pipeline_module._pairwise_sum(cols).tobytes() == expected.tobytes()
+
+
 @st.composite
 def knn_frames(draw):
     """Numeric and categorical knn columns under random missingness. Rows
     repeat a few base rows, so tied distances are common, and the values'
     sums round differently in different orders."""
-    n_numeric = draw(st.integers(1, 9))
+    n_numeric = draw(st.integers(1, 17))
     n_rows = draw(st.integers(3, 24))
     base = draw(st.lists(
         st.lists(st.sampled_from([-2.0, 0.1, 0.2, 0.3, 0.7, 3.25]),

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from rxmflow.preprocess import pipeline
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "replay.py"
 
 
@@ -32,3 +34,20 @@ def test_one_case_prints_the_same_four_digests_twice(capsys):
 def test_an_unknown_case_is_refused(capsys):
     assert load_replay().main(["no_such_case"]) == 2
     assert "no_such_case" in capsys.readouterr().err
+
+
+def test_wide_knn_imputes_over_eight_or_more_coordinates(monkeypatch):
+    replay = load_replay()
+    seen = []
+    real = pipeline._knn_impute
+
+    def spy(fitted, frame, rows, numeric):
+        seen.append((len(fitted.knn_numeric_columns), sorted(
+            fit.name for fit in fitted.column_fits if fit.imputation == "knn")))
+        return real(fitted, frame, rows, numeric)
+
+    monkeypatch.setattr(pipeline, "_knn_impute", spy)
+    assert replay.main(["wide_knn"]) == 0
+    assert seen and all(
+        m >= 8 and knn == ["Network_Latency", "Production_Speed", "Temperature"]
+        for m, knn in seen)
