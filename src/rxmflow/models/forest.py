@@ -5,9 +5,9 @@ here as they are read. Its split features are what successive calls of
 `default_rng(seed + i).choice(p, k, replace=False)` would draw; the trees
 replay those calls from the seed a block at a time (`lockstep.Choices`)
 rather than make them. So each tree is the tree it would be if grown alone,
-whatever the schedule. The classification forest grows its trees in
-lockstep groups (`tree.grow_classifiers`) over one ranked table, each tree
-on the distinct rows of its bootstrap with their draw counts as weights;
+whatever the schedule. The classification forest grows all its trees in
+one lockstep group (`tree.grow_classifiers`) over one ranked table, each
+tree on the distinct rows of its bootstrap with their draw counts as weights;
 the regression forest fits its trees one after another, each on its
 bootstrap's rows, copies and all. They differ also in how tree outputs
 combine. Per-split feature subsampling defaults to sqrt(p) for

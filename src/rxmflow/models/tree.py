@@ -13,10 +13,11 @@ different values comes from cumulative class counts (or sums of y and
 y*y), the first best position is taken per feature and the first best
 feature in draw order wins.
 
-Classification trees grow in lockstep, a group at a time (`grow_classifiers`).
-Each round takes the next node to search from every tree of the group and
-scores all of them in one pass over flat arrays, one segment per (node,
-drawn feature). No step of a round is taken once per node in Python.
+Classification trees grow in lockstep, every tree of a fit in one group
+(`grow_classifiers`). Each round takes the next node to search from every
+tree of the group and scores them in passes over flat arrays, one segment
+per (node, drawn feature). No step of a round is taken once per node in
+Python.
 
 - Draws. A tree's feature draws are the successive calls
   `default_rng(seed).choice(n_features, k, replace=False)`. With n_features
@@ -25,20 +26,21 @@ drawn feature). No step of a round is taken once per node in Python.
   calls per tree at a time (the stream itself is described in
   `lockstep`). The regression tree draws from the same replay.
 - Rows. A tree's rows are the distinct rows of its bootstrap, each once,
-  in one flat buffer for the group, with the number of times the bootstrap
-  drew it as an integer weight beside it. A node's size is the sum of its
-  weights, so `min_samples_split`, the Gini terms and the importances count
-  bootstrap copies, as a tree grown on the bootstrap itself does.
-  (scikit-learn's `n_node_samples` counts distinct rows; matching it would
-  change the trees.) The copies of a row go the same way at every split, so
-  the search and the partition skip them.
+  in one preallocated flat buffer for the group, with the number of times
+  the bootstrap drew it as an integer weight beside it. A node's size is
+  the sum of its weights, so `min_samples_split`, the Gini terms and the
+  importances count bootstrap copies, as a tree grown on the bootstrap
+  itself does. (scikit-learn's `n_node_samples` counts distinct rows;
+  matching it would change the trees.) The copies of a row go the same way
+  at every split, so the search and the split skip them.
 - Node state. The nodes of a group share flat arrays, numbered as they
   are made: class counts and, once split, feature, threshold and children.
-  Each tree's stack is an array of the nodes it has yet to search, as
-  (node, start, end, depth, size) rows beside their impurity; a child too
-  small, too deep or pure to be split is a leaf from the start and is
-  never stacked. `fill` renumbers each tree into preorder from subtree
-  sizes summed level by level.
+  They are allocated once, at 2d - 1 nodes for a tree of d distinct rows,
+  and only the nodes made are written. Each tree's stack is an array of
+  the nodes it has yet to search, as (node, start, end, depth, size) rows
+  beside their impurity; a child too small, too deep or pure to be split
+  is a leaf from the start and is never stacked. `fill` renumbers each
+  tree into preorder from subtree sizes summed level by level.
 
 What keeps every tree bit-identical to one grown node by node on the
 bootstrap, copies and all:
@@ -58,10 +60,15 @@ bootstrap, copies and all:
   summed over a tree's own classes in the order a per-node `.sum()` takes
   (left to right below 8 classes, numpy's pairwise order from 8 on).
 
-A node is a [start, end) range of the group's buffers; a split partitions
-that range in place, weights alongside. A split hands its children their
-class counts, unless the midpoint rounded onto the upper value, when the
-children are counted from their rows.
+A node is a [start, end) range of the group's buffers. The search returns
+the rows of each node that splits sorted by its winning feature, and the
+split writes them back over the range, weights alongside: over ascending
+values x <= threshold is a prefix, so the children are its two parts. The
+order of rows inside a node changes no tree, as the counts are integer sums
+and rows that share a rank share a value (-0.0 and 0.0 aside, whose
+midpoints read the same). A split hands its children their class counts,
+unless the midpoint rounded onto the upper value, when the children are
+counted from their rows.
 
 Regression trees grow one node at a time (`_Grower`): flat cumulative sums
 of float y across segments would round differently.
@@ -69,13 +76,10 @@ of float y across segments would round differently.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .lockstep import Choices, ranges, stable_argsort
 
-GROUP_TREES = 25          # classification trees grown in lockstep
 PASS_ELEMENTS = 1 << 13   # (feature, row) elements per pass, past its first node
 
 
@@ -220,9 +224,10 @@ def _first_per_group(hits, group):
 class _Lockstep:
     """Grows a group of classification trees, one searched node per tree per round.
 
-    Tree g's rows are the distinct rows of its bootstrap, in table order, at
-    `rows[offsets[g]:offsets[g + 1]]`, and `weights` holds beside each row
-    the number of times the bootstrap drew it. A node is a [start, end)
+    Tree g's rows are the distinct rows of its bootstrap at
+    `rows[offsets[g]:offsets[g + 1]]`, in table order until its splits
+    reorder them, and `weights` holds beside each row the number of times
+    the bootstrap drew it. A node is a [start, end)
     range of these buffers, and its size is the sum of its weights, so it
     counts bootstrap copies. Weighted class counts are integers, so every
     Gini term is the one the copies give, and copies share a rank, so the
@@ -241,20 +246,25 @@ class _Lockstep:
         self.min_samples_split = min_samples_split
         n_features, n_table = table.XT.shape
         n_classes = len(table.classes)
+        n_trees = len(seeds)
         self.all_features = np.arange(n_features)
         draws = max_features is not None and max_features < n_features
         self.draws = Choices(seeds, n_features, max_features) if draws else None
-        distinct, weights, counts = [], [], []
-        for r in rows:                          # one bootstrap at a time
+        # n_table distinct rows per tree at most; the pages past the rows
+        # written are never touched. A bootstrap of n_table draws takes a row
+        # n_table times at most.
+        self.rows = np.empty(n_trees * n_table, dtype=np.int32)
+        self.weights = np.empty(n_trees * n_table, dtype=np.min_scalar_type(n_table))
+        self.offsets = np.zeros(n_trees + 1, dtype=np.intp)
+        counts = np.empty((n_trees, n_classes), dtype=np.intp)
+        for g, r in enumerate(rows):            # one bootstrap at a time
             copies = np.bincount(r, minlength=n_table)
             at = np.flatnonzero(copies)
-            distinct.append(at.astype(np.int32))
-            weights.append(copies[at].astype(np.int32))
-            counts.append(np.bincount(table.y[at], weights=copies[at], minlength=n_classes))
-        self.rows, self.weights = np.concatenate(distinct), np.concatenate(weights)
-        self.offsets = np.cumsum([0] + [len(d) for d in distinct])
-        counts = np.array(counts, dtype=np.intp)
-        n_trees = len(counts)
+            end = self.offsets[g] + len(at)
+            self.rows[self.offsets[g]:end] = at
+            self.weights[self.offsets[g]:end] = copies[at]
+            counts[g] = np.bincount(table.y[at], weights=copies[at], minlength=n_classes)
+            self.offsets[g + 1] = end
         self.n_rows = counts.sum(axis=1)        # each bootstrap's length
         # a pass searches one node per tree at most, so its cumulative counts
         # stay below every bootstrap's length times the features drawn
@@ -262,12 +272,16 @@ class _Lockstep:
         self.count_type = np.int32 if self.n_rows.sum() * drawn < 2**31 else np.int64
         self.own = [np.flatnonzero(c) for c in counts]
         self.importances = np.zeros((n_trees, n_features))
+        # a tree over d distinct rows has 2d - 1 nodes at most, as each leaf
+        # holds one at least, and a node counts its bootstrap's length at
+        # most; `_add` writes every field of a node it makes
+        bound = 2 * int(self.offsets[-1]) - n_trees
         self.n_nodes = 0
-        self.counts = np.zeros((0, n_classes), dtype=np.int32)
-        self.feature = np.zeros(0, dtype=np.int32)
-        self.threshold = np.zeros(0)
-        self.left = np.zeros(0, dtype=np.int32)
-        self.right = np.zeros(0, dtype=np.int32)
+        self.counts = np.empty((bound, n_classes), dtype=np.min_scalar_type(self.n_rows.max()))
+        self.feature = np.empty(bound, dtype=np.int32)
+        self.threshold = np.empty(bound)
+        self.left = np.empty(bound, dtype=np.int32)
+        self.right = np.empty(bound, dtype=np.int32)
         self.stack = np.zeros((n_trees, 16, 5), dtype=np.intp)
         self.stack_impurity = np.zeros((n_trees, 16))
         self.top = np.zeros(n_trees, dtype=np.intp)
@@ -291,19 +305,15 @@ class _Lockstep:
                            ).astype(np.intp).reshape(len(starts), n_classes)
 
     def _add(self, counts):
-        """Make a leaf of each row of class counts and return their ids,
-        doubling the node arrays when full."""
+        """Make a leaf of each row of class counts and return their ids."""
         first, n = self.n_nodes, len(counts)
-        if first + n > len(self.feature):
-            size = max(2 * len(self.feature), first + n)
-            for name, empty in (("counts", 0), ("feature", -1), ("threshold", 0.0),
-                                ("left", -1), ("right", -1)):
-                old = getattr(self, name)
-                new = np.full((size,) + old.shape[1:], empty, dtype=old.dtype)
-                new[:first] = old[:first]
-                setattr(self, name, new)
+        made = slice(first, first + n)
         self.n_nodes = first + n
-        self.counts[first:first + n] = counts
+        self.counts[made] = counts
+        self.feature[made] = -1
+        self.threshold[made] = 0.0
+        self.left[made] = -1
+        self.right[made] = -1
         return np.arange(first, first + n)
 
     def _push(self, trees, pending, impurity):
@@ -327,6 +337,9 @@ class _Lockstep:
         while True:
             trees = np.flatnonzero(self.top)
             if not len(trees):
+                # only the nodes and the importances are read from here on
+                self.rows = self.weights = self.stack = self.stack_impurity = None
+                self.draws = None
                 return self
             top = self.top[trees] - 1
             self.top[trees] = top
@@ -353,8 +366,9 @@ class _Lockstep:
 
         Node i belongs to tree[i], is the row pending[i] of its stack and
         draws the features feats[i]. Returns the arguments of `_split` for
-        the nodes that split, or None. The pass's arrays are freed before
-        the split allocates its own.
+        the nodes that split, or None: among them each such node's rows and
+        weights, sorted by its winning feature. The pass's arrays are freed
+        before the split allocates its own.
         """
         table = self.table
         n_table = table.XT.shape[1]
@@ -377,8 +391,9 @@ class _Lockstep:
 
         # weighted class counts and sizes left of each position, relative to
         # its segment's start; element-major, so a boundary reads one row
-        cum = np.zeros((len(rows), len(table.classes)), dtype=self.count_type)
-        cum[np.arange(len(rows)), table.y[rows]] = weight
+        n_classes = len(table.classes)
+        cum = np.zeros((len(rows), n_classes), dtype=self.count_type)
+        cum.reshape(-1)[np.arange(0, len(rows) * n_classes, n_classes) + table.y[rows]] = weight
         np.cumsum(cum, axis=0, out=cum)
         base = cum.take(seg_start - 1, axis=0)      # take: faster row gathers
         base[0] = 0
@@ -391,7 +406,7 @@ class _Lockstep:
         if not len(at):
             return None
         at_seg = seg[at]
-        owner = tree[seg_node[at_seg]] if len(table.classes) >= 8 else None
+        owner = tree[seg_node[at_seg]] if n_classes >= 8 else None
         left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
         right = total.take(at_seg, axis=0) - left
         n_left = cum_size[at] - base_size[at_seg]
@@ -422,30 +437,32 @@ class _Lockstep:
         XT = table.XT.reshape(-1)
         threshold = (XT[feature * n_table + rows[b]] + XT[feature * n_table + rows[b + 1]]) / 2.0
         left = cum.take(b, axis=0) - base.take(segs, axis=0)
+        won = ranges(seg_start[segs], seg_len[segs])
         return (tree[split], pending[split], best[split], feature, threshold,
-                b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left)
+                b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left,
+                rows[won], weight[won])
 
-    def _split(self, tree, pending, gains, feature, threshold, n_left, left, right):
-        """Partition each node's rows at its winning boundary, x <= threshold
-        first; make and stack its children.
+    def _split(self, tree, pending, gains, feature, threshold, n_left, left, right,
+               rows, weights):
+        """Write each node's rows back in the order of its winning feature, so
+        that x <= threshold is a prefix of its range; make and stack its
+        children.
 
         `n_left` is the number of distinct rows below the winning boundary,
         and `left` and `right` the class counts on either side of it: the
-        children's, unless the midpoint rounded onto the upper value.
+        children's, unless the midpoint rounded onto the upper value. `rows`
+        and `weights` are the nodes' rows, node after node, sorted by the
+        winning feature.
         """
         n_table = self.table.XT.shape[1]
         XT = self.table.XT.reshape(-1)
         node, start, end, depth, size = pending.T
 
-        # stable in-place partition of every node's range, weights alongside
         length = end - start
         where = ranges(start, length)
+        self.rows[where], self.weights[where] = rows, weights
         member = np.repeat(np.arange(len(node)), length)
-        values = self.rows[where]
-        goes_left = XT[feature[member] * n_table + values] <= threshold[member]
-        order = stable_argsort(2 * member + ~goes_left, 2 * len(node))
-        self.rows[where] = values[order]
-        self.weights[where] = self.weights[where[order]]
+        goes_left = XT[feature[member] * n_table + rows] <= threshold[member]
         n_goes = np.bincount(member[goes_left], minlength=len(node))
         mid = start + n_goes
 
@@ -460,7 +477,8 @@ class _Lockstep:
         tree, node, start, mid, end = tree[keep], node[keep], start[keep], mid[keep], end[keep]
         counts = np.concatenate([left[keep], right[keep]])
         sizes = counts.sum(axis=1)
-        impurity = self._impurity(counts, sizes, np.concatenate([tree, tree]))
+        owner = np.concatenate([tree, tree]) if counts.shape[1] >= 8 else None
+        impurity = self._impurity(counts, sizes, owner)
         children = self._add(counts)
         lefts, rights = children[:len(node)], children[len(node):]
         self.feature[node], self.threshold[node] = feature[keep], threshold[keep]
@@ -489,19 +507,23 @@ class _Lockstep:
         offset = np.cumsum(size[:n_trees]) - size[:n_trees]
         at = np.empty(n, dtype=np.int32)                    # place in the group's order
         at[:n_trees] = offset
+        pre = np.empty(n + 1, dtype=np.int32)               # preorder id in its tree,
+        pre[:n_trees], pre[n] = 0, -1                       # then -1 for "no node"
         for level in levels:
-            at[left[level]] = at[level] + 1
-            at[right[level]] = at[level] + 1 + size[left[level]]
+            lefts, rights = left[level], right[level]
+            below = size[lefts]
+            at[lefts], at[rights] = at[level] + 1, at[level] + 1 + below
+            pre[lefts], pre[rights] = pre[level] + 1, pre[level] + 1 + below
         order = np.empty(n, dtype=np.int32)
         order[at] = np.arange(n, dtype=np.int32)
-        at -= np.repeat(offset, size[:n_trees])[at]         # now the preorder id in its tree
-        return order, np.append(at, np.int32(-1)), offset
+        return order, pre, offset
 
     def fill(self, trees):
         """Renumber each tree's nodes into preorder and hand them to its estimator.
 
-        Each node array is freed as soon as it is copied into preorder, so
-        the group's nodes are not held twice over.
+        Each node array is freed as soon as it is copied into preorder, and
+        the renumbering before the leaf values are made, so the group's
+        nodes are not held twice over.
         """
         order, pre, offset = self._preorder(len(trees))
         fields = []
@@ -511,6 +533,7 @@ class _Lockstep:
             if name in ("left", "right"):
                 values = pre[values]
             fields.append(np.split(values, offset[1:]))
+        del order, pre, values
         classes = self.table.classes
         for g, (tree, *arrays, counts) in enumerate(zip(trees, *fields)):
             own = self.own[g]
@@ -522,20 +545,19 @@ class _Lockstep:
 
 
 def grow_classifiers(trees, table, rows):
-    """Fit each DecisionTreeClassifier of `trees` on its rows of `table`.
+    """Fit each DecisionTreeClassifier of `trees` on its rows of `table`, all
+    in one lockstep group.
 
-    `rows` iterates over the trees' row indices, in tree order; it is read
-    one group at a time. The trees share max_depth, min_samples_split and
-    max_features, and each draws its features as default_rng(tree.seed) would.
+    `rows` iterates over the trees' row indices, in tree order; each is
+    read, stored and dropped before the next. The trees share max_depth,
+    min_samples_split and max_features, and each draws its features as
+    default_rng(tree.seed) would.
     """
-    rows = iter(rows)
-    for first in range(0, len(trees), GROUP_TREES):
-        group = trees[first:first + GROUP_TREES]
-        t = group[0]
-        _Lockstep(
-            table, islice(rows, len(group)), [tree.seed for tree in group],
-            t.max_depth, t.min_samples_split, t.max_features,
-        ).grow().fill(group)
+    t = trees[0]
+    _Lockstep(
+        table, rows, [tree.seed for tree in trees],
+        t.max_depth, t.min_samples_split, t.max_features,
+    ).grow().fill(trees)
 
 
 def _normalized(importances):

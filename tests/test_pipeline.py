@@ -315,6 +315,26 @@ def test_pairwise_sum_matches_numpy_row_sum(width):
     assert pipeline_module._pairwise_sum(cols).tobytes() == expected.tobytes()
 
 
+def test_knn_near_tie_over_eight_coordinates_follows_numpy_sum_order():
+    # the training rows are the 8 cyclic shifts of one vector, so every
+    # column holds the same values and each row's squared differences to the
+    # all-zero query are the same 8 terms, shifted: the distances differ only
+    # in rounding, which follows the order of the sum. Summed in numpy's
+    # pairwise order row 1 is nearest; summed left to right, row 3 would be
+    v = [0.07, 2.7, -2.14, 2.69, -1.13, -0.46, 1.97, -0.54]
+    train = [np.roll(v, i).tolist() for i in range(8)]
+    columns = {f"x{j}": [row[j] for row in train] + [0.0] for j in range(8)}
+    columns["z"] = [10.0 * (i + 1) for i in range(8)] + [None]
+    directives = {name: ColumnDirective("none", "none", "passthrough", "t") for name in columns}
+    directives["z"] = ColumnDirective("knn", "none", "passthrough", "t", knn_neighbors=1)
+    frame = make_frame(columns)
+    schema = SchemaMap(roles={name: "feature_numeric" for name in columns})
+    pipeline = fit_pipeline(frame, PreprocessPlan(directives), schema, list(range(8)))
+    matrix, _, _ = apply_pipeline(pipeline, frame, [8])
+    assert matrix[0, -1] == 20.0
+    assert matrix.tobytes() == apply_per_cell(pipeline, frame, [8]).tobytes()
+
+
 @st.composite
 def knn_frames(draw):
     """Numeric and categorical knn columns under random missingness. Rows

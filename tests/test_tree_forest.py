@@ -157,7 +157,7 @@ def test_forests_match_golden_digests():
         "2c5d7eef1f69d1259ea2000d7aba6c0df64da04cac36c644faa23cc15d25c57e")
 
 
-def test_tree_with_midpoints_that_round_onto_a_value_matches_golden_digests():
+def _midpoint_table():
     # between 1 + eps and 1 + 2 eps the midpoint rounds up to 1 + 2 eps, so
     # the <= partition differs from the sorted position the split came from
     eps = np.finfo(float).eps
@@ -166,7 +166,12 @@ def test_tree_with_midpoints_that_round_onto_a_value_matches_golden_digests():
         rng.choice([1.0, 1 + eps, 1 + 2 * eps, 1 + 3 * eps, 5.0], 200),
         rng.normal(size=200),
     ])
-    tree = DecisionTreeClassifier(seed=0).fit(X, rng.integers(0, 3, 200))
+    return X, rng.integers(0, 3, 200)
+
+
+def test_tree_with_midpoints_that_round_onto_a_value_matches_golden_digests():
+    X, y = _midpoint_table()
+    tree = DecisionTreeClassifier(seed=0).fit(X, y)
     assert _digest(tree.predict_proba(X)) == (
         "f041dc56a406a4e7e64e0e28947a19919b9f462d2f9daeacbd2c04dc7100055b")
     assert _digest(tree.feature_importances_) == (
@@ -336,16 +341,14 @@ tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 
     max_features=st.sampled_from([None, 1, 2, "sqrt"]),
     max_depth=st.sampled_from([None, 2]),
     min_samples_split=st.sampled_from([2, 5, 12]),
-    group=st.sampled_from([2, 25]),
     pass_elements=st.sampled_from([16, 8192]),
 )
 def test_lockstep_trees_equal_trees_grown_node_by_node(
         X, n_classes, labels, n_estimators, bootstrap, max_features, max_depth,
-        min_samples_split, group, pass_elements):
+        min_samples_split, pass_elements):
     n, p = X.shape
     y = np.array(labels.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
-    with mock.patch.object(tree_module, "GROUP_TREES", group), \
-            mock.patch.object(tree_module, "PASS_ELEMENTS", pass_elements):
+    with mock.patch.object(tree_module, "PASS_ELEMENTS", pass_elements):
         forest = RandomForestClassifier(
             n_estimators=n_estimators, max_depth=max_depth,
             min_samples_split=min_samples_split, max_features=max_features,
@@ -401,6 +404,60 @@ def test_lockstep_buffers_hold_each_distinct_row_once_with_its_count(bootstrap):
         assert weights.sum() == len(idx)
         if not bootstrap:
             assert (weights == 1).all()
+
+
+def test_hundred_tree_forest_grows_in_one_lockstep_group():
+    rng, X = _golden_table(26, n=120)
+    y = rng.integers(0, 3, 120)
+    with mock.patch.object(tree_module, "_Lockstep", wraps=tree_module._Lockstep) as group:
+        forest = RandomForestClassifier(n_estimators=100, seed=5).fit(X, y)
+    assert group.call_count == 1
+    assert len(forest.trees_) == 100
+
+
+def _bootstrap_forest_table():
+    rng, X = _golden_table(27, n=80)
+    return X, rng.integers(0, 4, 80)
+
+
+@pytest.mark.parametrize("table, model", [
+    (_midpoint_table, lambda: DecisionTreeClassifier(seed=0)),
+    (_bootstrap_forest_table, lambda: RandomForestClassifier(n_estimators=6, seed=9)),
+])
+def test_split_puts_rows_at_or_below_the_threshold_left_with_their_weights(table, model):
+    X, y = table()
+    split = tree_module._Lockstep._split
+    seen = {"splits": 0, "on_a_value": 0}
+
+    def checked_split(self, tree, pending, gains, feature, threshold, *rest):
+        node, start, end = pending[:, 0], pending[:, 1], pending[:, 2]
+        before = [sorted(zip(self.rows[s:e].tolist(), self.weights[s:e].tolist()))
+                  for s, e in zip(start, end)]
+        split(self, tree, pending, gains, feature, threshold, *rest)
+        n_classes = len(self.table.classes)
+        for i, (s, e) in enumerate(zip(start, end)):
+            rows, weights = self.rows[s:e], self.weights[s:e]
+            assert sorted(zip(rows.tolist(), weights.tolist())) == before[i]
+            values = self.table.XT[feature[i], rows]
+            goes_left = values <= threshold[i]
+            k = int(goes_left.sum())
+            assert goes_left[:k].all()          # the left range: a prefix of the node's
+            if self.left[node[i]] < 0:           # one side empty: the node stays a leaf
+                assert k in (0, len(rows))
+                continue
+            seen["splits"] += 1
+            seen["on_a_value"] += bool((values == threshold[i]).any())
+            for child, part in ((self.left[node[i]], slice(0, k)),
+                                (self.right[node[i]], slice(k, None))):
+                counts = np.bincount(self.table.y[rows[part]], weights=weights[part],
+                                     minlength=n_classes)
+                assert self.counts[child].tolist() == counts.tolist()
+
+    with mock.patch.object(tree_module._Lockstep, "_split", checked_split):
+        model().fit(X, y)
+    assert seen["splits"] > 10
+    if table is _midpoint_table:
+        assert seen["on_a_value"] > 0           # a midpoint rounded onto the upper value
 
 
 n_and_k = st.one_of(
