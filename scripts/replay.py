@@ -19,7 +19,9 @@ planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
 a gapped table that drives kNN imputation, a wider gapped table whose kNN
 distances sum 8 or more coordinates, adaptive search on noisy
-classification and regression, `include_routine`, a step cap, a target
+classification and regression, a nonlinear regression target that every
+regression candidate is tried on (so both the analytics and the advisory
+regression forests are grown), `include_routine`, a step cap, a target
 with a one-row class, a planner that gives up before any step, two runs
 whose first pipeline fit fails so the backup plan engages, a planner that
 skips ahead to `summarize` and one that keeps repeating a stage.
@@ -129,6 +131,19 @@ def wide_network():
     return frame
 
 
+def nonlinear():
+    """Six uniform readings and a failure target that is the product of the
+    first two: no linear candidate reaches R^2 0.1, so adaptive search tries
+    all five and SVR wins, and both regression forests are grown."""
+    gen = np.random.default_rng(17)
+    X = np.round(gen.uniform(-1.0, 1.0, (300, 6)), 4)
+    return DatasetFrame(
+        column_names=[*(f"reading_{c}" for c in "abcdef"), "failure_target"],
+        columns=[*(X[:, j].tolist() for j in range(6)), np.round(X[:, 0] * X[:, 1], 6).tolist()],
+        n_rows=300,
+    )
+
+
 def one_row_class():
     """An id, two readings and a priority label with a one-row class."""
     gen = np.random.default_rng(0)
@@ -169,6 +184,7 @@ CASES = {
     "gapped_knn_scripted": (gapped, {}, completes, False),
     "classify_adaptive": (noisy_maintenance, {}, None, False),
     "regress_adaptive": (noisy_failure, {}, None, False),
+    "regress_nonlinear": (nonlinear, {}, None, False),
     "classify_routine": (maintenance, {"include_routine": True}, None, False),
     "regress_routine": (failure, {"include_routine": True}, None, False),
     "max_steps_3": (maintenance, {"max_steps": 3}, None, False),

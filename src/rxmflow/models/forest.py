@@ -5,12 +5,9 @@ here as they are read. Its split features are what successive calls of
 `default_rng(seed + i).choice(p, k, replace=False)` would draw; the trees
 replay those calls from the seed a block at a time (`lockstep.Choices`)
 rather than make them. So each tree is the tree it would be if grown alone,
-whatever the schedule. The classification forest grows all its trees in
-one lockstep group (`tree.grow_classifiers`) over one ranked table, each
-tree on the distinct rows of its bootstrap with their draw counts as weights;
-the regression forest fits its trees one after another, each on its
-bootstrap's rows, copies and all. They differ also in how tree outputs
-combine. Per-split feature subsampling defaults to sqrt(p) for
+whatever the schedule. A forest grows all its trees in one lockstep group
+(`tree.grow`) over one ranked table. The two forests differ in how tree
+outputs combine. Per-split feature subsampling defaults to sqrt(p) for
 classification and p // 3 for regression; bootstrap resampling is on by
 default.
 """
@@ -19,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import ClassTable, DecisionTreeClassifier, DecisionTreeRegressor, grow_classifiers
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor, Table, grow
 
 
 def _resolve_max_features(mode, n_features):
@@ -51,25 +48,22 @@ class _Forest:
         self.bootstrap = bootstrap
         self.seed = seed
 
-    def _new_trees(self, tree_class, n_rows, n_features):
-        """The unfitted trees, and an iterator over the rows (bootstrap or
-        all) each one fits, drawn as they are read."""
+    def _grow(self, tree_class, table):
+        """Grow the trees on `table`, each on its rows (bootstrap or all),
+        drawn as they are read."""
+        n_features, n_rows = table.XT.shape
         max_features = _resolve_max_features(self.max_features, n_features)
-        trees = [
-            tree_class(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=max_features,
-                seed=self.seed + i,
-            )
-            for i in range(self.n_estimators)
-        ]
+        self.trees_ = [tree_class(max_depth=self.max_depth, max_features=max_features,
+                                  min_samples_split=self.min_samples_split, seed=self.seed + i)
+                       for i in range(self.n_estimators)]
         rows = (
             np.random.default_rng(self.seed + i).integers(0, n_rows, size=n_rows)
             if self.bootstrap else np.arange(n_rows)
             for i in range(self.n_estimators)
         )
-        return trees, rows
+        grow(self.trees_, table, rows)
+        self.feature_importances_ = _combine_importances(self.trees_)
+        return self
 
 
 class RandomForestClassifier(_Forest):
@@ -79,13 +73,9 @@ class RandomForestClassifier(_Forest):
                          max_features, bootstrap, seed)
 
     def fit(self, X, y):
-        table = ClassTable(X, y)
+        table = Table(X, y, classify=True)
         self.classes_ = table.classes
-        n_features, n_rows = table.XT.shape
-        self.trees_, rows = self._new_trees(DecisionTreeClassifier, n_rows, n_features)
-        grow_classifiers(self.trees_, table, rows)
-        self.feature_importances_ = _combine_importances(self.trees_)
-        return self
+        return self._grow(DecisionTreeClassifier, table)
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
@@ -109,13 +99,7 @@ class RandomForestRegressor(_Forest):
                          max_features, bootstrap, seed)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.trees_, rows = self._new_trees(DecisionTreeRegressor, *X.shape)
-        for tree, idx in zip(self.trees_, rows):
-            tree.fit(X[idx], y[idx])
-        self.feature_importances_ = _combine_importances(self.trees_)
-        return self
+        return self._grow(DecisionTreeRegressor, Table(X, y, classify=False))
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)

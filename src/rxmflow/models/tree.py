@@ -13,34 +13,28 @@ different values comes from cumulative class counts (or sums of y and
 y*y), the first best position is taken per feature and the first best
 feature in draw order wins.
 
-Classification trees grow in lockstep, every tree of a fit in one group
-(`grow_classifiers`). Each round takes the next node to search from every
-tree of the group and scores them in passes over flat arrays, one segment
-per (node, drawn feature). No step of a round is taken once per node in
-Python.
+Trees grow in lockstep, every tree of a fit in one group (`grow`). Each
+round takes the next node to search from every tree of the group and
+scores them in passes over flat arrays, one segment per (node, drawn
+feature). No step of a round is taken once per node in Python. The two
+kinds, `_Gini` and `_Variance`, share the group (`_Lockstep`) and differ
+only in what a tree's buffer holds, how a boundary is scored, how a split
+orders its rows and what a node keeps.
 
 - Draws. A tree's feature draws are the successive calls
   `default_rng(seed).choice(n_features, k, replace=False)`. With n_features
   and k fixed for a fit they depend on the seed alone, so
   `lockstep.Choices` replays them from the seed's PCG64 stream, a block of
-  calls per tree at a time (the stream itself is described in
-  `lockstep`). The regression tree draws from the same replay.
-- Rows. A tree's rows are the distinct rows of its bootstrap, each once,
-  in one preallocated flat buffer for the group, with the number of times
-  the bootstrap drew it as an integer weight beside it. A node's size is
-  the sum of its weights, so `min_samples_split`, the Gini terms and the
-  importances count bootstrap copies, as a tree grown on the bootstrap
-  itself does. (scikit-learn's `n_node_samples` counts distinct rows;
-  matching it would change the trees.) The copies of a row go the same way
-  at every split, so the search and the split skip them.
-- Node state. The nodes of a group share flat arrays, numbered as they
-  are made: class counts and, once split, feature, threshold and children.
-  They are allocated once, at 2d - 1 nodes for a tree of d distinct rows,
-  and only the nodes made are written. Each tree's stack is an array of
-  the nodes it has yet to search, as (node, start, end, depth, size) rows
-  beside their impurity; a child too small, too deep or pure to be split
-  is a leaf from the start and is never stacked. `fill` renumbers each
-  tree into preorder from subtree sizes summed level by level.
+  calls per tree at a time (the stream itself is described in `lockstep`).
+- Rows. A tree's rows sit in one preallocated flat buffer for the group,
+  each with an integer weight. A node's size is the sum of its weights, so
+  `min_samples_split`, the impurity terms and the importances count
+  bootstrap copies, as a tree grown on the bootstrap itself does.
+- Node state. The nodes of a group share flat arrays, allocated once at
+  2d - 1 nodes for a tree of d rows, of which only the nodes made are
+  written. Each tree stacks the nodes it has yet to search. `fill`
+  renumbers each tree into preorder from subtree sizes summed level by
+  level.
 
 What keeps every tree bit-identical to one grown node by node on the
 bootstrap, copies and all:
@@ -52,26 +46,35 @@ bootstrap, copies and all:
   segment at once; copies of a row share its rank, so the boundaries
   between ranks are the same, in the same order, and the first best one
   and its midpoint threshold do not change;
-- class counts are prefix sums of the weights per class over the pass,
-  made relative to each segment's start; they are integers, so exact and
-  equal to counts of the copies. They are kept element-major, (row,
-  class), so a boundary reads one contiguous row;
-- the Gini terms use the same float expressions on the same integers,
-  summed over a tree's own classes in the order a per-node `.sum()` takes
-  (left to right below 8 classes, numpy's pairwise order from 8 on).
+- every score is the same float expression on the same numbers.
 
-A node is a [start, end) range of the group's buffers. The search returns
-the rows of each node that splits sorted by its winning feature, and the
-split writes them back over the range, weights alongside: over ascending
-values x <= threshold is a prefix, so the children are its two parts. The
-order of rows inside a node changes no tree, as the counts are integer sums
-and rows that share a rank share a value (-0.0 and 0.0 aside, whose
-midpoints read the same). A split hands its children their class counts,
-unless the midpoint rounded onto the upper value, when the children are
-counted from their rows.
+Classification. A tree holds the distinct rows of its bootstrap, each once,
+weighted by its draw count; copies go the same way at every split, so the
+search and the split skip them (scikit-learn's `n_node_samples` counts
+distinct rows; matching it would change the trees). Class counts are
+prefix sums of the weights per class over the pass, relative to each
+segment's start: integers, so exact and equal to counts of the copies, kept
+element-major so that a boundary reads one contiguous row. The Gini terms
+are summed over a tree's own classes in the order a per-node `.sum()`
+takes (left to right below 8 classes, numpy's pairwise order from 8 on).
+The search returns each splitting node's rows sorted by its winning
+feature, and the split writes them back, weights alongside: over ascending
+values x <= threshold is a prefix, so the children are its two parts. Row
+order inside a node changes no tree, as the counts are integer sums and
+rows that share a rank share a value (-0.0 and 0.0 aside, whose midpoints
+read the same). A split hands its children their class counts, unless the
+midpoint rounded onto the upper value, when they are counted from rows.
 
-Regression trees grow one node at a time (`_Grower`): flat cumulative sums
-of float y across segments would round differently.
+Regression. Float sums of y depend on the order and grouping of their
+terms, so a tree holds every row of its bootstrap, copies included, in
+bootstrap order, each of weight 1 (adding y twice rounds differently from
+adding 2y). A split partitions each node stably by x <= threshold, so its
+rows keep the order a node-by-node grower's `idx[mask]` gives, and the
+rank sort breaks ties as that grower's stable sort does. Sums that run
+across ranges would round differently, so the running sums of y and y*y in
+a segment, and a new node's mean and variance, come from a (ranges,
+length) block of the ranges that share a length, summed along its rows as
+numpy sums each range alone.
 """
 
 from __future__ import annotations
@@ -83,104 +86,24 @@ from .lockstep import Choices, ranges, stable_argsort
 PASS_ELEMENTS = 1 << 13   # (feature, row) elements per pass, past its first node
 
 
-class _Grower:
-    """Grows one regression tree depth-first into flat node lists."""
+class Table:
+    """A training table in the form the lockstep grower reads.
 
-    def __init__(self, X, y, max_depth, min_samples_split, max_features, seed):
-        self.XT = np.ascontiguousarray(X.T)     # feature-major
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        n_features = X.shape[1]
-        draws = max_features is not None and max_features < n_features
-        self.draws = Choices([seed], n_features, max_features) if draws else None
-        self.importances = np.zeros(X.shape[1])
-        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
-
-    def grow(self, idx, depth):
-        """Add the subtree over rows `idx`; return its node id."""
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(self.y[idx].mean()))
-        if len(idx) < self.min_samples_split:
-            return node
-        if self.max_depth is not None and depth >= self.max_depth:
-            return node
-        impurity = float(self.y[idx].var())
-        if impurity <= 0.0:
-            return node
-
-        split = self._best_split(idx, impurity)
-        if split is None:
-            return node
-        feature, threshold, gain = split
-        mask = self.XT[feature, idx] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx) == 0 or len(right_idx) == 0:
-            return node
-
-        self.importances[feature] += (len(idx) / len(self.y)) * gain
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = self.grow(left_idx, depth + 1)
-        self.right[node] = self.grow(right_idx, depth + 1)
-        return node
-
-    def _best_split(self, idx, parent_impurity):
-        """(feature, threshold, gain) or None.
-
-        Returns scalars only, so the per-position arrays are freed before
-        the caller recurses.
-        """
-        if self.draws is None:
-            feats = np.arange(self.XT.shape[0])
-        else:
-            feats = self.draws.next(np.zeros(1, dtype=np.intp))[0]
-
-        n = len(idx)
-        drawn = feats[:, None]
-        order = idx[self.XT[drawn, idx].argsort(axis=1, kind="mergesort")]
-        xs = self.XT[drawn, order]                       # (features, rows), sorted
-        ys = self.y[order]
-        # position b splits the sorted rows into b + 1 left and n - b - 1 right
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        s1 = np.cumsum(ys, axis=1)
-        s2 = np.cumsum(ys * ys, axis=1)
-        lmean = s1[:, :-1] / n_left
-        imp_left = s2[:, :-1] / n_left - lmean * lmean
-        rmean = (s1[:, -1:] - s1[:, :-1]) / n_right
-        imp_right = (s2[:, -1:] - s2[:, :-1]) / n_right - rmean * rmean
-        weighted = (n_left * imp_left + n_right * imp_right) / n
-        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf      # not a boundary
-        at = weighted.argmin(axis=1)
-        gains = parent_impurity - weighted[np.arange(len(feats)), at]
-        j = int(gains.argmax())
-        if gains[j] <= 1e-15:
-            return None
-        b = int(at[j])
-        threshold = float((xs[j, b] + xs[j, b + 1]) / 2.0)
-        return int(feats[j]), threshold, float(gains[j])
-
-
-class ClassTable:
-    """A classification training table in the form the lockstep grower reads.
-
-    `XT` is X feature-major, `ranks` the dense rank of each value within its
-    feature (ties share a rank, and so do -0.0 and 0.0) and `y` the class
-    codes, indices into `classes`. X holds no NaN: the pipeline imputes
-    every gap before a model sees the matrix.
+    `XT` is X feature-major and `ranks` the dense rank of each value within
+    its feature (ties share a rank, and so do -0.0 and 0.0). `y` holds the
+    class codes, indices into `classes`, or, with `classes` None, the float
+    targets. X holds no NaN: the pipeline imputes every gap before a model
+    sees the matrix.
     """
 
-    def __init__(self, X, y):
-        y = np.asarray(y)
-        self.classes = np.array(sorted(set(y.tolist())))
-        lookup = {c: i for i, c in enumerate(self.classes.tolist())}
-        self.y = np.array([lookup[v] for v in y.tolist()], dtype=np.intp)
+    def __init__(self, X, y, classify):
+        if classify:
+            y = np.asarray(y)
+            self.classes = np.array(sorted(set(y.tolist())))
+            lookup = {c: i for i, c in enumerate(self.classes.tolist())}
+            self.y = np.array([lookup[v] for v in y.tolist()], dtype=np.intp)
+        else:
+            self.classes, self.y = None, np.asarray(y, dtype=float)
         self.XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
         inverse = [np.unique(values, return_inverse=True)[1] for values in self.XT]
         self.ranks = np.array(inverse, dtype=np.int32).reshape(self.XT.shape)
@@ -221,23 +144,31 @@ def _first_per_group(hits, group):
     return hits[_run_starts(group[hits])]
 
 
-class _Lockstep:
-    """Grows a group of classification trees, one searched node per tree per round.
+def _by_length(starts, lengths):
+    """For each length among the ranges [start, start + length): the indices
+    of the ranges of that length and their positions, one range a row."""
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.append(np.flatnonzero(_run_starts(lengths[order])), len(order))
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        ids = order[first:last]
+        yield ids, starts[ids, None] + np.arange(lengths[ids[0]])
 
-    Tree g's rows are the distinct rows of its bootstrap at
-    `rows[offsets[g]:offsets[g + 1]]`, in table order until its splits
-    reorder them, and `weights` holds beside each row the number of times
-    the bootstrap drew it. A node is a [start, end)
-    range of these buffers, and its size is the sum of its weights, so it
-    counts bootstrap copies. Weighted class counts are integers, so every
-    Gini term is the one the copies give, and copies share a rank, so the
-    boundaries fall between the same distinct ranks. The nodes of the group
-    share flat arrays, numbered as they are made, roots first; a node is
-    made a leaf and turned into a split when its search finds one. `fill`
-    renumbers each tree into preorder. `stack[g, :top[g]]` holds the nodes
-    tree g has yet to search, the next one last, as rows (node, start, end,
-    depth, size) with their impurity in `stack_impurity`; a node too small,
-    too deep or pure to be split is never stacked.
+
+class _Lockstep:
+    """Grows a group of trees, one searched node per tree per round.
+
+    Tree g's rows are at `rows[offsets[g]:offsets[g + 1]]`, with `weights`
+    beside them. A node is a [start, end) range of these buffers. The nodes
+    of the group are numbered as they are made, roots first; a node is made
+    a leaf, its class counts or mean in `values`, and turned into a split
+    when its search finds one. `stack[g, :top[g]]` holds the nodes tree g
+    has yet to search, the next one last, as rows (node, start, end, depth,
+    size) with their impurity in `stack_impurity`; a node too small, too
+    deep or pure to be split is never stacked.
+
+    A kind says what a bootstrap puts in the buffers (`_bootstrap`), what a
+    node keeps (`_roots`, `_finish`), how a boundary is scored (`_prefix`,
+    `_score`, `_hand_off`) and how a node splits (`_split`).
     """
 
     def __init__(self, table, rows, seeds, max_depth, min_samples_split, max_features):
@@ -245,39 +176,33 @@ class _Lockstep:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         n_features, n_table = table.XT.shape
-        n_classes = len(table.classes)
         n_trees = len(seeds)
         self.all_features = np.arange(n_features)
         draws = max_features is not None and max_features < n_features
         self.draws = Choices(seeds, n_features, max_features) if draws else None
-        # n_table distinct rows per tree at most; the pages past the rows
-        # written are never touched. A bootstrap of n_table draws takes a row
-        # n_table times at most.
+        # n_table rows per tree, each drawn n_table times at most; the pages
+        # past the rows written are never touched
         self.rows = np.empty(n_trees * n_table, dtype=np.int32)
         self.weights = np.empty(n_trees * n_table, dtype=np.min_scalar_type(n_table))
         self.offsets = np.zeros(n_trees + 1, dtype=np.intp)
-        counts = np.empty((n_trees, n_classes), dtype=np.intp)
+        stats = []
         for g, r in enumerate(rows):            # one bootstrap at a time
-            copies = np.bincount(r, minlength=n_table)
-            at = np.flatnonzero(copies)
+            at, weights, root = self._bootstrap(r)
             end = self.offsets[g] + len(at)
             self.rows[self.offsets[g]:end] = at
-            self.weights[self.offsets[g]:end] = copies[at]
-            counts[g] = np.bincount(table.y[at], weights=copies[at], minlength=n_classes)
+            self.weights[self.offsets[g]:end] = weights
+            stats.append(root)
             self.offsets[g + 1] = end
-        self.n_rows = counts.sum(axis=1)        # each bootstrap's length
+        # a tree over d rows has 2d - 1 nodes at most, as each leaf holds
+        # one at least; `_add` writes every field of a node it makes
+        bound = 2 * int(self.offsets[-1]) - n_trees
+        roots, self.n_rows, impurity = self._roots(stats, bound)
         # a pass searches one node per tree at most, so its cumulative counts
         # stay below every bootstrap's length times the features drawn
         drawn = n_features if self.draws is None else max_features
         self.count_type = np.int32 if self.n_rows.sum() * drawn < 2**31 else np.int64
-        self.own = [np.flatnonzero(c) for c in counts]
         self.importances = np.zeros((n_trees, n_features))
-        # a tree over d distinct rows has 2d - 1 nodes at most, as each leaf
-        # holds one at least, and a node counts its bootstrap's length at
-        # most; `_add` writes every field of a node it makes
-        bound = 2 * int(self.offsets[-1]) - n_trees
         self.n_nodes = 0
-        self.counts = np.empty((bound, n_classes), dtype=np.min_scalar_type(self.n_rows.max()))
         self.feature = np.empty(bound, dtype=np.int32)
         self.threshold = np.empty(bound)
         self.left = np.empty(bound, dtype=np.int32)
@@ -285,31 +210,17 @@ class _Lockstep:
         self.stack = np.zeros((n_trees, 16, 5), dtype=np.intp)
         self.stack_impurity = np.zeros((n_trees, 16))
         self.top = np.zeros(n_trees, dtype=np.intp)
-        trees = np.arange(n_trees)
-        roots = self._add(counts)
-        self._push(trees, np.column_stack([roots, self.offsets[:-1], self.offsets[1:],
-                                           np.zeros(n_trees, dtype=np.intp), self.n_rows]),
-                   self._impurity(counts, self.n_rows, trees))
+        self._push(np.arange(n_trees),
+                   np.column_stack([self._add(roots), self.offsets[:-1], self.offsets[1:],
+                                    np.zeros(n_trees, dtype=np.intp), self.n_rows]),
+                   impurity)
 
-    def _impurity(self, counts, size, owner):
-        """Gini impurity of each row of class counts, of `size` rows of tree `owner`."""
-        return 1.0 - _square_sums(counts, size, owner, self.own)
-
-    def _class_counts(self, starts, lengths):
-        """Element-major class counts of the rows [start, start + length)."""
-        n_classes = len(self.table.classes)
-        member = np.repeat(np.arange(len(starts)), lengths)
-        where = ranges(starts, lengths)
-        return np.bincount(member * n_classes + self.table.y[self.rows[where]],
-                           weights=self.weights[where], minlength=len(starts) * n_classes
-                           ).astype(np.intp).reshape(len(starts), n_classes)
-
-    def _add(self, counts):
-        """Make a leaf of each row of class counts and return their ids."""
-        first, n = self.n_nodes, len(counts)
+    def _add(self, values):
+        """Make a leaf of each of `values` and return their ids."""
+        first, n = self.n_nodes, len(values)
         made = slice(first, first + n)
         self.n_nodes = first + n
-        self.counts[made] = counts
+        self.values[made] = values
         self.feature[made] = -1
         self.threshold[made] = 0.0
         self.left[made] = -1
@@ -366,9 +277,8 @@ class _Lockstep:
 
         Node i belongs to tree[i], is the row pending[i] of its stack and
         draws the features feats[i]. Returns the arguments of `_split` for
-        the nodes that split, or None: among them each such node's rows and
-        weights, sorted by its winning feature. The pass's arrays are freed
-        before the split allocates its own.
+        the nodes that split, or None. The pass's arrays are freed before
+        the split allocates its own.
         """
         table = self.table
         n_table = table.XT.shape[1]
@@ -389,15 +299,8 @@ class _Lockstep:
         order = order[stable_argsort(seg[order], len(seg_len))]
         rows, rank, weight = rows[order], rank[order], self.weights[where[order]]
 
-        # weighted class counts and sizes left of each position, relative to
-        # its segment's start; element-major, so a boundary reads one row
-        n_classes = len(table.classes)
-        cum = np.zeros((len(rows), n_classes), dtype=self.count_type)
-        cum.reshape(-1)[np.arange(0, len(rows) * n_classes, n_classes) + table.y[rows]] = weight
-        np.cumsum(cum, axis=0, out=cum)
-        base = cum.take(seg_start - 1, axis=0)      # take: faster row gathers
-        base[0] = 0
-        total = cum.take(seg_end - 1, axis=0) - base
+        # sums left of each position, relative to its segment's start
+        sums = self._prefix(rows, weight, seg_start, seg_len, seg_end)
         cum_size = np.cumsum(weight, dtype=self.count_type)
         base_size = cum_size[seg_start - 1]
         base_size[0] = 0
@@ -406,14 +309,10 @@ class _Lockstep:
         if not len(at):
             return None
         at_seg = seg[at]
-        owner = tree[seg_node[at_seg]] if n_classes >= 8 else None
-        left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
-        right = total.take(at_seg, axis=0) - left
         n_left = cum_size[at] - base_size[at_seg]
         at_size = size[seg_node[at_seg]]
         n_right = at_size - n_left
-        imp_left = self._impurity(left, n_left, owner)
-        imp_right = self._impurity(right, n_right, owner)
+        imp_left, imp_right = self._score(sums, at, at_seg, n_left, n_right, tree[seg_node])
         weighted = (n_left * imp_left + n_right * imp_right) / at_size
 
         # the first best boundary of each segment, then each node's first best segment
@@ -436,59 +335,37 @@ class _Lockstep:
         feature = seg_feat[segs]
         XT = table.XT.reshape(-1)
         threshold = (XT[feature * n_table + rows[b]] + XT[feature * n_table + rows[b + 1]]) / 2.0
-        left = cum.take(b, axis=0) - base.take(segs, axis=0)
-        won = ranges(seg_start[segs], seg_len[segs])
         return (tree[split], pending[split], best[split], feature, threshold,
-                b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left,
-                rows[won], weight[won])
+                *self._hand_off(sums, b, segs, seg_start, seg_len, rows, weight))
 
-    def _split(self, tree, pending, gains, feature, threshold, n_left, left, right,
-               rows, weights):
-        """Write each node's rows back in the order of its winning feature, so
-        that x <= threshold is a prefix of its range; make and stack its
-        children.
+    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows, weight):
+        """What the kind's `_split` takes besides the winners' thresholds."""
+        return ()
 
-        `n_left` is the number of distinct rows below the winning boundary,
-        and `left` and `right` the class counts on either side of it: the
-        children's, unless the midpoint rounded onto the upper value. `rows`
-        and `weights` are the nodes' rows, node after node, sorted by the
-        winning feature.
-        """
+    def _goes_left(self, rows, length, feature, threshold):
+        """For the nodes' rows, node after node: each row's node, whether it
+        goes left of its node's threshold, and how many go left per node."""
         n_table = self.table.XT.shape[1]
-        XT = self.table.XT.reshape(-1)
-        node, start, end, depth, size = pending.T
+        member = np.repeat(np.arange(len(length)), length)
+        goes_left = self.table.XT.reshape(-1)[feature[member] * n_table + rows] <= threshold[member]
+        return member, goes_left, np.bincount(member[goes_left], minlength=len(length))
 
-        length = end - start
-        where = ranges(start, length)
-        self.rows[where], self.weights[where] = rows, weights
-        member = np.repeat(np.arange(len(node)), length)
-        goes_left = XT[feature[member] * n_table + rows] <= threshold[member]
-        n_goes = np.bincount(member[goes_left], minlength=len(node))
-        mid = start + n_goes
-
-        keep = np.flatnonzero((n_goes > 0) & (n_goes < length))
-        moved = keep[n_goes[keep] != n_left[keep]]
-        if len(moved):
-            # the midpoint rounded onto the upper value: count the children's rows
-            left[moved] = self._class_counts(start[moved], n_goes[moved])
-            right[moved] = self._class_counts(mid[moved], end[moved] - mid[moved])
-        self.importances[tree[keep], feature[keep]] += (
-            size[keep] / self.n_rows[tree[keep]]) * gains[keep]
-        tree, node, start, mid, end = tree[keep], node[keep], start[keep], mid[keep], end[keep]
-        counts = np.concatenate([left[keep], right[keep]])
-        sizes = counts.sum(axis=1)
-        owner = np.concatenate([tree, tree]) if counts.shape[1] >= 8 else None
-        impurity = self._impurity(counts, sizes, owner)
-        children = self._add(counts)
-        lefts, rights = children[:len(node)], children[len(node):]
+    def _branch(self, tree, pending, gains, feature, threshold, mid, keep, values, sizes,
+                impurity):
+        """Turn the nodes `keep` into splits with children [start, mid) and
+        [mid, end), whose `values`, sizes and impurity run lefts then
+        rights, and stack the children."""
+        node, start, end, depth, size = pending[keep].T
+        tree, mid, k = tree[keep], mid[keep], len(keep)
+        self.importances[tree, feature[keep]] += (size / self.n_rows[tree]) * gains[keep]
+        children = self._add(values)
+        lefts, rights = children[:k], children[k:]
         self.feature[node], self.threshold[node] = feature[keep], threshold[keep]
         self.left[node], self.right[node] = lefts, rights
-        depth = depth[keep] + 1
+        depth = depth + 1
         # the right child goes below the left, to be searched after it
-        self._push(tree, np.column_stack([rights, mid, end, depth, sizes[len(node):]]),
-                   impurity[len(node):])
-        self._push(tree, np.column_stack([lefts, start, mid, depth, sizes[:len(node)]]),
-                   impurity[:len(node)])
+        self._push(tree, np.column_stack([rights, mid, end, depth, sizes[k:]]), impurity[k:])
+        self._push(tree, np.column_stack([lefts, start, mid, depth, sizes[:k]]), impurity[:k])
 
     def _preorder(self, n_trees):
         """The group's node ids, tree after tree, each tree in preorder; each
@@ -527,37 +404,185 @@ class _Lockstep:
         """
         order, pre, offset = self._preorder(len(trees))
         fields = []
-        for name in ("feature", "threshold", "left", "right", "counts"):
+        for name in ("feature", "threshold", "left", "right", "values"):
             values = getattr(self, name)[order]
             setattr(self, name, None)
             if name in ("left", "right"):
                 values = pre[values]
             fields.append(np.split(values, offset[1:]))
         del order, pre, values
-        classes = self.table.classes
-        for g, (tree, *arrays, counts) in enumerate(zip(trees, *fields)):
-            own = self.own[g]
-            tree.classes_ = np.array(classes[own].tolist())
+        for g, (tree, *arrays, values) in enumerate(zip(trees, *fields)):
             tree.feature_, tree.threshold_, tree.left_, tree.right_ = arrays
-            counts = counts[:, own]
-            tree.value_ = counts / counts.sum(axis=1, keepdims=True)
+            self._finish(g, tree, values)
             tree.feature_importances_ = _normalized(self.importances[g])
 
 
-def grow_classifiers(trees, table, rows):
-    """Fit each DecisionTreeClassifier of `trees` on its rows of `table`, all
-    in one lockstep group.
+class _Gini(_Lockstep):
+    """Classification trees: a tree's buffer holds the distinct rows of its
+    bootstrap, in table order until its splits reorder them, weighted by
+    their draw counts, and a node keeps its class counts."""
+
+    def _bootstrap(self, r):
+        copies = np.bincount(r, minlength=self.table.XT.shape[1])
+        at = np.flatnonzero(copies)
+        counts = np.bincount(self.table.y[at], weights=copies[at],
+                             minlength=len(self.table.classes))
+        return at, copies[at], counts
+
+    def _roots(self, counts, bound):
+        counts = np.array(counts, dtype=np.intp)
+        n_rows = counts.sum(axis=1)             # each bootstrap's length
+        self.own = [np.flatnonzero(c) for c in counts]
+        self.values = np.empty((bound, counts.shape[1]), dtype=np.min_scalar_type(n_rows.max()))
+        return counts, n_rows, self._impurity(counts, n_rows, np.arange(len(counts)))
+
+    def _impurity(self, counts, size, owner):
+        """Gini impurity of each row of class counts, of `size` rows of tree `owner`."""
+        return 1.0 - _square_sums(counts, size, owner, self.own)
+
+    def _class_counts(self, starts, lengths):
+        """Element-major class counts of the rows [start, start + length)."""
+        n_classes = len(self.table.classes)
+        member = np.repeat(np.arange(len(starts)), lengths)
+        where = ranges(starts, lengths)
+        return np.bincount(member * n_classes + self.table.y[self.rows[where]],
+                           weights=self.weights[where], minlength=len(starts) * n_classes
+                           ).astype(np.intp).reshape(len(starts), n_classes)
+
+    def _prefix(self, rows, weight, seg_start, seg_len, seg_end):
+        """Weighted class counts left of each position and each segment's
+        total; element-major, so a boundary reads one row."""
+        n_classes = len(self.table.classes)
+        cum = np.zeros((len(rows), n_classes), dtype=self.count_type)
+        cum.reshape(-1)[np.arange(0, len(rows) * n_classes, n_classes) + self.table.y[rows]] = weight
+        np.cumsum(cum, axis=0, out=cum)
+        base = cum.take(seg_start - 1, axis=0)      # take: faster row gathers
+        base[0] = 0
+        return cum, base, cum.take(seg_end - 1, axis=0) - base
+
+    def _score(self, sums, at, at_seg, n_left, n_right, seg_tree):
+        cum, base, total = sums
+        owner = seg_tree[at_seg] if total.shape[1] >= 8 else None
+        left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
+        right = total.take(at_seg, axis=0) - left
+        return self._impurity(left, n_left, owner), self._impurity(right, n_right, owner)
+
+    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows, weight):
+        """The distinct rows below each winning boundary, the class counts on
+        either side of it, and the winners' rows and weights in order."""
+        cum, base, total = sums
+        left = cum.take(b, axis=0) - base.take(segs, axis=0)
+        won = ranges(seg_start[segs], seg_len[segs])
+        return (b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left,
+                rows[won], weight[won])
+
+    def _split(self, tree, pending, gains, feature, threshold, n_left, left, right,
+               rows, weights):
+        """Write each node's `rows` and `weights` back in the order of its
+        winning feature, so that x <= threshold is a prefix of its range;
+        make and stack its children. `n_left` is the number of distinct rows
+        below the winning boundary, and `left` and `right` the class counts
+        on either side of it: the children's, unless the midpoint rounded
+        onto the upper value."""
+        start, end = pending[:, 1], pending[:, 2]
+        length = end - start
+        where = ranges(start, length)
+        self.rows[where], self.weights[where] = rows, weights
+        n_goes = self._goes_left(rows, length, feature, threshold)[2]
+        mid = start + n_goes
+        keep = np.flatnonzero((n_goes > 0) & (n_goes < length))
+        moved = keep[n_goes[keep] != n_left[keep]]
+        if len(moved):
+            # the midpoint rounded onto the upper value: count the children's rows
+            left[moved] = self._class_counts(start[moved], n_goes[moved])
+            right[moved] = self._class_counts(mid[moved], end[moved] - mid[moved])
+        counts = np.concatenate([left[keep], right[keep]])
+        sizes = counts.sum(axis=1)
+        owner = np.concatenate([tree[keep], tree[keep]]) if counts.shape[1] >= 8 else None
+        self._branch(tree, pending, gains, feature, threshold, mid, keep, counts, sizes,
+                     self._impurity(counts, sizes, owner))
+
+    def _finish(self, g, tree, counts):
+        own = self.own[g]
+        tree.classes_ = np.array(self.table.classes[own].tolist())
+        counts = counts[:, own]
+        tree.value_ = counts / counts.sum(axis=1, keepdims=True)
+
+
+class _Variance(_Lockstep):
+    """Regression trees: a tree's buffer holds every row of its bootstrap,
+    in bootstrap order, each of weight 1, and a node keeps its mean."""
+
+    def _bootstrap(self, r):
+        y = self.table.y[r]
+        return r, 1, (y.mean(), y.var())
+
+    def _roots(self, stats, bound):
+        mean, var = np.array(stats).T
+        self.values = np.empty(bound)
+        return mean, np.diff(self.offsets), var
+
+    def _stats(self, starts, lengths):
+        """Mean and variance of y over each range [start, start + length)."""
+        mean, var = np.empty(len(starts)), np.empty(len(starts))
+        for ids, at in _by_length(starts, lengths):
+            block = self.table.y[self.rows[at]]
+            mean[ids], var[ids] = block.mean(axis=1), block.var(axis=1)
+        return mean, var
+
+    def _prefix(self, rows, weight, seg_start, seg_len, seg_end):
+        """Running sums of y and y*y within each segment, and its totals."""
+        y = self.table.y[rows]
+        s1, s2 = np.empty(len(y)), np.empty(len(y))
+        for _, at in _by_length(seg_start, seg_len):
+            block = y[at]
+            s1[at] = np.cumsum(block, axis=1)
+            s2[at] = np.cumsum(block * block, axis=1)
+        return s1, s2, s1[seg_end - 1], s2[seg_end - 1]
+
+    def _score(self, sums, at, at_seg, n_left, n_right, seg_tree):
+        s1, s2, total1, total2 = sums
+        lmean = s1[at] / n_left
+        rmean = (total1[at_seg] - s1[at]) / n_right
+        return (s2[at] / n_left - lmean * lmean,
+                (total2[at_seg] - s2[at]) / n_right - rmean * rmean)
+
+    def _split(self, tree, pending, gains, feature, threshold):
+        """Partition each node's range stably by x <= threshold, so that
+        each child keeps its rows in bootstrap order; make and stack the
+        children."""
+        start, end = pending[:, 1], pending[:, 2]
+        length = end - start
+        where = ranges(start, length)
+        rows = self.rows[where]
+        member, goes_left, n_goes = self._goes_left(rows, length, feature, threshold)
+        self.rows[where] = rows[stable_argsort(2 * member + ~goes_left, 2 * len(length))]
+        mid = start + n_goes
+        keep = np.flatnonzero((n_goes > 0) & (n_goes < length))
+        sizes = np.concatenate([n_goes[keep], (end - mid)[keep]])
+        mean, var = self._stats(np.concatenate([start[keep], mid[keep]]), sizes)
+        self._branch(tree, pending, gains, feature, threshold, mid, keep, mean, sizes, var)
+
+    def _finish(self, g, tree, means):
+        tree.value_ = means
+
+
+def grow(trees, table, rows):
+    """Fit each tree of `trees`, all DecisionTreeClassifier or all
+    DecisionTreeRegressor, on its rows of `table`, in one lockstep group.
 
     `rows` iterates over the trees' row indices, in tree order; each is
     read, stored and dropped before the next. The trees share max_depth,
     min_samples_split and max_features, and each draws its features as
     default_rng(tree.seed) would.
     """
+    n_features, n_rows = table.XT.shape
+    if not n_rows or not n_features:
+        raise ValueError(f"cannot grow a tree on {n_rows} rows of {n_features} features")
     t = trees[0]
-    _Lockstep(
-        table, rows, [tree.seed for tree in trees],
-        t.max_depth, t.min_samples_split, t.max_features,
-    ).grow().fill(trees)
+    kind = _Variance if table.classes is None else _Gini
+    kind(table, rows, [tree.seed for tree in trees], t.max_depth, t.min_samples_split,
+         t.max_features).grow().fill(trees)
 
 
 def _normalized(importances):
@@ -574,6 +599,10 @@ class _Tree:
         self.max_features = max_features
         self.seed = seed
 
+    def _grow(self, table):
+        grow([self], table, [np.arange(len(table.y))])
+        return self
+
     def _predict_values(self, X):
         """The leaf value each row of X reaches, one tree level at a time."""
         X = np.asarray(X, dtype=float)
@@ -589,9 +618,7 @@ class _Tree:
 
 class DecisionTreeClassifier(_Tree):
     def fit(self, X, y):
-        table = ClassTable(X, y)
-        grow_classifiers([self], table, [np.arange(len(table.y))])
-        return self
+        return self._grow(Table(X, y, classify=True))
 
     def predict_proba(self, X):
         # always 2-D, also for a tree that saw a single class
@@ -603,19 +630,7 @@ class DecisionTreeClassifier(_Tree):
 
 class DecisionTreeRegressor(_Tree):
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        grower = _Grower(
-            X, np.asarray(y, dtype=float), self.max_depth, self.min_samples_split,
-            self.max_features, self.seed,
-        )
-        grower.grow(np.arange(X.shape[0]), depth=0)
-        self.feature_ = np.array(grower.feature, dtype=np.int32)
-        self.threshold_ = np.array(grower.threshold, dtype=float)
-        self.left_ = np.array(grower.left, dtype=np.int32)
-        self.right_ = np.array(grower.right, dtype=np.int32)
-        self.value_ = np.array(grower.value, dtype=float)
-        self.feature_importances_ = _normalized(grower.importances)
-        return self
+        return self._grow(Table(X, y, classify=False))
 
     def predict(self, X):
         return self._predict_values(X)

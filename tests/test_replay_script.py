@@ -4,7 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
-from rxmflow.preprocess import pipeline
+from rxmflow.models import forest
+from rxmflow.preprocess import features, pipeline
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "replay.py"
 
@@ -51,3 +52,17 @@ def test_wide_knn_imputes_over_eight_or_more_coordinates(monkeypatch):
     assert seen and all(
         m >= 8 and knn == ["Network_Latency", "Production_Speed", "Temperature"]
         for m, knn in seen)
+
+
+def test_regress_nonlinear_grows_the_analytics_and_advisory_regression_forests(monkeypatch):
+    replay = load_replay()
+    seen = []
+    real = forest.RandomForestRegressor.fit
+
+    def spy(self, X, y):
+        seen.append((self.n_estimators, self.max_depth))
+        return real(self, X, y)
+
+    monkeypatch.setattr(forest.RandomForestRegressor, "fit", spy)
+    assert replay.main(["regress_nonlinear"]) == 0
+    assert seen == [(100, None), (features.IMPORTANCE_TREES, features.IMPORTANCE_DEPTH)]

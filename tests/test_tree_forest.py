@@ -1,9 +1,10 @@
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -327,6 +328,69 @@ def _reference_tree(X, y, max_depth, min_samples_split, max_features, seed):
     return feature, threshold, left, right, np.array(value), importances
 
 
+def _reference_regression_tree(X, y, max_depth, min_samples_split, max_features, seed):
+    """One regression tree grown node by node on the rows in the order given,
+    each node's split search on its own: the arithmetic the lockstep grower
+    must reproduce bit for bit.
+
+    Returns feature, threshold, left, right, value and the raw importances.
+    """
+    XT = np.ascontiguousarray(X.T)
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, value = [], [], [], [], []
+    importances = np.zeros(X.shape[1])
+
+    def grow(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[idx].mean()))
+        if len(idx) < min_samples_split or (max_depth is not None and depth >= max_depth):
+            return node
+        impurity = float(y[idx].var())
+        if impurity <= 0.0:
+            return node
+        n_features = XT.shape[0]
+        if max_features is None or max_features >= n_features:
+            feats = np.arange(n_features)
+        else:
+            feats = rng.choice(n_features, size=max_features, replace=False)
+        order = idx[XT[feats[:, None], idx].argsort(axis=1, kind="mergesort")]
+        xs = XT[feats[:, None], order]
+        ys = y[order]
+        n = len(idx)
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        s1 = np.cumsum(ys, axis=1)
+        s2 = np.cumsum(ys * ys, axis=1)
+        lmean = s1[:, :-1] / n_left
+        imp_left = s2[:, :-1] / n_left - lmean * lmean
+        rmean = (s1[:, -1:] - s1[:, :-1]) / n_right
+        imp_right = (s2[:, -1:] - s2[:, :-1]) / n_right - rmean * rmean
+        weighted = (n_left * imp_left + n_right * imp_right) / n
+        weighted[xs[:, 1:] == xs[:, :-1]] = np.inf
+        at = weighted.argmin(axis=1)
+        gains = impurity - weighted[np.arange(len(feats)), at]
+        j = int(gains.argmax())
+        if gains[j] <= 1e-15:
+            return node
+        cut = float((xs[j, at[j]] + xs[j, at[j] + 1]) / 2.0)
+        mask = XT[feats[j], idx] <= cut
+        if mask.all() or not mask.any():
+            return node
+        importances[feats[j]] += (n / len(y)) * gains[j]
+        feature[node] = int(feats[j])
+        threshold[node] = cut
+        left[node] = grow(idx[mask], depth + 1)
+        right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return feature, threshold, left, right, np.array(value), importances
+
+
 eps = np.finfo(float).eps
 tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 * eps]),
                      st.floats(min_value=-3, max_value=3))
@@ -369,6 +433,66 @@ def test_lockstep_trees_equal_trees_grown_node_by_node(
         assert tree.feature_importances_.tobytes() == expected.tobytes()
 
 
+def _assert_regression_forest_matches_reference(X, y, n_estimators, bootstrap, max_features,
+                                                max_depth, min_samples_split, pass_elements):
+    n, p = X.shape
+    with mock.patch.object(tree_module, "PASS_ELEMENTS", pass_elements):
+        forest = RandomForestRegressor(
+            n_estimators=n_estimators, max_depth=max_depth,
+            min_samples_split=min_samples_split, max_features=max_features,
+            bootstrap=bootstrap, seed=3,
+        ).fit(X, y)
+    drawn = max(1, p // 3) if max_features == "third" else max_features
+    for i, tree in enumerate(forest.trees_):
+        idx = np.random.default_rng(3 + i).integers(0, n, size=n) if bootstrap else np.arange(n)
+        feature, threshold, left, right, value, importances = _reference_regression_tree(
+            X[idx], y[idx], max_depth, min_samples_split, drawn, 3 + i)
+        assert tree.feature_.tolist() == feature
+        assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
+        assert tree.left_.tolist() == left and tree.right_.tolist() == right
+        assert tree.value_.tobytes() == value.tobytes()
+        total = importances.sum()
+        expected = importances / total if total > 0 else importances
+        assert tree.feature_importances_.tobytes() == expected.tobytes()
+
+
+y_cell = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 1e16, -1e16]),
+                   st.floats(min_value=-3, max_value=3))
+forest_options = {
+    "bootstrap": st.booleans(),
+    "max_features": st.sampled_from([None, 1, 2, "third"]),
+    "max_depth": st.sampled_from([None, 2]),
+    "min_samples_split": st.sampled_from([2, 5, 12]),
+    "pass_elements": st.sampled_from([16, 8192]),
+}
+
+
+@given(
+    X=arrays(float, st.tuples(st.integers(2, 70), st.integers(1, 5)), elements=tie_cell),
+    targets=st.data(),
+    n_estimators=st.integers(1, 5),
+    **forest_options,
+)
+def test_lockstep_regression_trees_equal_trees_grown_node_by_node(X, targets, **options):
+    y = np.array(targets.draw(st.lists(y_cell, min_size=len(X), max_size=len(X))))
+    _assert_regression_forest_matches_reference(X, y, **options)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(120, 400), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       **forest_options)
+def test_lockstep_regression_trees_equal_trees_grown_node_by_node_past_128_rows(
+        n, p, seed, **options):
+    # numpy sums more than 128 values pairwise in halves, so nodes this
+    # large reach the recursive part of each mean and variance
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((n, p)) < 0.5, rng.choice([-1.0, -0.0, 0.0, 1.0, 1 + eps], (n, p)),
+                 rng.normal(size=(n, p)))
+    y = X[:, 0] * X[:, -1] + rng.normal(size=n)
+    y[rng.random(n) < 0.05] = rng.choice([-0.0, 0.0, 1e16, -1e16])
+    _assert_regression_forest_matches_reference(X, y, n_estimators=2, **options)
+
+
 def test_split_minimum_counts_bootstrap_copies_not_distinct_rows():
     # seed 2 draws rows 0, 2, 3 and 6 twice each: 4 distinct rows, 8 draws
     X = np.column_stack([np.arange(8.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]])
@@ -394,8 +518,8 @@ def test_lockstep_buffers_hold_each_distinct_row_once_with_its_count(bootstrap):
     y = rng.integers(0, 3, 50)
     rows = [np.random.default_rng(seed).integers(0, 50, size=50) if bootstrap
             else np.arange(50) for seed in range(4)]
-    grower = tree_module._Lockstep(tree_module.ClassTable(X, y), iter(rows), [0, 1, 2, 3],
-                                   None, 2, 2)
+    grower = tree_module._Gini(tree_module.Table(X, y, classify=True), iter(rows), [0, 1, 2, 3],
+                               None, 2, 2)
     for g, idx in enumerate(rows):
         at = slice(grower.offsets[g], grower.offsets[g + 1])
         distinct, weights = grower.rows[at], grower.weights[at]
@@ -406,13 +530,17 @@ def test_lockstep_buffers_hold_each_distinct_row_once_with_its_count(bootstrap):
             assert (weights == 1).all()
 
 
-def test_hundred_tree_forest_grows_in_one_lockstep_group():
+@pytest.mark.parametrize("forest, kind, target", [
+    (RandomForestClassifier, "_Gini", lambda rng: rng.integers(0, 3, 120)),
+    (RandomForestRegressor, "_Variance", lambda rng: rng.normal(size=120)),
+], ids=["classifier", "regressor"])
+def test_hundred_tree_forest_grows_in_one_lockstep_group(forest, kind, target):
     rng, X = _golden_table(26, n=120)
-    y = rng.integers(0, 3, 120)
-    with mock.patch.object(tree_module, "_Lockstep", wraps=tree_module._Lockstep) as group:
-        forest = RandomForestClassifier(n_estimators=100, seed=5).fit(X, y)
+    y = target(rng)
+    with mock.patch.object(tree_module, kind, wraps=getattr(tree_module, kind)) as group:
+        fitted = forest(n_estimators=100, seed=5).fit(X, y)
     assert group.call_count == 1
-    assert len(forest.trees_) == 100
+    assert len(fitted.trees_) == 100
 
 
 def _bootstrap_forest_table():
@@ -426,7 +554,7 @@ def _bootstrap_forest_table():
 ])
 def test_split_puts_rows_at_or_below_the_threshold_left_with_their_weights(table, model):
     X, y = table()
-    split = tree_module._Lockstep._split
+    split = tree_module._Gini._split
     seen = {"splits": 0, "on_a_value": 0}
 
     def checked_split(self, tree, pending, gains, feature, threshold, *rest):
@@ -451,13 +579,65 @@ def test_split_puts_rows_at_or_below_the_threshold_left_with_their_weights(table
                                 (self.right[node[i]], slice(k, None))):
                 counts = np.bincount(self.table.y[rows[part]], weights=weights[part],
                                      minlength=n_classes)
-                assert self.counts[child].tolist() == counts.tolist()
+                assert self.values[child].tolist() == counts.tolist()
 
-    with mock.patch.object(tree_module._Lockstep, "_split", checked_split):
+    with mock.patch.object(tree_module._Gini, "_split", checked_split):
         model().fit(X, y)
     assert seen["splits"] > 10
     if table is _midpoint_table:
         assert seen["on_a_value"] > 0           # a midpoint rounded onto the upper value
+
+
+def _regression_midpoint_table():
+    X, y = _midpoint_table()
+    return X, y * 1.5 + X[:, 1]
+
+
+def _regression_bootstrap_table():
+    rng, X = _golden_table(28, n=80)
+    return X, X[:, 0] * X[:, 2] + rng.normal(size=80)
+
+
+@pytest.mark.parametrize("table, model", [
+    (_regression_midpoint_table, lambda: DecisionTreeRegressor(seed=0)),
+    (_regression_bootstrap_table, lambda: RandomForestRegressor(n_estimators=6, seed=9)),
+], ids=["midpoint", "bootstrap"])
+def test_regression_split_keeps_each_side_in_its_parents_order(table, model):
+    X, y = table()
+    split = tree_module._Variance._split
+    seen = {"splits": 0, "on_a_value": 0}
+
+    def checked_split(self, tree, pending, gains, feature, threshold):
+        node, start, end = pending[:, 0], pending[:, 1], pending[:, 2]
+        before = [self.rows[s:e].copy() for s, e in zip(start, end)]
+        split(self, tree, pending, gains, feature, threshold)
+        for i, (s, e) in enumerate(zip(start, end)):
+            goes_left = self.table.XT[feature[i], before[i]] <= threshold[i]
+            parts = (before[i][goes_left], before[i][~goes_left])
+            assert self.rows[s:e].tolist() == parts[0].tolist() + parts[1].tolist()
+            if self.left[node[i]] < 0:           # one side empty: the node stays a leaf
+                assert 0 in (len(parts[0]), len(parts[1]))
+                continue
+            seen["splits"] += 1
+            seen["on_a_value"] += bool((self.table.XT[feature[i], before[i]] == threshold[i]).any())
+            for child, rows in zip((self.left[node[i]], self.right[node[i]]), parts):
+                assert self.values[child].tobytes() == self.table.y[rows].mean().tobytes()
+
+    with mock.patch.object(tree_module._Variance, "_split", checked_split):
+        model().fit(X, y)
+    assert seen["splits"] > 10
+    if table is _regression_midpoint_table:
+        assert seen["on_a_value"] > 0           # a midpoint rounded onto the upper value
+
+
+@pytest.mark.parametrize("model", [DecisionTreeClassifier, DecisionTreeRegressor,
+                                   RandomForestClassifier, RandomForestRegressor])
+@pytest.mark.parametrize("shape, named", [((0, 2), "0 rows"), ((5, 0), "0 features")])
+def test_fit_on_an_empty_table_raises_an_error_that_names_what_is_missing(model, shape, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy warning on the way
+        with pytest.raises(ValueError, match=named):
+            model().fit(np.zeros(shape), np.arange(shape[0]) % 2)
 
 
 n_and_k = st.one_of(
