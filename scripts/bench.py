@@ -18,9 +18,10 @@ call's `.perfbench/<workload>-s<seed>-t0/result.json` under --root, the
 checkout the sweep ran in (default: the current directory). A seed whose
 result.json is gone gets no digest entry.
 
-A sweep line holding NaN or Infinity, which `json.dumps` writes for a
-non-finite metric, is refused with the line's workload and seed, and no
-BENCH file is written.
+A sweep line is refused, with its workload and seed, when it holds NaN or
+Infinity (which `json.dumps` writes for a non-finite metric), when its
+result is not correct, or when any of its runs failed. Then no BENCH file
+is written and the script exits 1.
 """
 
 from __future__ import annotations
@@ -36,26 +37,37 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from compare import WALL, load_set, summary  # noqa: E402
 
 
-class NonFiniteError(ValueError):
-    """A sweep line holds NaN, Infinity or -Infinity."""
+class RefusedLineError(ValueError):
+    """A sweep line that must not stand in a BENCH file."""
 
 
 def _refuse(constant: str):
-    raise NonFiniteError(f"non-finite number {constant}")
+    raise RefusedLineError(f"non-finite number {constant}")
+
+
+def _check(result: dict):
+    """Refuse a call that is not correct or that had a failed run."""
+    if result.get("correct") is not True or result.get("failed") != 0:
+        raise RefusedLineError(
+            f"correct {result.get('correct')}, failed {result.get('failed')} "
+            f"of {result.get('attempted')} runs")
 
 
 def read_sweep(sweep: Path) -> list[dict]:
-    """The sweep's records, one a line, with every number finite."""
+    """The sweep's records, one a line: every number finite, every call
+    correct, no run failed."""
     records = []
     with open(sweep, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
-                records.append(json.loads(line, parse_constant=_refuse))
-            except NonFiniteError as exc:
+                record = json.loads(line, parse_constant=_refuse)
+                _check(record["result"])
+            except RefusedLineError as exc:
                 record = json.loads(line)
-                raise NonFiniteError(
+                raise RefusedLineError(
                     f"{sweep}:{line_no}: workload {record.get('workload')}, "
                     f"seed {record.get('seed')}: {exc}") from None
+            records.append(record)
     return records
 
 
@@ -103,7 +115,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     try:
         folded = fold(args.sweep, args.root, benchmark["end_to_end"])
-    except NonFiniteError as exc:
+    except RefusedLineError as exc:
         print(exc, file=sys.stderr)
         return 1
     document = {"label": args.label, **folded}

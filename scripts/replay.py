@@ -18,8 +18,9 @@ byte-identical files. The cases cover the three tasks under the rule
 planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
 a gapped table that drives kNN imputation, a wider gapped table whose kNN
-distances sum 8 or more coordinates, adaptive search on noisy
-classification and regression, a nonlinear regression target that every
+distances sum 8 or more coordinates, a gapped table of a few distinct rows
+repeated (so each query row's kNN prefix ends in a tie), adaptive search
+on noisy classification and regression, a nonlinear regression target that every
 regression candidate is tried on (so both the analytics and the advisory
 regression forests are grown), `include_routine`, a step cap, a target
 with a one-row class, a planner that gives up before any step, two runs
@@ -131,6 +132,24 @@ def wide_network():
     return frame
 
 
+def tied_gapped():
+    """240 rows drawn from five distinct rows of four readings, two of the
+    readings 30% blank (kNN): far more training rows than a kNN prefix holds
+    sit at each distance, so each query row's prefix ends in a tie."""
+    gen = np.random.default_rng(19)
+    X = np.round(gen.uniform(0.0, 10.0, (5, 4)), 2)[gen.integers(0, 5, 240)]
+    target = np.round(X @ [0.5, -0.2, 0.1, 0.3] + gen.normal(0.0, 0.5, 240), 4)
+    readings = [X[:, j].tolist() for j in range(4)]
+    for cells in readings[:2]:
+        for i in gen.choice(240, size=72, replace=False):
+            cells[int(i)] = None
+    return DatasetFrame(
+        column_names=[*(f"reading_{c}" for c in "abcd"), "failure_target"],
+        columns=[*readings, target.tolist()],
+        n_rows=240,
+    )
+
+
 def nonlinear():
     """Six uniform readings and a failure target that is the product of the
     first two: no linear candidate reaches R^2 0.1, so adaptive search tries
@@ -193,6 +212,7 @@ CASES = {
     "backup_constant": (with_constant, {}, None, True),
     "backup_gapped_knn": (gapped, {}, None, True),
     "wide_knn": (wide_network, {}, None, False),
+    "tied_knn": (tied_gapped, {}, None, False),
     "skips_ahead": (maintenance, {}, skips_ahead, False),
     "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),
 }

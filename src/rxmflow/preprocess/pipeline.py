@@ -26,6 +26,15 @@ Conventions worth pinning down:
     contiguous row per coordinate, and the squared differences are summed
     in numpy's pairwise order for a row of m values, so each distance is
     bit-identical to a row-major `.sum(axis=-1)` over (n_train, m)
+  - each query row sorts one prefix of its distances: every training row at
+    or below the PREFIX_ROWS-th smallest distance, ties included, in
+    (distance, position) order. That is the head of the full order, so a
+    missing knn column takes its first k rows with the value present from
+    it. A column the prefix holds fewer than k such rows for, a prefix
+    whose last distance is not finite, and a store of PREFIX_ROWS rows or
+    fewer fall back to the full search over the column's candidates
+  - a query row with a coordinate that no training row lacks shares it with
+    every training row, so the per-row usability mask is not computed
   - a missing cell under imputation "none" still falls back to the fitted
     train median/mode so the matrix stays finite
 """
@@ -43,6 +52,13 @@ from .plan import (
     IMPUTE_NONE, SCALE_ROBUST, SCALE_STANDARD, PreprocessPlan,
 )
 from .schema import FEATURE_NUMERIC, SchemaMap
+
+# Training rows each kNN query row sorts by distance, so that its missing
+# columns pick their neighbours from one short sorted prefix. Any value
+# gives the same imputed values; a column the prefix cannot serve falls back
+# to the full search.
+PREFIX_ROWS = 32
+NO_PREFIX = np.empty(0, dtype=np.intp)
 
 
 def _category_key(cell) -> str:
@@ -290,10 +306,29 @@ def _nearest_value(fit, raw, candidates, d2, usable):
     kth = np.partition(dc, k - 1)[k - 1]
     below = np.flatnonzero(dc < kth)
     picks = np.concatenate((below, np.flatnonzero(dc == kth)[: k - below.size]))
-    chosen = candidates[picks[np.lexsort((picks, dc[picks]))]]
+    return _neighbour_value(fit, raw, candidates[picks[np.lexsort((picks, dc[picks]))]])
+
+
+def _neighbour_value(fit, raw, chosen):
+    """The mean (numeric) or mode (categorical) of the chosen rows' values,
+    taken in the order given."""
     if fit.numeric:
         return float(np.mean(raw[chosen]))
     return most_frequent([str(v) for v in raw[chosen]])
+
+
+def _sorted_prefix(d2):
+    """Every training row whose d2 is at or below the PREFIX_ROWS-th smallest,
+    ties included, in (d2, position) order: the head of the order
+    `_nearest_value` picks from. Empty when the store holds PREFIX_ROWS rows
+    or fewer, or when that distance is not finite."""
+    if d2.size <= PREFIX_ROWS:
+        return NO_PREFIX
+    kth = np.partition(d2, PREFIX_ROWS - 1)[PREFIX_ROWS - 1]
+    if not kth < np.inf:
+        return NO_PREFIX
+    near = np.flatnonzero(d2 <= kth)
+    return near[np.argsort(d2[near], kind="stable")]
 
 
 def _pairwise_sum(terms):
@@ -340,10 +375,12 @@ def _knn_impute(pipeline, frame, rows, numeric):
     `_pairwise_sum`, in the order numpy sums each row of an (n_train, m)
     array: a different order rounds differently and can reorder near ties,
     so keeping numpy's makes every distance the one a row-major
-    `.sum(axis=-1)` gives, the same over any subset of training rows. The
-    distances are shared by the query row's missing knn columns. Rows that
-    share no coordinate with the query are unusable, and a query with no
-    coordinate has no usable row.
+    `.sum(axis=-1)` gives, the same over any subset of training rows. Rows
+    that share no coordinate with the query are unusable, and a query with
+    no coordinate has no usable row. The distances, and the sorted prefix
+    of them (`_sorted_prefix`), are shared by the query row's missing knn
+    columns; a column the prefix cannot serve falls back to
+    `_nearest_value`.
     """
     fits = [fit for fit in pipeline.column_fits if fit.imputation == IMPUTE_KNN]
     if not fits:
@@ -357,15 +394,17 @@ def _knn_impute(pipeline, frame, rows, numeric):
         fit.name: np.full(len(rows), np.nan) if fit.numeric else [None] * len(rows)
         for fit in fits
     }
-    candidates = {name: (raw, np.flatnonzero(mask))
-                  for name, (raw, mask) in pipeline.knn_raw.items()}
+    stores = {name: (raw, mask, np.flatnonzero(mask))
+              for name, (raw, mask) in pipeline.knn_raw.items()}
     query = _scaled_query_coords(pipeline, numeric, len(rows))
     store = np.ascontiguousarray(pipeline.knn_train_scaled.T)
     present = ~np.isnan(store)
+    gap_free = present.all(axis=1)      # coordinates no training row lacks
     zeroed = np.where(present, store, 0.0)
     scale = present.astype(float)       # a float multiply beats a bool one
     n_train = store.shape[1]
     zero = np.zeros(n_train)
+    everyone = np.ones(n_train, dtype=bool)
     for k in np.flatnonzero(np.any([missing[fit.name] for fit in fits], axis=0)):
         q = query[k]
         have = np.flatnonzero(~np.isnan(q))
@@ -376,11 +415,20 @@ def _knn_impute(pipeline, frame, rows, numeric):
             diff *= diff
             terms[j] = diff
         d2 = _pairwise_sum(terms) if len(have) else np.full(n_train, np.inf)
-        usable = present[have].any(axis=0)      # shares a coordinate
-        d2[~usable] = np.inf
+        if gap_free[have].any():
+            usable = everyone
+        else:
+            usable = present[have].any(axis=0)      # shares a coordinate
+            d2[~usable] = np.inf
+        near = _sorted_prefix(d2)
         for fit in fits:
             if missing[fit.name][k]:
-                imputed[fit.name][k] = _nearest_value(fit, *candidates[fit.name], d2, usable)
+                raw, mask, candidates = stores[fit.name]
+                n_neighbours = fit.knn_neighbors or 3
+                chosen = near[mask[near]][:n_neighbours]
+                imputed[fit.name][k] = (
+                    _neighbour_value(fit, raw, chosen) if chosen.size == n_neighbours
+                    else _nearest_value(fit, raw, candidates, d2, usable))
     return imputed
 
 

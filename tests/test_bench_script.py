@@ -16,10 +16,10 @@ def load_bench():
     return module
 
 
-def sweep_line(seed, run_s, quality):
+def sweep_line(seed, run_s, quality, workload="desk_classify", correct=True, failed=0):
     return json.dumps({
-        "workload": "desk_classify", "seed": seed,
-        "result": {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+        "workload": workload, "seed": seed,
+        "result": {"correct": correct, "attempted": 3, "failed": failed, "metrics": {
             "run_s": {"value": run_s, "unit": "s"},
             "quality": {"value": quality, "unit": "ratio"},
             "setup_s": {"value": None, "unit": "s"},
@@ -70,4 +70,22 @@ def test_a_non_finite_metric_is_refused_naming_its_workload_and_seed(tmp_path, c
     message = capsys.readouterr().err
     assert "sweep.jsonl:2: workload desk_classify, seed 7" in message
     assert json.dumps(value) in message             # NaN, Infinity or -Infinity
+    assert not (out / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (False, 3), (True, 1)])
+def test_a_call_that_is_not_correct_or_had_a_failed_run_is_refused(tmp_path, capsys,
+                                                                   correct, failed):
+    sweep = tmp_path / "sweep.jsonl"
+    sweep.write_text(sweep_line(1, 1.0, 0.9) + "\n" + sweep_line(
+        4, 1.0, None, workload="network_anomaly", correct=correct, failed=failed) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+
+    bench = load_bench()
+    assert bench.main([str(sweep), "--label", "t", "--root", str(tmp_path),
+                       "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert "sweep.jsonl:2: workload network_anomaly, seed 4" in message
+    assert f"correct {correct}, failed {failed} of 3 runs" in message
     assert not (out / "BENCH_t.json").exists()

@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxmflow.errors import EmptyTrainSetError, MissingColumnError
@@ -336,12 +336,12 @@ def test_knn_near_tie_over_eight_coordinates_follows_numpy_sum_order():
 
 
 @st.composite
-def knn_frames(draw):
+def knn_frames(draw, min_rows=3, max_rows=24, min_train=1, max_k=None):
     """Numeric and categorical knn columns under random missingness. Rows
     repeat a few base rows, so tied distances are common, and the values'
     sums round differently in different orders."""
     n_numeric = draw(st.integers(1, 17))
-    n_rows = draw(st.integers(3, 24))
+    n_rows = draw(st.integers(min_rows, max_rows))
     base = draw(st.lists(
         st.lists(st.sampled_from([-2.0, 0.1, 0.2, 0.3, 0.7, 3.25]),
                  min_size=n_numeric, max_size=n_numeric),
@@ -359,16 +359,17 @@ def knn_frames(draw):
     gaps = draw(blank)
     labels = draw(st.lists(st.sampled_from("abc"), min_size=n_rows, max_size=n_rows))
     columns["c"] = [None if g < share else v for g, v in zip(gaps, labels)]
-    n_train = draw(st.integers(1, n_rows))
+    n_train = draw(st.integers(min_train, n_rows))
+    k = draw(st.integers(1, max_k or n_rows + 2))
     if draw(st.booleans()):          # a query row with no numeric coordinate
         for j in range(n_numeric):
             columns[f"x{j}"][-1] = None
-    empty = draw(st.sampled_from([None, "x0", "c"]))
-    if empty:                        # a knn column with no present training value
-        columns[empty][:n_train] = [None] * n_train
+    sparse = draw(st.sampled_from([None, "x0", "c"]))
+    if sparse:                       # a knn column present in fewer than k training rows
+        few = draw(st.integers(0, k - 1))
+        columns[sparse][few:n_train] = [None] * (n_train - few)
     imputations = draw(st.lists(st.sampled_from(["knn", "none"]),
                                 min_size=n_numeric, max_size=n_numeric))
-    k = draw(st.integers(1, n_rows + 2))
     directives = {
         f"x{j}": ColumnDirective(imp, "standard", "passthrough", "t",
                                  knn_neighbors=k if imp == "knn" else 0)
@@ -380,14 +381,102 @@ def knn_frames(draw):
     return make_frame(columns), SchemaMap(roles=roles), PreprocessPlan(directives), n_train
 
 
-@given(knn_frames())
-def test_knn_imputation_matches_the_per_cell_search(case):
+def assert_knn_matches_the_per_cell_search(case):
     frame, schema, plan, n_train = case
     pipeline = fit_pipeline(frame, plan, schema, list(range(n_train)))
     rows = list(range(frame.n_rows))
     matrix, _, _ = apply_pipeline(pipeline, frame, rows)
     expected = apply_per_cell(pipeline, frame, rows)
     assert matrix.tobytes() == expected.tobytes()
+
+
+@given(knn_frames())
+def test_knn_imputation_matches_the_per_cell_search(case):
+    assert_knn_matches_the_per_cell_search(case)
+
+
+@settings(max_examples=40)
+@given(knn_frames(min_rows=40, max_rows=120, min_train=40,
+                  max_k=pipeline_module.PREFIX_ROWS + 8))
+def test_knn_imputation_from_the_sorted_prefix_matches_the_per_cell_search(case):
+    # more training rows than the prefix holds, drawn from at most 6 base
+    # rows, so the prefix's last distance is shared by rows on both sides
+    # of its PREFIX_ROWS-th place, and k reaches past the prefix
+    assert_knn_matches_the_per_cell_search(case)
+
+
+def count_full_searches(monkeypatch):
+    """Record each call of the per-column search the sorted prefix falls back to."""
+    calls = []
+    real = pipeline_module._nearest_value
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline_module, "_nearest_value", spy)
+    return calls
+
+
+def impute_last_row(columns, k):
+    """Fit on every row but the last, whose z is missing, and impute z there
+    with k neighbours; the matrix must equal the per-cell search's."""
+    n_train = len(columns["z"]) - 1
+    directives = {name: ColumnDirective("none", "none", "passthrough", "t") for name in columns}
+    directives["z"] = ColumnDirective("knn", "none", "passthrough", "t", knn_neighbors=k)
+    frame = make_frame(columns)
+    schema = SchemaMap(roles={name: "feature_numeric" for name in columns})
+    pipeline = fit_pipeline(frame, PreprocessPlan(directives), schema, list(range(n_train)))
+    matrix, _, _ = apply_pipeline(pipeline, frame, [n_train])
+    assert matrix.tobytes() == apply_per_cell(pipeline, frame, [n_train]).tobytes()
+    return matrix[0, list(columns).index("z")]
+
+
+P = pipeline_module.PREFIX_ROWS
+
+
+def test_rows_tied_at_the_prefix_edge_stay_in_the_prefix(monkeypatch):
+    # every training row sits at distance 0: the prefix holds all of them,
+    # so the three lowest positions are picked without a full search
+    calls = count_full_searches(monkeypatch)
+    n = P + 16
+    z = impute_last_row({"x": [1.0] * (n + 1), "z": [float(i) for i in range(n)] + [None]}, k=3)
+    assert z == 1.0
+    assert calls == []
+
+
+def test_more_neighbours_than_the_prefix_holds_fall_back_to_the_full_search(monkeypatch):
+    calls = count_full_searches(monkeypatch)
+    n = 2 * P
+    k = P + 4
+    z = impute_last_row({"x": [float(i) for i in range(n)] + [-1.0],
+                         "z": [float(i) for i in range(n)] + [None]}, k=k)
+    assert z == float(np.mean(np.arange(k, dtype=float)))
+    assert calls == [1]
+
+
+def test_a_prefix_with_too_few_present_values_falls_back_to_the_full_search(monkeypatch):
+    # z is present only in the rows farthest from the query
+    calls = count_full_searches(monkeypatch)
+    n = 2 * P
+    far = n - 3
+    z = impute_last_row({"x": [float(i) for i in range(n)] + [-1.0],
+                         "z": [float(i) if i >= far else None for i in range(n)] + [None]}, k=3)
+    assert z == float(np.mean([far, far + 1, far + 2]))
+    assert calls == [1]
+
+
+def test_rows_sharing_no_coordinate_stay_out_of_the_prefix(monkeypatch):
+    # no coordinate is present in every training row, so the usability mask
+    # is computed: rows 0-9 lack x, the query's one coordinate, and would
+    # sit at distance 0 without it
+    calls = count_full_searches(monkeypatch)
+    n = 2 * P
+    x = [None] * 10 + [float(i) for i in range(10, n)] + [10.0]
+    y = [0.0] * (n - 4) + [None] * 4 + [None]
+    z = [1000.0] * 10 + [float(i) for i in range(10, n)] + [None]
+    assert impute_last_row({"x": x, "y": y, "z": z}, k=3) == 11.0
+    assert calls == []
 
 
 def test_knn_matrices_match_golden_digest():

@@ -54,6 +54,21 @@ def test_wide_knn_imputes_over_eight_or_more_coordinates(monkeypatch):
         for m, knn in seen)
 
 
+def test_tied_knn_ends_each_query_rows_prefix_in_a_tie(monkeypatch):
+    replay = load_replay()
+    sizes = []
+    real = pipeline._sorted_prefix
+
+    def spy(d2):
+        near = real(d2)
+        sizes.append(near.size)
+        return near
+
+    monkeypatch.setattr(pipeline, "_sorted_prefix", spy)
+    assert replay.main(["tied_knn"]) == 0
+    assert sizes and all(size > pipeline.PREFIX_ROWS for size in sizes)
+
+
 def test_regress_nonlinear_grows_the_analytics_and_advisory_regression_forests(monkeypatch):
     replay = load_replay()
     seen = []
