@@ -19,7 +19,10 @@ planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
 a gapped table that drives kNN imputation, a wider gapped table whose kNN
 distances sum 8 or more coordinates, a gapped table of a few distinct rows
-repeated (so each query row's kNN prefix ends in a tie), adaptive search
+repeated (so each query row's kNN prefix ends in a tie), a table whose
+columns repeat field texts that parse alike ("-0.0" and "0.0", "1" and
+"1.0", padded text, "nan" and "inf" text, blanks) over duplicate rows, so
+that each distinct text must keep its own value, adaptive search
 on noisy classification and regression, a nonlinear regression target that every
 regression candidate is tried on (so both the analytics and the advisory
 regression forests are grown), `include_routine`, a step cap, a target
@@ -150,6 +153,29 @@ def tied_gapped():
     )
 
 
+def repeated_fields():
+    """maintenance() with three columns of field texts that parse alike:
+    "-0.0", " -0.0 ", "0.0" and "0"; "1", "1.0", " 1.0 " and "2"; padded,
+    "nan", "inf" and "None" text; each with blanks. Its first 60 rows then
+    repeat, the last 20 of them with the sign of zero flipped, so merging
+    two texts that only parse alike moves a unique count or the
+    duplicate-row count."""
+    frame = maintenance()
+    zero = ["-0.0", "0.0", " -0.0 ", "0", ""]
+    one = ["1", "1.0", " 1.0 ", "2", ""]
+    text = ["ok", " ok ", "nan", " inf", "", "None"]
+    frame.column_names += ["zero_reading", "one_reading", "status_text"]
+    frame.columns += [[pool[i % len(pool)] for i in range(frame.n_rows)]
+                      for pool in (zero, one, text)]
+    flipped = {"-0.0": "0.0", " -0.0 ": "0", "0.0": "-0.0", "0": " -0.0 "}
+    for cells in frame.columns:
+        cells += cells[:60]
+    zero_cells = frame.column("zero_reading")
+    zero_cells[-20:] = [flipped.get(t, t) for t in zero_cells[-20:]]
+    frame.n_rows += 60
+    return frame
+
+
 def nonlinear():
     """Six uniform readings and a failure target that is the product of the
     first two: no linear candidate reaches R^2 0.1, so adaptive search tries
@@ -213,6 +239,7 @@ CASES = {
     "backup_gapped_knn": (gapped, {}, None, True),
     "wide_knn": (wide_network, {}, None, False),
     "tied_knn": (tied_gapped, {}, None, False),
+    "repeated_fields": (repeated_fields, {}, None, False),
     "skips_ahead": (maintenance, {}, skips_ahead, False),
     "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),
 }

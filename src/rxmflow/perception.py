@@ -6,6 +6,11 @@ Column dtype is decided later by inspect_frame so stray tokens in an
 otherwise numeric column degrade to missing values instead of flipping the
 whole column to text.
 
+load_csv streams the rows and parses each distinct field text once per
+column: a repeated text appends the value object parsed at its first
+appearance. The text-to-value tables live only for the call; nothing but
+the cells is kept on the frame.
+
 Each column is typed by one scan of its cells' types and summarised from
 one array (floats and None) or one Counter (text and None); only a column
 that mixes the two, or holds a float NaN, goes cell by cell.
@@ -45,6 +50,7 @@ _NONE = type(None)
 _FLOAT_OR_NONE = frozenset((float, _NONE))
 _TEXT_OR_NONE = frozenset((str, _NONE))
 _NO_NUMBERS = np.empty(0)
+_UNSEEN = object()
 
 # shares of a column's non-missing cells that make it numeric or datetime
 NUMERIC_PARSE_SHARE = 0.95
@@ -129,6 +135,15 @@ def load_csv(path) -> DatasetFrame:
 
     The first row must be the header. Empty fields become missing (None),
     numeric-looking fields become floats, everything else stays text.
+
+    Rows stream in one at a time. Each column keeps, for the call only, a
+    table from raw field text to its parsed value: each distinct text is
+    parsed once, and every repeat appends that same value object. The
+    table is keyed on the raw text, so "-0.0" and "0.0", or "1" and "1.0",
+    stay apart as they would when parsed cell by cell.
+
+    Text that is not UTF-8, and a field longer than `csv.field_size_limit()`,
+    end as MalformedCsvError like any other unreadable file.
     """
     try:
         # utf-8-sig strips a leading BOM, which would otherwise corrupt the
@@ -142,23 +157,34 @@ def load_csv(path) -> DatasetFrame:
     with handle:
         reader = csv.reader(handle)
         try:
-            names = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(f"{path}: file is empty") from None
-        names = [n.strip() for n in names]
-        if len(set(names)) != len(names):
-            raise MalformedCsvError(f"{path}: duplicate column names after trimming")
-        n_cols = len(names)
-        columns: list[list] = [[] for _ in range(n_cols)]
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue        # blank line, common in hand-edited files
-            if len(row) != n_cols:
-                raise MalformedCsvError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {n_cols}"
-                )
-            for i, raw in enumerate(row):
-                columns[i].append(_parse_cell(raw))
+            names = next(reader, None)
+            if names is None:
+                raise MalformedCsvError(f"{path}: file is empty")
+            names = [n.strip() for n in names]
+            if len(set(names)) != len(names):
+                raise MalformedCsvError(f"{path}: duplicate column names after trimming")
+            n_cols = len(names)
+            columns: list[list] = [[] for _ in range(n_cols)]
+            parsed: list[dict] = [{} for _ in range(n_cols)]
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue        # blank line, common in hand-edited files
+                if len(row) != n_cols:
+                    raise MalformedCsvError(
+                        f"{path}: row {line_no} has {len(row)} fields, expected {n_cols}"
+                    )
+                for raw, cells, seen in zip(row, columns, parsed):
+                    # a blank field parses to None, so "not seen" needs its own marker
+                    value = seen.get(raw, _UNSEEN)
+                    if value is _UNSEEN:
+                        value = seen[raw] = _parse_cell(raw)
+                    cells.append(value)
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead in blocks, so the bad byte lies past this line
+            raise MalformedCsvError(
+                f"{path}: not UTF-8 text past line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{path}: line {reader.line_num}: {exc}") from None
     n_rows = len(columns[0]) if columns else 0
     if n_rows == 0:
         raise MalformedCsvError(f"{path}: no data rows after the header")

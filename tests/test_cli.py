@@ -56,6 +56,17 @@ def test_failed_run_exits_one_and_records_the_failure(tmp_path, case):
     assert not list(logs.glob("recommendations_*.json"))
 
 
+def test_undecodable_csv_exits_one_as_malformed(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"Machine_ID,temperature\nM1,61.5\nM2,caf\xe9\n")
+    logs = tmp_path / "logs"
+    code = main(["--data", str(path), "--auto-approve", "--log-dir", str(logs)])
+    assert code == 1
+    [detailed] = logs.glob("detailed_results_*.json")
+    failure = json.loads(detailed.read_text())["failure"]
+    assert (failure["stage"], failure["reason"]) == ("load_and_inspect_data", "MalformedCsvError")
+
+
 def test_constant_regression_target_exits_one(tmp_path):
     path = write_target_csv(tmp_path / "flat.csv", [5.5] * 200)
     logs = tmp_path / "logs"

@@ -1,3 +1,5 @@
+import csv
+import struct
 from collections import Counter
 from datetime import datetime
 from unittest import mock
@@ -12,7 +14,7 @@ from rxmflow.errors import EmptyFrameError, FileMissingError, MalformedCsvError
 from rxmflow.perception import (
     _DATETIME_FORMATS, CATEGORICAL, CONSTANT, DATETIME, DATETIME_PARSE_SHARE, NUMERIC,
     ColumnProfile,
-    _parse_datetime, _parses_as_date, flag_quality_issues,
+    _parse_cell, _parse_datetime, _parses_as_date, flag_quality_issues,
     float_cells, inspect_frame, load_csv,
 )
 from rxmflow.synth import maintenance_frame, network_frame, write_csv
@@ -111,6 +113,51 @@ def test_load_csv_quoted_fields(tmp_path):
     frame = load_csv(path)
     assert frame.column("a") == ["1,5", 2.0]
     assert frame.column("b") == ["x", 'say "hi"']
+
+
+def test_load_csv_undecodable_byte_is_malformed(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"a,b\n1,x\n2,caf\xff\n")
+    with pytest.raises(MalformedCsvError, match="latin.csv: not UTF-8 text past line 0"):
+        load_csv(path)
+
+
+def test_load_csv_oversized_field_is_malformed(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b\n1,x\n2," + "y" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(MalformedCsvError, match="huge.csv: line 3: field larger than"):
+        load_csv(path)
+
+
+# field texts whose parsed values are easy to merge by mistake: equal floats
+# with different texts or signs, padded copies, non-finite tokens kept as
+# text, and a quoted comma
+TRICKY_FIELDS = ("", " ", "0", "0.0", "-0.0", " -0.0 ", "1", "1.0", "1.50", "1.5", "1_0",
+                 "1e400", "nan", " inf", "a", " a ", "None", "1,5")
+
+
+def _cell_key(cell):
+    """A cell's type and content, with floats by bit pattern (-0.0 apart from 0.0)."""
+    return type(cell), struct.pack("<d", cell) if isinstance(cell, float) else cell
+
+
+@given(st.integers(1, 4).flatmap(lambda n_cols: st.lists(
+    st.lists(st.sampled_from(TRICKY_FIELDS), min_size=n_cols, max_size=n_cols),
+    min_size=1, max_size=40)))
+def test_load_csv_shares_one_value_per_distinct_field_text(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("tricky") / "tricky.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"c{j}" for j in range(len(rows[0]))])
+        writer.writerows(rows)
+    frame = load_csv(path)
+    assert frame.n_rows == len(rows)
+    for j, cells in enumerate(frame.columns):
+        raws = [row[j] for row in rows]
+        assert list(map(_cell_key, cells)) == [_cell_key(_parse_cell(raw)) for raw in raws]
+        first = {}
+        for raw, cell in zip(raws, cells):
+            assert first.setdefault(raw, cell) is cell
 
 
 def test_maintenance_shape_roundtrip(tmp_path):

@@ -5,7 +5,9 @@ import re
 from pathlib import Path
 
 from rxmflow.models import forest
+from rxmflow.perception import inspect_frame, load_csv
 from rxmflow.preprocess import features, pipeline
+from rxmflow.synth import write_csv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "replay.py"
 
@@ -81,3 +83,13 @@ def test_regress_nonlinear_grows_the_analytics_and_advisory_regression_forests(m
     monkeypatch.setattr(forest.RandomForestRegressor, "fit", spy)
     assert replay.main(["regress_nonlinear"]) == 0
     assert seen == [(100, None), (features.IMPORTANCE_TREES, features.IMPORTANCE_DEPTH)]
+
+
+def test_repeated_fields_keeps_texts_that_parse_alike_apart(tmp_path):
+    path = tmp_path / "repeated.csv"
+    write_csv(load_replay().repeated_fields(), path)
+    metadata = inspect_frame(load_csv(path))
+    # -0.0 and 0.0; merged, the column would be constant
+    assert metadata.profile("zero_reading").unique_count == 2
+    # the 40 exact copies, and the 4 sign-flipped rows whose zero field is blank
+    assert metadata.duplicate_row_count == 44
