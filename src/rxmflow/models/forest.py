@@ -10,13 +10,16 @@ whatever the schedule. A forest grows all its trees in one lockstep group
 outputs combine. Per-split feature subsampling defaults to sqrt(p) for
 classification and p // 3 for regression; bootstrap resampling is on by
 default.
+
+Prediction adds the trees' leaf values (`tree.leaves`) in tree order, so the
+sums equal the per-tree ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor, Table, grow
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor, Table, grow, leaves
 
 
 def _resolve_max_features(mode, n_features):
@@ -81,11 +84,10 @@ class RandomForestClassifier(_Forest):
         X = np.asarray(X, dtype=float)
         classes = self.classes_.tolist()
         proba = np.zeros((X.shape[0], len(classes)))
-        for tree in self.trees_:
-            tree_proba = tree.predict_proba(X)
+        for tree, leaf in leaves(self.trees_, X):
             # trees grown on a bootstrap may have seen a subset of classes
             cols = [classes.index(c) for c in tree.classes_.tolist()]
-            proba[:, cols] += tree_proba
+            proba[:, cols] += tree.value_[leaf]
         return proba / len(self.trees_)
 
     def predict(self, X):
@@ -104,6 +106,6 @@ class RandomForestRegressor(_Forest):
     def predict(self, X):
         X = np.asarray(X, dtype=float)
         preds = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            preds += tree.predict(X)
+        for tree, leaf in leaves(self.trees_, X):
+            preds += tree.value_[leaf]
         return preds / len(self.trees_)

@@ -5,7 +5,8 @@ A fitted tree is five flat arrays indexed by node id, in depth-first
 order with the root at 0: `feature_` (-1 at a leaf), `threshold_`,
 `left_`, `right_` (child ids) and `value_` (class-probability rows, or the
 leaf means). Rows go left when x <= threshold, where the threshold is the
-midpoint between the two straddling values.
+midpoint between the two straddling values. Prediction (`leaves`) walks a
+block of trees at once, one level at a time.
 
 A split search scores every drawn feature of a node: the node's rows are
 sorted by each feature's value, the impurity at every position between two
@@ -16,7 +17,15 @@ feature in draw order wins.
 Trees grow in lockstep, every tree of a fit in one group (`grow`). Each
 round takes the next node to search from every tree of the group and
 scores them in passes over flat arrays, one segment per (node, drawn
-feature). No step of a round is taken once per node in Python. The two
+feature). No step of a round is taken once per node in Python. A pass
+holds PASS_ELEMENTS (feature, row) elements past its first node: each pass
+has a fixed cost, and 2^14 makes about 40% fewer passes than 2^13 on a
+table of a few thousand rows. Which pass a node falls in changes no tree,
+since each node is scored in its own segments. A pass's working set is
+kept small (each array freed once read, Gini terms summed a class column
+at a time): the C allocator hands the free top of its heap back to the
+system once it passes a trim threshold, and a pass that outgrows it takes
+a page fault on every page it touches again. The two
 kinds, `_Gini` and `_Variance`, share the group (`_Lockstep`) and differ
 only in what a tree's buffer holds, how a boundary is scored, how a split
 orders its rows and what a node keeps.
@@ -62,8 +71,13 @@ feature, and the split writes them back, weights alongside: over ascending
 values x <= threshold is a prefix, so the children are its two parts. Row
 order inside a node changes no tree, as the counts are integer sums and
 rows that share a rank share a value (-0.0 and 0.0 aside, whose midpoints
-read the same). A split hands its children their class counts, unless the
-midpoint rounded onto the upper value, when they are counted from rows.
+read the same). The prefix's length is the search's count of distinct rows
+below the winning boundary, whose straddling values are lo < hi: rounding
+is monotone, so (lo + hi) / 2 lands in [lo, hi], and while it stays below
+hi every row up to the boundary goes left and every row past it right. So
+a split takes its children's sizes and class counts from the search, and
+counts rows (`_goes_left`) only for a node whose threshold is not in
+[lo, hi): the midpoint rounded onto hi, or lo + hi overflowed to +-inf.
 
 Regression. Float sums of y depend on the order and grouping of their
 terms, so a tree holds every row of its bootstrap, copies included, in
@@ -83,7 +97,7 @@ import numpy as np
 
 from .lockstep import Choices, ranges, stable_argsort
 
-PASS_ELEMENTS = 1 << 13   # (feature, row) elements per pass, past its first node
+PASS_ELEMENTS = 1 << 14   # (feature, row) elements per pass, past its first node
 
 
 class Table:
@@ -115,15 +129,18 @@ def _square_sums(counts, size, owner, own):
 
     Row i belongs to tree `owner[i]` and is summed over that tree's classes
     `own[owner[i]]` in the order its per-node `.sum()` takes. Below 8 classes
-    that order does not depend on the tree, and `owner` is not read.
+    that order does not depend on the tree, `owner` is not read, and the sum
+    goes a class column at a time, with no (row, class) float array.
     """
+    if counts.shape[1] < 8:         # left to right; a class the tree lacks adds +0.0
+        out = np.zeros(len(size))
+        for c in range(counts.shape[1]):
+            p = counts[:, c] / size
+            p *= p
+            out += p
+        return out
     sq = counts / size[:, None]
     sq *= sq
-    if sq.shape[1] < 8:             # left to right; a class the tree lacks adds +0.0
-        out = sq[:, 0].copy()
-        for c in range(1, sq.shape[1]):
-            out += sq[:, c]
-        return out
     out = np.empty(len(sq))
     for g in np.unique(owner):      # pairwise order over the tree's own classes
         at = np.flatnonzero(owner == g)
@@ -298,6 +315,7 @@ class _Lockstep:
         order = stable_argsort(rank, table.n_ranks)
         order = order[stable_argsort(seg[order], len(seg_len))]
         rows, rank, weight = rows[order], rank[order], self.weights[where[order]]
+        del where, order        # each array is freed once read: a smaller pass faults less
 
         # sums left of each position, relative to its segment's start
         sums = self._prefix(rows, weight, seg_start, seg_len, seg_end)
@@ -309,7 +327,9 @@ class _Lockstep:
         if not len(at):
             return None
         at_seg = seg[at]
+        del rank, seg
         n_left = cum_size[at] - base_size[at_seg]
+        del cum_size
         at_size = size[seg_node[at_seg]]
         n_right = at_size - n_left
         imp_left, imp_right = self._score(sums, at, at_seg, n_left, n_right, tree[seg_node])
@@ -463,9 +483,13 @@ class _Gini(_Lockstep):
     def _score(self, sums, at, at_seg, n_left, n_right, seg_tree):
         cum, base, total = sums
         owner = seg_tree[at_seg] if total.shape[1] >= 8 else None
-        left = cum.take(at, axis=0) - base.take(at_seg, axis=0)
-        right = total.take(at_seg, axis=0) - left
-        return self._impurity(left, n_left, owner), self._impurity(right, n_right, owner)
+        left = cum.take(at, axis=0)
+        left -= base.take(at_seg, axis=0)
+        imp_left = self._impurity(left, n_left, owner)
+        right = total.take(at_seg, axis=0)
+        right -= left
+        del left
+        return imp_left, self._impurity(right, n_right, owner)
 
     def _hand_off(self, sums, b, segs, seg_start, seg_len, rows, weight):
         """The distinct rows below each winning boundary, the class counts on
@@ -482,18 +506,28 @@ class _Gini(_Lockstep):
         winning feature, so that x <= threshold is a prefix of its range;
         make and stack its children. `n_left` is the number of distinct rows
         below the winning boundary, and `left` and `right` the class counts
-        on either side of it: the children's, unless the midpoint rounded
-        onto the upper value."""
+        on either side of it: the children's, unless the midpoint left the
+        range between the two values either side of the boundary."""
         start, end = pending[:, 1], pending[:, 2]
         length = end - start
         where = ranges(start, length)
         self.rows[where], self.weights[where] = rows, weights
-        n_goes = self._goes_left(rows, length, feature, threshold)[2]
+        # the values either side of each boundary; only a midpoint that
+        # rounded onto the upper one, or a sum that overflowed, leaves them
+        above = np.cumsum(length) - length + n_left
+        lower = self.table.XT[feature, rows[above - 1]]
+        upper = self.table.XT[feature, rows[above]]
+        off = np.flatnonzero(~((lower <= threshold) & (threshold < upper)))
+        n_goes = n_left
+        if len(off):
+            n_goes = n_left.copy()
+            n_goes[off] = self._goes_left(self.rows[ranges(start[off], length[off])],
+                                          length[off], feature[off], threshold[off])[2]
         mid = start + n_goes
         keep = np.flatnonzero((n_goes > 0) & (n_goes < length))
         moved = keep[n_goes[keep] != n_left[keep]]
         if len(moved):
-            # the midpoint rounded onto the upper value: count the children's rows
+            # the midpoint left the two values: count the children's rows
             left[moved] = self._class_counts(start[moved], n_goes[moved])
             right[moved] = self._class_counts(mid[moved], end[moved] - mid[moved])
         counts = np.concatenate([left[keep], right[keep]])
@@ -585,6 +619,38 @@ def grow(trees, table, rows):
          t.max_features).grow().fill(trees)
 
 
+def leaves(trees, X):
+    """Each fitted tree of `trees` with the leaf each row of X reaches, in
+    tree order.
+
+    The trees walk in blocks of PASS_ELEMENTS // len(X) trees (one at
+    least): a block's node arrays are laid end to end, and every (tree, row)
+    of the block steps down one level at a time.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    n_rows, n_features = X.shape
+    flat = X.reshape(-1)
+    per_block = max(1, PASS_ELEMENTS // max(n_rows, 1))
+    for first in range(0, len(trees), per_block):
+        block = trees[first:first + per_block]
+        sizes = np.array([len(t.feature_) for t in block])
+        base = np.cumsum(sizes) - sizes
+        shift = np.repeat(base, sizes)
+        feature = np.concatenate([t.feature_ for t in block])
+        threshold = np.concatenate([t.threshold_ for t in block])
+        left = np.concatenate([t.left_ for t in block]) + shift
+        right = np.concatenate([t.right_ for t in block]) + shift
+        node = np.repeat(base, n_rows)
+        row_at = np.tile(np.arange(0, n_rows * n_features, n_features), len(block))
+        active = np.flatnonzero(feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = flat[row_at[active] + feature[at]] <= threshold[at]
+            node[active] = np.where(goes_left, left[at], right[at])
+            active = active[feature[node[active]] >= 0]
+        yield from zip(block, node.reshape(len(block), n_rows) - base[:, None])
+
+
 def _normalized(importances):
     total = importances.sum()
     return importances / total if total > 0 else importances
@@ -604,16 +670,9 @@ class _Tree:
         return self
 
     def _predict_values(self, X):
-        """The leaf value each row of X reaches, one tree level at a time."""
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        active = np.flatnonzero(self.feature_[node] >= 0)
-        while active.size:
-            at = node[active]
-            goes_left = X[active, self.feature_[at]] <= self.threshold_[at]
-            node[active] = np.where(goes_left, self.left_[at], self.right_[at])
-            active = active[self.feature_[node[active]] >= 0]
-        return self.value_[node]
+        """The leaf value each row of X reaches."""
+        ((_, leaf),) = leaves([self], X)
+        return self.value_[leaf]
 
 
 class DecisionTreeClassifier(_Tree):

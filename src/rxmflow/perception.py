@@ -166,7 +166,12 @@ def load_csv(path) -> DatasetFrame:
             n_cols = len(names)
             columns: list[list] = [[] for _ in range(n_cols)]
             parsed: list[dict] = [{} for _ in range(n_cols)]
-            for line_no, row in enumerate(reader, start=2):
+            # line_num counts physical lines read so far, so a record starts
+            # on the line after the previous record ended, even when a quoted
+            # field spans lines
+            last_line = reader.line_num
+            for row in reader:
+                line_no, last_line = last_line + 1, reader.line_num
                 if not row:
                     continue        # blank line, common in hand-edited files
                 if len(row) != n_cols:

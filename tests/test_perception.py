@@ -92,6 +92,17 @@ def test_load_csv_ragged_row_reports_row_number(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ('a,b\n"x\ny",1\n3\n', 4),      # a multi-line field in an earlier row
+    ('a,b\n1,2\n"x\ny"\n', 3),      # the short row spans lines 3 and 4
+])
+def test_load_csv_ragged_row_names_the_line_its_record_starts_on(tmp_path, text, line):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedCsvError, match=f"row {line} has 1 fields"):
+        load_csv(path)
+
+
 def test_load_csv_strips_bom_and_skips_blank_lines(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("﻿Machine_ID,x\nM1,1\n\nM2,2\n".encode("utf-8"))

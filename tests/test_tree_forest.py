@@ -12,6 +12,7 @@ from rxmflow.models import (
     DecisionTreeClassifier, DecisionTreeRegressor, RandomForestClassifier,
     RandomForestRegressor, lockstep, tree as tree_module,
 )
+from rxmflow.synth import network_frame
 
 
 def blobs(rng, n=500):
@@ -211,6 +212,78 @@ def test_levelwise_predict_equals_a_per_row_walk(X, labels, seed, max_depth):
                           np.array([_walk(reg, row) for row in queries]))
 
 
+def _per_tree_values(tree, X):
+    """Reference prediction: the per-tree level loop the lockstep walker
+    replaced, one tree at a time."""
+    X = np.asarray(X, dtype=float)
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    active = np.flatnonzero(tree.feature_[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = X[active, tree.feature_[at]] <= tree.threshold_[at]
+        node[active] = np.where(goes_left, tree.left_[at], tree.right_[at])
+        active = active[tree.feature_[node[active]] >= 0]
+    return tree.value_[node]
+
+
+def _per_tree_proba(forest, X):
+    classes = forest.classes_.tolist()
+    proba = np.zeros((len(X), len(classes)))
+    for tree in forest.trees_:
+        cols = [classes.index(c) for c in tree.classes_.tolist()]
+        proba[:, cols] += _per_tree_values(tree, X)
+    return proba / len(forest.trees_)
+
+
+def _per_tree_mean(forest, X):
+    preds = np.zeros(len(X))
+    for tree in forest.trees_:
+        preds += _per_tree_values(tree, X)
+    return preds / len(forest.trees_)
+
+
+def test_lockstep_walk_of_a_forest_missing_a_class_equals_the_per_tree_loop(rng):
+    X = rng.normal(size=(60, 3))
+    y = np.array(["a"] * 30 + ["b"] * 29 + ["c"])
+    forest = RandomForestClassifier(n_estimators=20, seed=0).fit(X, y)
+    assert any(len(tree.classes_) < 3 for tree in forest.trees_)
+    queries = rng.normal(size=(200, 3))
+    assert forest.predict_proba(queries).tobytes() == _per_tree_proba(forest, queries).tobytes()
+
+
+def test_lockstep_walk_over_blocks_that_split_the_trees_unevenly_equals_the_per_tree_loop(rng):
+    X = rng.normal(size=(80, 4))
+    y = np.digitize(X[:, 0] + X[:, 1], [-0.5, 0.5])
+    clf = RandomForestClassifier(n_estimators=7, seed=2).fit(X, y)
+    reg = RandomForestRegressor(n_estimators=7, seed=2).fit(X, X[:, 0] * X[:, 2])
+    queries = rng.normal(size=(10, 4))
+    with mock.patch.object(tree_module, "PASS_ELEMENTS", 30):      # blocks of 3, 3 and 1
+        proba, preds = clf.predict_proba(queries), reg.predict(queries)
+    assert proba.tobytes() == _per_tree_proba(clf, queries).tobytes()
+    assert preds.tobytes() == _per_tree_mean(reg, queries).tobytes()
+    assert reg.predict(queries).tobytes() == preds.tobytes()        # one block of 7
+
+
+def test_lockstep_walk_of_a_single_tree_equals_the_per_tree_loop(rng):
+    X, y = blobs(rng, n=120)
+    queries = rng.normal(scale=2.0, size=(90, 2))
+    clf = DecisionTreeClassifier(max_features=1, seed=3).fit(X, y)
+    reg = DecisionTreeRegressor(seed=3).fit(X, X[:, 0] - X[:, 1])
+    assert clf.predict_proba(queries).tobytes() == _per_tree_values(clf, queries).tobytes()
+    assert reg.predict(queries).tobytes() == _per_tree_values(reg, queries).tobytes()
+
+
+def test_lockstep_walk_of_no_rows_returns_an_empty_prediction_per_class(rng):
+    X, y = blobs(rng, n=100)
+    y[:10] = "c"
+    empty = np.zeros((0, 2))
+    clf = RandomForestClassifier(n_estimators=5, seed=1).fit(X, y)
+    assert clf.predict_proba(empty).shape == (0, 3)
+    assert clf.predict(empty).shape == (0,)
+    assert RandomForestRegressor(n_estimators=5, seed=1).fit(X, X[:, 0]).predict(empty).shape == (0,)
+    assert DecisionTreeClassifier().fit(X, y).predict_proba(empty).shape == (0, 3)
+
+
 def _golden_table(seed, n=240, p=6):
     # the digests of the tests below were taken from the node-by-node
     # classification grower the lockstep one replaced
@@ -391,6 +464,20 @@ def _reference_regression_tree(X, y, max_depth, min_samples_split, max_features,
     return feature, threshold, left, right, np.array(value), importances
 
 
+def _assert_equals_reference_tree(tree, X, y, max_depth, min_samples_split, max_features,
+                                  seed):
+    feature, threshold, left, right, value, importances = _reference_tree(
+        X, y, max_depth, min_samples_split, max_features, seed)
+    assert tree.classes_.tolist() == sorted(set(y.tolist()))
+    assert tree.feature_.tolist() == feature
+    assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
+    assert tree.left_.tolist() == left and tree.right_.tolist() == right
+    assert tree.value_.tobytes() == value.tobytes()
+    total = importances.sum()
+    expected = importances / total if total > 0 else importances
+    assert tree.feature_importances_.tobytes() == expected.tobytes()
+
+
 eps = np.finfo(float).eps
 tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 * eps]),
                      st.floats(min_value=-3, max_value=3))
@@ -405,7 +492,7 @@ tie_cell = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + eps, 1 + 2 
     max_features=st.sampled_from([None, 1, 2, "sqrt"]),
     max_depth=st.sampled_from([None, 2]),
     min_samples_split=st.sampled_from([2, 5, 12]),
-    pass_elements=st.sampled_from([16, 8192]),
+    pass_elements=st.sampled_from([16, 8192, 1 << 14]),
 )
 def test_lockstep_trees_equal_trees_grown_node_by_node(
         X, n_classes, labels, n_estimators, bootstrap, max_features, max_depth,
@@ -421,16 +508,8 @@ def test_lockstep_trees_equal_trees_grown_node_by_node(
     drawn = max(1, int(np.sqrt(p))) if max_features == "sqrt" else max_features
     for i, tree in enumerate(forest.trees_):
         idx = np.random.default_rng(3 + i).integers(0, n, size=n) if bootstrap else np.arange(n)
-        feature, threshold, left, right, value, importances = _reference_tree(
-            X[idx], y[idx], max_depth, min_samples_split, drawn, 3 + i)
-        assert tree.classes_.tolist() == sorted(set(y[idx].tolist()))
-        assert tree.feature_.tolist() == feature
-        assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
-        assert tree.left_.tolist() == left and tree.right_.tolist() == right
-        assert tree.value_.tobytes() == value.tobytes()
-        total = importances.sum()
-        expected = importances / total if total > 0 else importances
-        assert tree.feature_importances_.tobytes() == expected.tobytes()
+        _assert_equals_reference_tree(tree, X[idx], y[idx], max_depth, min_samples_split,
+                                      drawn, 3 + i)
 
 
 def _assert_regression_forest_matches_reference(X, y, n_estimators, bootstrap, max_features,
@@ -463,7 +542,7 @@ forest_options = {
     "max_features": st.sampled_from([None, 1, 2, "third"]),
     "max_depth": st.sampled_from([None, 2]),
     "min_samples_split": st.sampled_from([2, 5, 12]),
-    "pass_elements": st.sampled_from([16, 8192]),
+    "pass_elements": st.sampled_from([16, 8192, 1 << 14]),
 }
 
 
@@ -493,6 +572,26 @@ def test_lockstep_regression_trees_equal_trees_grown_node_by_node_past_128_rows(
     _assert_regression_forest_matches_reference(X, y, n_estimators=2, **options)
 
 
+def test_pass_bound_changes_no_tree_of_a_hundred_tree_forest():
+    frame = network_frame(n_rows=1500, seed=5)
+    X = np.column_stack([np.array(frame.column(name), dtype=float)
+                         for name in frame.column_names[2:-1]])
+    y = np.array(frame.column("Efficiency_Status"))
+    queries = X[::3] + 0.01
+    fits = []
+    for bound in (16, 1 << 13, tree_module.PASS_ELEMENTS):
+        with mock.patch.object(tree_module, "PASS_ELEMENTS", bound):
+            forest = RandomForestClassifier(n_estimators=100, seed=1).fit(X, y)
+            proba = forest.predict_proba(queries)
+        arrays = [a for tree in forest.trees_ for a in (
+            tree.feature_, tree.threshold_, tree.left_, tree.right_, tree.value_,
+            tree.feature_importances_)]
+        fits.append((_digest(np.concatenate([a.reshape(-1).view(np.uint8) for a in arrays])),
+                     forest.feature_importances_.tobytes(), proba.tobytes()))
+    assert tree_module.PASS_ELEMENTS == 1 << 14
+    assert fits[0] == fits[1] == fits[2]
+
+
 def test_split_minimum_counts_bootstrap_copies_not_distinct_rows():
     # seed 2 draws rows 0, 2, 3 and 6 twice each: 4 distinct rows, 8 draws
     X = np.column_stack([np.arange(8.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]])
@@ -502,14 +601,8 @@ def test_split_minimum_counts_bootstrap_copies_not_distinct_rows():
     forest = RandomForestClassifier(n_estimators=1, max_features=None, min_samples_split=6,
                                     seed=2).fit(X, y)
     tree = forest.trees_[0]
-    feature, threshold, left, right, value, importances = _reference_tree(
-        X[idx], y[idx], None, 6, None, 2)
     assert tree.feature_[0] >= 0                      # the root splits
-    assert tree.feature_.tolist() == feature
-    assert tree.threshold_.tobytes() == np.array(threshold).tobytes()
-    assert tree.left_.tolist() == left and tree.right_.tolist() == right
-    assert tree.value_.tobytes() == value.tobytes()
-    assert tree.feature_importances_.tobytes() == (importances / importances.sum()).tobytes()
+    _assert_equals_reference_tree(tree, X[idx], y[idx], None, 6, None, 2)
 
 
 @pytest.mark.parametrize("bootstrap", [True, False])
@@ -628,6 +721,41 @@ def test_regression_split_keeps_each_side_in_its_parents_order(table, model):
     assert seen["splits"] > 10
     if table is _regression_midpoint_table:
         assert seen["on_a_value"] > 0           # a midpoint rounded onto the upper value
+
+
+def _overflow_table():
+    # the sum of 1e308 and 1.7e308 overflows, so their midpoint is inf, and
+    # that of -1.7e308 and -1e308 is -inf: neither lies between its values
+    rng = np.random.default_rng(1)
+    x = rng.choice([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], 200)
+    y = (x > 0).astype(int) + (x > 1.5e308) + 3 * (x < -1.5e308)
+    return np.column_stack([x, rng.normal(size=200)]), y
+
+
+def _spy_on_goes_left():
+    return mock.patch.object(tree_module._Lockstep, "_goes_left", autospec=True,
+                             side_effect=tree_module._Lockstep._goes_left)
+
+
+@pytest.mark.parametrize("table", [_midpoint_table, _overflow_table])
+def test_split_recounts_only_a_node_whose_midpoint_left_its_two_values(table):
+    X, y = table()
+    with np.errstate(over="ignore"), _spy_on_goes_left() as goes_left:
+        tree = DecisionTreeClassifier(seed=0).fit(X, y)
+    assert goes_left.call_count > 0
+    recounted = np.concatenate([call.args[4] for call in goes_left.call_args_list])
+    if table is _overflow_table:
+        assert sorted(recounted.tolist()) == [-np.inf, np.inf]
+    with np.errstate(over="ignore"):
+        _assert_equals_reference_tree(tree, X, y, None, 2, None, 0)
+
+
+def test_split_takes_every_left_count_from_the_search_when_no_midpoint_moves():
+    X, y = _bootstrap_forest_table()
+    with _spy_on_goes_left() as goes_left:
+        forest = RandomForestClassifier(n_estimators=6, seed=9).fit(X, y)
+    assert goes_left.call_count == 0
+    assert sum((tree.feature_ >= 0).sum() for tree in forest.trees_) > 50
 
 
 @pytest.mark.parametrize("model", [DecisionTreeClassifier, DecisionTreeRegressor,
