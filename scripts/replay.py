@@ -6,7 +6,8 @@ Usage (from the repository root):
     python3 scripts/replay.py [CASE ...]
 
 Each case writes a small generated CSV and runs the workflow in-process
-under `TickClock` with a fixed seed and auto-approval. For every case the
+under `TickClock` with a fixed seed and auto-approval, except the cases of
+`REVIEWS`, which answer the prompts from a fixed script. For every case the
 script prints four lines, `<case> <output> <sha256>`, one for each of the
 audit log, the detailed results, the recommendations file and the printed
 summary; a file the run did not write reads `absent`. With no CASE every
@@ -28,13 +29,15 @@ regression candidate is tried on (so both the analytics and the advisory
 regression forests are grown), `include_routine`, a step cap, a target
 with a one-row class, a planner that gives up before any step, two runs
 whose first pipeline fit fails so the backup plan engages, a planner that
-skips ahead to `summarize` and one that keeps repeating a stage.
+skips ahead to `summarize`, one that keeps repeating a stage, and an
+interactive review that edits the first recommendation's priority.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -49,6 +52,7 @@ from rxmflow import runner  # noqa: E402
 from rxmflow.backends import ScriptedBackend  # noqa: E402
 from rxmflow.clocks import TickClock  # noqa: E402
 from rxmflow.perception import DatasetFrame  # noqa: E402
+from rxmflow.review import ReviewIO  # noqa: E402
 from rxmflow.synth import (  # noqa: E402
     failure_frame, maintenance_frame, network_frame, write_csv,
 )
@@ -242,7 +246,12 @@ CASES = {
     "repeated_fields": (repeated_fields, {}, None, False),
     "skips_ahead": (maintenance, {}, skips_ahead, False),
     "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),
+    "adjusted_review": (maintenance, {}, None, False),
 }
+
+# name -> the reviewer's input of a case run without auto-approval: here a
+# blank at the target prompt, then an edit of the first priority to Routine
+REVIEWS = {"adjusted_review": "\nd\n1\npriority\nRoutine\n\n"}
 
 
 @contextlib.contextmanager
@@ -275,12 +284,15 @@ def replay(name: str) -> dict[str, str]:
         path = Path(tmp) / f"{name}.csv"
         write_csv(frame(), path)
         config = runner.WorkflowConfig(
-            data_path=str(path), seed=SEED, auto_approve=True,
+            data_path=str(path), seed=SEED, auto_approve=name not in REVIEWS,
             log_dir=str(Path(tmp) / "logs"), **options,
         )
         backend = ScriptedBackend(script()) if script else None
+        # the prompts and the review table go to a buffer, not to stdout
+        channel = ReviewIO(io.StringIO(REVIEWS.get(name, "")), io.StringIO())
         with first_fit_fails() if force_backup else contextlib.nullcontext():
-            _, artifacts = runner.run_workflow(config, backend=backend, clock=TickClock())
+            _, artifacts = runner.run_workflow(
+                config, backend=backend, io=channel, clock=TickClock())
         digests = {}
         for output in OUTPUTS:
             files = sorted((Path(tmp) / "logs").glob(f"{output}_*"))

@@ -76,7 +76,12 @@ class ModelSpec:
         return FAMILIES[self.family][1].__name__
 
 
-@dataclass
+# each supervised task's primary metric: the Metrics field that ranks its
+# candidates and that adaptive search tests against the threshold
+PRIMARY_METRIC = {CLASSIFICATION: "accuracy", REGRESSION: "r2"}
+
+
+@dataclass(frozen=True)
 class Metrics:
     accuracy: float | None = None
     macro_precision: float | None = None
@@ -89,17 +94,10 @@ class Metrics:
     anomaly_scores: np.ndarray | None = None
 
     def primary(self, task: str) -> float | None:
-        if task == CLASSIFICATION:
-            return self.accuracy
-        if task == REGRESSION:
-            return self.r2
-        return None
-
-    def primary_name(self, task: str) -> str:
-        return {CLASSIFICATION: "accuracy", REGRESSION: "r2"}.get(task, "anomaly_count")
+        return getattr(self, PRIMARY_METRIC[task]) if task in PRIMARY_METRIC else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelResult:
     spec: ModelSpec
     status: str
@@ -269,20 +267,20 @@ def fit_predict_evaluate(
                 test_predictions=scores.tolist(),
                 anomaly_flags=flags,
             )
-        result = ModelResult(spec=spec, status=STATUS_OK)
+        confidence = stats = None
         if task == CLASSIFICATION:
             model.fit(X_train, np.array([str(v) for v in y_train]))
             if hasattr(model, "predict_proba"):
                 # predict is classes_[argmax(predict_proba)]: score once
                 proba = model.predict_proba(X_test)
                 predictions = model.classes_[np.argmax(proba, axis=1)]
-                result.prediction_confidence = proba.max(axis=1).tolist()
+                confidence = proba.max(axis=1).tolist()
             else:
                 predictions = model.predict(X_test)
             truth = [str(v) for v in y_test]
             report = classification_report(truth, predictions.tolist())
             precision, recall, f1 = macro_averages(report)
-            result.metrics = Metrics(
+            metrics = Metrics(
                 accuracy=accuracy_score(truth, predictions.tolist()),
                 macro_precision=precision,
                 macro_recall=recall,
@@ -294,17 +292,14 @@ def fit_predict_evaluate(
             model.fit(X_train, y_tr)
             predictions = np.asarray(model.predict(X_test), dtype=float)
             y_te = np.asarray(y_test, dtype=float)
-            result.metrics = Metrics(
+            metrics = Metrics(
                 r2=r2_score(y_te, predictions),
                 mse=mean_squared_error(y_te, predictions),
             )
-            result.train_target_stats = TargetStats(
-                mean=float(y_tr.mean()), std=float(y_tr.std()), n=len(y_tr),
-            )
-        result.test_predictions = predictions.tolist()
-        result.feature_importances = _importances(
-            model, feature_names, np.asarray(X_train, dtype=float))
-        return result
+            stats = TargetStats(mean=float(y_tr.mean()), std=float(y_tr.std()), n=len(y_tr))
+        importances = _importances(model, feature_names, np.asarray(X_train, dtype=float))
+        return ModelResult(spec, STATUS_OK, metrics, importances, predictions.tolist(),
+                           prediction_confidence=confidence, train_target_stats=stats)
     except Exception as exc:      # captured, never propagated
         logger.warning("training failed for %s: %s", spec.family, exc)
         return ModelResult(spec=spec, status=STATUS_FAILED, error=str(exc))
@@ -332,7 +327,7 @@ def adaptive_search(
             feature_names=feature_names,
         )
     )
-    primary_name = (first_result.metrics or Metrics()).primary_name(task)
+    primary_name = PRIMARY_METRIC.get(task, "anomaly_count")
     threshold = ADAPTIVE_THRESHOLDS.get(task)
     if first_result.status != STATUS_OK:
         reason = "first model failed to train"

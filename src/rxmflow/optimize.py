@@ -79,7 +79,7 @@ class Thresholds:
     degenerate: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recommendation:
     machine_id: str
     priority: str
@@ -191,13 +191,14 @@ def _ranked(rows, identifiers, feature_matrix, feature_names, importances,
 
 def recommend_classification(
     result: "ModelResult",
+    importances: dict[str, float] | None,
     identifiers: list[str],
     feature_matrix,
     feature_names: list[str],
     include_routine: bool = False,
 ) -> list[Recommendation]:
-    """Map predicted class labels onto priorities and actions."""
-    importances = result.feature_importances
+    """Map predicted class labels onto priorities and actions; the
+    contributing features are ranked by `importances`."""
     if not importances:
         raise MissingImportancesError(
             "classification recommendations need feature importances"
@@ -225,12 +226,14 @@ def _band(predicted: float, stats: TargetStats, bands: Thresholds) -> tuple[str,
 
 def recommend_regression(
     result: "ModelResult",
+    importances: dict[str, float] | None,
     identifiers: list[str],
     feature_matrix,
     feature_names: list[str],
     include_routine: bool = False,
 ) -> list[Recommendation]:
-    """Band predictions against the training-statistics thresholds."""
+    """Band predictions against the training-statistics thresholds; the
+    contributing features are ranked by `importances`."""
     stats = result.train_target_stats
     bands = thresholds(stats)
     if bands.degenerate:
@@ -239,7 +242,7 @@ def recommend_regression(
         )
     rows = [_band(float(p), stats, bands) for p in result.test_predictions]
     return _ranked(rows, identifiers, feature_matrix, feature_names,
-                   result.feature_importances or {}, include_routine, SCORE_Z)
+                   importances or {}, include_routine, SCORE_Z)
 
 
 def recommend_anomaly(

@@ -9,23 +9,21 @@ A column is constant when it holds at most one distinct value, and with
 no target a categorical column with more than HIGH_CARDINALITY distinct
 values is removed; both counts are read from perception's profile, not
 from another scan of the cells. Forest importances are advisory only and
-never a removal criterion. The advisory forest is fitted on the first read
-of `FeatureReport.importances`, so a run whose selected model has
-importances of its own never fits it.
+never a removal criterion: `advisory_importances` is not called here but by
+the recommendations stage, and only when the selected model has no
+importances of its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import NoFeaturesError
 from ..models.forest import RandomForestClassifier, RandomForestRegressor
 from ..perception import DatasetFrame, DatasetMetadata, float_cells
-from ..workflow import CLASSIFICATION, SUPERVISED
+from ..workflow import CLASSIFICATION
 from .pipeline import most_frequent
 from .plan import HIGH_CARDINALITY
 from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap, target_rows
@@ -42,21 +40,12 @@ IMPORTANCE_DEPTH = 8
 IMPORTANCE_SUBSAMPLE = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureReport:
-    pearson_correlations: dict[tuple[str, str], float] = field(default_factory=dict)
-    mutual_information: dict[str, float] = field(default_factory=dict)
-    removed: list[tuple[str, str]] = field(default_factory=list)
-    kept: list[str] = field(default_factory=list)
-    # the advisory forest fit with its inputs, run on the first read
-    fit_importances: Callable[[], dict[str, float] | None] | None = field(
-        default=None, repr=False, compare=False)
-
-    @cached_property
-    def importances(self) -> dict[str, float] | None:
-        """Advisory forest importances, fitted once on first read; None when
-        there is nothing to fit."""
-        return self.fit_importances() if self.fit_importances else None
+    pearson_correlations: dict[tuple[str, str], float]
+    mutual_information: dict[str, float]
+    removed: list[tuple[str, str]]
+    kept: list[str]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -111,9 +100,9 @@ def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.n
     return codes
 
 
-def _advisory_importances(frame, kept, schema, task, seed):
-    """25-tree depth-8 forest on a 50% subsample of the target rows the
-    run's split also uses; advisory only."""
+def advisory_importances(frame, kept, schema, task, seed):
+    """Importances of a 25-tree depth-8 forest fitted on a 50% subsample of
+    the target rows the run's split also uses; None under 10 such rows."""
     target_cells = frame.column(schema.chosen_target)
     usable_rows = target_rows(target_cells, task)
     if len(usable_rows) < 10:
@@ -155,22 +144,19 @@ def _advisory_importances(frame, kept, schema, task, seed):
 
 def analyze_features(
     frame: DatasetFrame, metadata: DatasetMetadata, schema: SchemaMap,
-    task: str, seed: int = 0,
 ) -> FeatureReport:
     """Partition features into kept and removed with full evidence.
 
-    `metadata` is perception's profile of the same frame, and `task` is
-    the run's task. Raises NoFeaturesError when the schema has no feature
-    column or every feature column is removed. The advisory forest is
-    deferred to the first read of the report's importances, and kept only
-    for a classification or regression task with a target; an anomaly run
-    that still names a target reads None.
+    `metadata` is perception's profile of the same frame. Raises
+    NoFeaturesError when the schema has no feature column or every feature
+    column is removed.
     """
     features = [c for c in frame.column_names if c in schema.feature_columns()]
     if not features:
         raise NoFeaturesError("schema has no feature columns")
 
-    report = FeatureReport()
+    correlations: dict[tuple[str, str], float] = {}
+    mi: dict[str, float] = {}
     removed: dict[str, str] = {}
 
     for name in features:
@@ -187,7 +173,7 @@ def analyze_features(
         for b in numeric[i + 1:]:
             r = pearson(floats[a], floats[b])
             if r is not None:
-                report.pearson_correlations[(a, b)] = r
+                correlations[(a, b)] = r
 
     target = schema.chosen_target
     if target is not None:
@@ -201,19 +187,17 @@ def analyze_features(
                 continue
             codes = _discrete_codes(frame.column(name), floats.get(name), MI_BINS)
             shared = (codes >= 0) & (target_codes >= 0)
-            report.mutual_information[name] = mutual_information(
-                codes[shared], target_codes[shared])
+            mi[name] = mutual_information(codes[shared], target_codes[shared])
 
     # redundancy pass in deterministic column order
     for (a, b), r in sorted(
-        report.pearson_correlations.items(),
+        correlations.items(),
         key=lambda kv: (features.index(kv[0][0]), features.index(kv[0][1])),
     ):
         if abs(r) <= REDUNDANCY_R:
             continue
         if a in removed or b in removed:
             continue
-        mi = report.mutual_information
         if target is not None and mi.get(a, 0.0) != mi.get(b, 0.0):
             victim = a if mi.get(a, 0.0) < mi.get(b, 0.0) else b
         else:
@@ -227,12 +211,9 @@ def analyze_features(
             if metadata.profile(name).unique_count > HIGH_CARDINALITY:
                 removed[name] = REASON_HIGH_CARDINALITY
 
-    report.removed = [(name, removed[name]) for name in features if name in removed]
-    report.kept = [name for name in features if name not in removed]
-    if not report.kept:
+    kept = [name for name in features if name not in removed]
+    if not kept:
         raise NoFeaturesError("feature analysis removed every feature column")
-
-    if task in SUPERVISED and target is not None:
-        report.fit_importances = partial(
-            _advisory_importances, frame, tuple(report.kept), schema, task, seed)
-    return report
+    return FeatureReport(
+        correlations, mi,
+        [(name, removed[name]) for name in features if name in removed], kept)

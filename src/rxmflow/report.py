@@ -122,7 +122,8 @@ def metrics_json(metrics) -> dict | None:
     return out
 
 
-def model_attempt_json(result) -> dict:
+def model_attempt_json(result, importances) -> dict:
+    """One model attempt, listed with `importances` as its feature importances."""
     out = {
         "family": result.spec.family,
         "model": result.spec.display_name,
@@ -131,7 +132,7 @@ def model_attempt_json(result) -> dict:
         "status": result.status,
         "error": result.error,
         "metrics": metrics_json(result.metrics),
-        "feature_importances": result.feature_importances,
+        "feature_importances": importances,
     }
     predictions = result.test_predictions
     if predictions is not None:

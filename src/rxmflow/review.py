@@ -3,14 +3,16 @@
 Interactive mode renders the ranked table and loops on per-recommendation
 edits when the reviewer picks adjust. Only priority and action text are
 editable; scores are derived values and editing them is refused with an
-explanation. End-of-input counts as a rejection so unattended sessions
-fail safe.
+explanation. An edit never changes the recommendation it was made on: the
+outcome carries reviewed copies, and the list it was given stays as the
+optimizer ranked it. End-of-input counts as a rejection so unattended
+sessions fail safe.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .optimize import CRITICAL, ELEVATED, ROUTINE, Recommendation
 
@@ -41,12 +43,14 @@ class ReviewIO:
         return line.strip()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReviewOutcome:
     status: str                          # approved | adjusted | rejected
     actions_count: int
     unique_machines: int
     adjustments: list[tuple[str, str, str]] = field(default_factory=list)
+    # the recommendations as reviewed, edits applied; not part of to_json
+    recommendations: list[Recommendation] = field(default_factory=list)
 
     def summary_line(self) -> str:
         return (
@@ -75,15 +79,17 @@ def _render_table(recommendations: list[Recommendation], io: ReviewIO):
         )
 
 
-def _adjust_loop(recommendations, io: ReviewIO) -> list[tuple[str, str, str]]:
+def _adjust_loop(recommendations, io: ReviewIO):
+    """Edit copies of the recommendations; returns (reviewed, adjustments)."""
+    reviewed = list(recommendations)
     adjustments: list[tuple[str, str, str]] = []
     while True:
         raw = io.prompt("Recommendation number to edit (blank to finish):")
         if not raw:
-            return adjustments
+            return reviewed, adjustments
         try:
             index = int(raw) - 1
-            rec = recommendations[index]
+            rec = reviewed[index]
         except (ValueError, IndexError):
             io.say("No such recommendation.")
             continue
@@ -95,16 +101,13 @@ def _adjust_loop(recommendations, io: ReviewIO) -> list[tuple[str, str, str]]:
             )
             continue
         new_value = io.prompt(f"New {which}:")
-        if which == "priority":
-            if new_value not in _PRIORITIES:
-                io.say(f"Priority must be one of {', '.join(_PRIORITIES)}.")
-                continue
-            rec.priority = new_value
-        else:
-            if not new_value:
-                io.say("Action text must be non-empty.")
-                continue
-            rec.action = new_value
+        if which == "priority" and new_value not in _PRIORITIES:
+            io.say(f"Priority must be one of {', '.join(_PRIORITIES)}.")
+            continue
+        if which == "action" and not new_value:
+            io.say("Action text must be non-empty.")
+            continue
+        reviewed[index] = replace(rec, **{which: new_value})
         adjustments.append((rec.machine_id, which, new_value))
         io.say(f"Updated {rec.machine_id}.")
 
@@ -115,30 +118,28 @@ def review(
     mode: str = MODE_INTERACTIVE,
     audit=None,
 ) -> ReviewOutcome:
-    """Run the review gate over the ranked recommendations."""
+    """Run the review gate over the ranked recommendations; the outcome
+    carries them as reviewed."""
     io = io_channel or ReviewIO()
     unique = len({rec.machine_id for rec in recommendations})
     count = len(recommendations)
 
-    if mode == MODE_AUTO_APPROVE:
-        outcome = ReviewOutcome("approved", count, unique)
-    else:
+    status, adjustments, reviewed = "approved", [], recommendations
+    if mode != MODE_AUTO_APPROVE:
         try:
             io.say("")
             io.say("RECOMMENDATION REVIEW")
             _render_table(recommendations, io)
             answer = io.prompt("[a]pprove / a[d]just / [r]eject:").lower()
             if answer.startswith("d"):
-                adjustments = _adjust_loop(recommendations, io)
+                reviewed, adjustments = _adjust_loop(recommendations, io)
                 status = "adjusted" if adjustments else "approved"
-                outcome = ReviewOutcome(status, count, unique, adjustments)
             elif answer.startswith("r"):
-                outcome = ReviewOutcome("rejected", count, unique)
-            else:
-                outcome = ReviewOutcome("approved", count, unique)
+                status = "rejected"
         except EOFError:
-            # input channel closed mid-review: fail safe
-            outcome = ReviewOutcome("rejected", count, unique)
+            # input channel closed mid-review, edits unfinished: fail safe
+            status = "rejected"
+    outcome = ReviewOutcome(status, count, unique, adjustments, reviewed)
 
     if audit is not None:
         audit("recommendation_review", outcome.to_json())

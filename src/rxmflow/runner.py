@@ -3,9 +3,10 @@
 The loop is plan, act, record: the planner (backed by a language model or
 the rule-based fallback) picks a stage of `workflow.STAGES`, the runner's
 `_<stage>` method runs it with stage-level recovery, and the outcome lands
-in the workflow context. A stage method returns one immutable record, and
-`run()` keeps it in `RunArtifacts.records` under the stage's name when the
-stage succeeds; later stages read only those records. A stage picked
+in the workflow context. A stage method returns one record, a frozen value
+built once, and `run()` keeps it in `RunArtifacts.records` under the
+stage's name when the stage succeeds; later stages read those records and
+never change them (the review returns edited copies). A stage picked
 before every earlier stage has a record fails with StageOrderError.
 
 Stage recoveries: a first candidate model that fails to train hands the
@@ -45,6 +46,7 @@ from .preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
     fit_pipeline, simplified_backup_plan,
 )
+from .preprocess.features import advisory_importances
 from .preprocess.plan import mark_removed
 from .preprocess.schema import resolve_ambiguous_target, target_rows
 from .report import (
@@ -123,9 +125,12 @@ class Preparation:
 
 @dataclass(frozen=True)
 class Advice:
-    """The generate_recommendations record."""
+    """The generate_recommendations record. `importances` are those the
+    recommendations rank by: the selected model's own, else the advisory
+    forest's; None for an anomaly run."""
     recommendations: list[optimize.Recommendation]
     confidence: optimize.ConfidenceAssessment
+    importances: dict[str, float] | None
 
 
 def _view(stage: str, name: str, empty=None):
@@ -328,9 +333,7 @@ class WorkflowRunner:
         self.audit.append("preprocessing", "task_inferred", {
             "task": task, "target": schema.chosen_target,
         })
-        feature_report = analyze_features(
-            frame, seen.metadata, schema, task, seed=config.seed,
-        )
+        feature_report = analyze_features(frame, seen.metadata, schema)
         plan = mark_removed(decide_tools(seen.metadata, schema), feature_report.removed)
         advice = slm_advise(
             self.slm_backend,
@@ -423,7 +426,7 @@ class WorkflowRunner:
         metrics = best.metrics
         name = best.spec.display_name
         if task in analytics.SUPERVISED:
-            metric, value = metrics.primary_name(task), metrics.primary(task)
+            metric, value = analytics.PRIMARY_METRIC[task], metrics.primary(task)
             note = f"{metric}={value:.4f} with {name}"
             summary = f"{name} {metric} {value:.4f}"
         else:
@@ -440,6 +443,7 @@ class WorkflowRunner:
         prep = self.artifacts.records[PREPROCESS]
         best = self.artifacts.records[ANALYZE].best
         task = prep.task
+        importances = best.feature_importances
         if task == analytics.ANOMALY:
             # an anomaly run tests on all its rows, so the test ids are all ids
             recommendations = optimize.recommend_anomaly(
@@ -447,17 +451,17 @@ class WorkflowRunner:
                 prep.X_test, prep.ids_test, prep.feature_names,
             )
         else:
-            if not best.feature_importances and prep.feature_report.importances:
-                # model family without native importances: use the advisory
-                # forest importances, fitted here on this first read
-                best.feature_importances = prep.feature_report.importances
+            # a model family without importances of its own ranks by the
+            # advisory forest's, fitted here
+            importances = importances or advisory_importances(
+                self.artifacts.frame, prep.feature_report.kept, prep.schema, task, self.config.seed)
             recommend = (
                 optimize.recommend_classification
                 if task == analytics.CLASSIFICATION
                 else optimize.recommend_regression
             )
             recommendations = recommend(
-                best, prep.ids_test, prep.X_test, prep.feature_names,
+                best, importances, prep.ids_test, prep.X_test, prep.feature_names,
                 self.config.include_routine,
             )
         confidence = optimize.assess_confidence(best.metrics, task)
@@ -473,7 +477,7 @@ class WorkflowRunner:
         if confidence.warning:
             insights.append(f"confidence {confidence.level}: {confidence.warning}")
         summary = f"{len(recommendations)} ranked recommendations"
-        return Advice(recommendations, confidence), summary, insights
+        return Advice(recommendations, confidence, importances), summary, insights
 
     def _summarize(self):
         mode = MODE_AUTO_APPROVE if self.config.auto_approve else MODE_INTERACTIVE
@@ -516,8 +520,9 @@ class WorkflowRunner:
             plan["__advisory_notes__"] = prep.plan.advisory_notes
             plan["__kept__"] = prep.feature_report.kept
             plan["__removed__"] = [list(p) for p in prep.feature_report.removed]
-        adaptive = None
+        adaptive = winner = None
         if log is not None:
+            winner = log.best
             adaptive = {
                 "trigger_reason": log.trigger_reason,
                 "best_index": log.best_index,
@@ -534,7 +539,10 @@ class WorkflowRunner:
             "dataset": dataset,
             "schema": schema,
             "preprocess_plan": plan,
-            "model_attempts": [model_attempt_json(r) for r in attempts],
+            # the winner lists the importances its recommendations ranked by
+            "model_attempts": [model_attempt_json(
+                r, advice.importances if advice and r is winner else r.feature_importances,
+            ) for r in attempts],
             "adaptive_log": adaptive,
             "recommendations": {
                 "generated_total": len(generated),
@@ -572,13 +580,15 @@ class WorkflowRunner:
             art.exit_code = EXIT_DATA_ERROR
         elif rejected:
             art.exit_code = EXIT_REJECTED
+        # approved, written and counted as reviewed; `generated` as ranked
+        reviewed = outcome.recommendations if outcome else art.recommendations
         best = art.best_result
         art.report = build_report(
             context, total_duration,
             feature_kept=len(prep.feature_report.kept) if prep else 0,
             feature_removed=len(prep.feature_report.removed) if prep else 0,
-            recommendations_total=len(art.recommendations),
-            priority_distribution=dict(Counter(r.priority for r in art.recommendations)),
+            recommendations_total=len(reviewed),
+            priority_distribution=dict(Counter(r.priority for r in reviewed)),
             hitl_outcomes=(outcome.summary_line(),) if outcome else (),
             dataset_name=Path(self.config.data_path).name,
             task_kind=prep.task if prep else "",
@@ -588,7 +598,7 @@ class WorkflowRunner:
         # a run whose every candidate failed lists them from the exception
         attempts = error.attempts if isinstance(error, AllModelsFailedError) else art.attempts
         generated = optimize.recommendations_to_json(art.recommendations)
-        approved = [] if rejected else generated
+        approved = [] if rejected else optimize.recommendations_to_json(reviewed)
         try:
             if art.failure is None:
                 art.recommendations_path = write_recommendations(

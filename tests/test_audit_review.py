@@ -90,8 +90,13 @@ def test_adjust_edits_priority_and_action():
     script = "d\n1\npriority\nElevated\n2\naction\nSwap the spindle bearing\n\n"
     outcome = review(recs, channel(script), MODE_INTERACTIVE)
     assert outcome.status == "adjusted"
-    assert recs[0].priority == "Elevated"
-    assert recs[1].action == "Swap the spindle bearing"
+    edited = outcome.recommendations
+    assert edited[0].priority == "Elevated"
+    assert edited[1].action == "Swap the spindle bearing"
+    # the reviewed list holds copies: the optimizer's ranking is untouched
+    assert (recs[0].priority, recs[1].action) == ("Critical", rec("M002").action)
+    assert edited[0].priority_score == recs[0].priority_score
+    assert "recommendations" not in outcome.to_json()
     assert outcome.adjustments == [
         ("M001", "priority", "Elevated"),
         ("M002", "action", "Swap the spindle bearing"),
@@ -112,7 +117,7 @@ def test_adjust_validates_priority_vocabulary():
     recs = [rec("M001")]
     script = "d\n1\npriority\nUrgent\n\n"
     outcome = review(recs, channel(script), MODE_INTERACTIVE)
-    assert recs[0].priority == "Critical"
+    assert outcome.recommendations[0].priority == "Critical"
     assert outcome.adjustments == []
 
 

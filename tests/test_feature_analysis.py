@@ -11,7 +11,7 @@ from rxmflow.perception import float_cells, inspect_frame
 from rxmflow.preprocess import analyze_features, discover_schema
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    equal_frequency_bins, mutual_information, pearson,
+    advisory_importances, equal_frequency_bins, mutual_information, pearson,
 )
 from rxmflow.synth import maintenance_frame
 
@@ -88,7 +88,7 @@ def test_identical_columns_deduplicated():
     frame, metadata, schema = schema_and_frame({
         "x1": values, "x2": list(values), "label": target,
     })
-    report = analyze_features(frame, metadata, schema, "classification")
+    report = analyze_features(frame, metadata, schema)
     assert report.pearson_correlations[("x1", "x2")] == pytest.approx(1.0)
     assert ("x2", REASON_REDUNDANT) in report.removed
     assert "x1" in report.kept
@@ -102,7 +102,7 @@ def test_kept_and_removed_partition_features():
         "const": [5.0] * 40,
         "label": ["a", "b"] * 20,
     })
-    report = analyze_features(frame, metadata, schema, "classification")
+    report = analyze_features(frame, metadata, schema)
     features = set(schema.feature_columns())
     removed = {name for name, _ in report.removed}
     assert set(report.kept) | removed == features
@@ -138,7 +138,7 @@ def test_clean_maintenance_frame_keeps_all_features():
     frame = maintenance_frame(n_rows=300)
     metadata = inspect_frame(frame)
     schema = discover_schema(frame, metadata, "Maintenance_Priority")
-    report = analyze_features(frame, metadata, schema, "classification")
+    report = analyze_features(frame, metadata, schema)
     assert len(report.kept) == 7
     assert report.removed == []
 
@@ -147,11 +147,11 @@ def test_importances_present_with_target_and_favor_signal():
     frame = maintenance_frame(n_rows=500)
     metadata = inspect_frame(frame)
     schema = discover_schema(frame, metadata, "Maintenance_Priority")
-    report = analyze_features(frame, metadata, schema, "classification", seed=3)
-    assert report.importances is not None
-    top2 = sorted(report.importances, key=report.importances.get, reverse=True)[:2]
+    report = analyze_features(frame, metadata, schema)
+    importances = advisory_importances(frame, report.kept, schema, "classification", 3)
+    assert set(importances) == set(report.kept)
+    top2 = sorted(importances, key=importances.get, reverse=True)[:2]
     assert set(top2) == {"Downtime_Cost", "Vibration"}
-
 
 
 @pytest.fixture
@@ -169,18 +169,17 @@ def forest_fits(monkeypatch):
     return fits
 
 
-def test_advisory_forest_is_fitted_once_on_first_read(forest_fits):
-    fits = forest_fits
+def test_advisory_forest_is_fitted_only_when_called(forest_fits):
     frame = maintenance_frame(n_rows=300)
     metadata = inspect_frame(frame)
     schema = discover_schema(frame, metadata, "Maintenance_Priority")
-    report = analyze_features(frame, metadata, schema, "classification", seed=3)
-    assert fits == []
-    first = report.importances
-    assert fits == ["RandomForestClassifier"]
-    assert report.importances is first
-    assert fits == ["RandomForestClassifier"]
-    assert set(first) == set(report.kept)
+    report = analyze_features(frame, metadata, schema)
+    assert forest_fits == []
+    importances = advisory_importances(frame, report.kept, schema, "classification", 3)
+    assert forest_fits == ["RandomForestClassifier"]
+    assert set(importances) == set(report.kept)
+    # a value: the same inputs give the same importances
+    assert advisory_importances(frame, report.kept, schema, "classification", 3) == importances
 
 
 def test_advisory_forest_follows_the_run_task(forest_fits):
@@ -195,8 +194,9 @@ def test_advisory_forest_follows_the_run_task(forest_fits):
         "x2": [float((i * 7) % 13) for i in range(n)],
         "wear_target": wear,
     }, target_hint="wear_target")
-    report = analyze_features(frame, metadata, schema, "regression", seed=3)
-    assert set(report.importances) == {"x1", "x2"}
+    report = analyze_features(frame, metadata, schema)
+    importances = advisory_importances(frame, report.kept, schema, "regression", 3)
+    assert set(importances) == {"x1", "x2"}
     assert forest_fits == ["RandomForestRegressor"]
 
 
@@ -206,13 +206,13 @@ def test_high_cardinality_removed_only_without_target():
         "x": [float(i % 10) for i in range(120)],
     }
     frame, metadata, schema = schema_and_frame(dict(cells))
-    report = analyze_features(frame, metadata, schema, "anomaly_detection")
+    report = analyze_features(frame, metadata, schema)
     assert ("cat", REASON_HIGH_CARDINALITY) in report.removed
 
     with_target = dict(cells)
     with_target["label"] = ["a", "b"] * 60
     frame2, metadata2, schema2 = schema_and_frame(with_target)
-    report2 = analyze_features(frame2, metadata2, schema2, "classification")
+    report2 = analyze_features(frame2, metadata2, schema2)
     assert "cat" in report2.kept
 
 
@@ -221,7 +221,7 @@ def test_no_features_is_an_error():
         "Machine_ID": [f"M{i}" for i in range(20)],
     })
     with pytest.raises(NoFeaturesError):
-        analyze_features(frame, metadata, schema, "anomaly_detection")
+        analyze_features(frame, metadata, schema)
 
 
 def test_removing_every_feature_is_an_error():
@@ -231,7 +231,7 @@ def test_removing_every_feature_is_an_error():
         "flat": [2.0] * 20,
     })
     with pytest.raises(NoFeaturesError, match="removed every feature"):
-        analyze_features(frame, metadata, schema, "anomaly_detection")
+        analyze_features(frame, metadata, schema)
 
 
 def test_redundant_pair_keeps_higher_mi_member():
@@ -243,7 +243,7 @@ def test_redundant_pair_keeps_higher_mi_member():
         "copy": jitter,        # near-copy, slightly noisier
         "label": label,
     })
-    report = analyze_features(frame, metadata, schema, "classification")
+    report = analyze_features(frame, metadata, schema)
     removed = {name for name, _ in report.removed}
     assert removed == {"copy"} or removed == {"signal"}
     kept = report.kept[0]

@@ -56,12 +56,15 @@ def test_score_antisymmetric_about_mean(mean, std, delta):
         -priority_score(mean - delta, stats), rel=1e-9, abs=1e-9)
 
 
+REGRESSION_IMPORTANCES = {"vibration": 0.6, "temperature": 0.4}
+CLASSIFICATION_IMPORTANCES = {"Downtime_Cost": 0.5, "Vibration": 0.3, "Pressure": 0.2}
+
+
 def regression_result(predictions, mean=0.5, std=0.05):
     return ModelResult(
         spec=ModelSpec("linear_regression", {}, 0),
         status="ok",
         metrics=Metrics(r2=0.9, mse=0.001),
-        feature_importances={"vibration": 0.6, "temperature": 0.4},
         test_predictions=list(predictions),
         train_target_stats=TargetStats(mean=mean, std=std, n=100),
     )
@@ -76,7 +79,7 @@ def test_regression_banding_strict_boundaries():
     # high = 0.6, critical = 0.65
     result = regression_result([0.66, 0.65, 0.61, 0.60, 0.30])
     recs = recommend_regression(
-        result, [f"M{i}" for i in range(5)], matrix_for(5),
+        result, REGRESSION_IMPORTANCES, [f"M{i}" for i in range(5)], matrix_for(5),
         ["vibration", "temperature"], include_routine=True,
     )
     by_machine = {r.machine_id: r.priority for r in recs}
@@ -90,7 +93,7 @@ def test_regression_banding_strict_boundaries():
 def test_regression_ranking_and_default_routine_suppression():
     result = regression_result([0.62, 0.612, 0.611, 0.3])
     recs = recommend_regression(
-        result, ["M003", "M007", "M004", "M001"], matrix_for(4),
+        result, REGRESSION_IMPORTANCES, ["M003", "M007", "M004", "M001"], matrix_for(4),
         ["vibration", "temperature"],
     )
     assert [r.machine_id for r in recs] == ["M003", "M007", "M004"]
@@ -102,7 +105,7 @@ def test_regression_nine_critical_one_elevated():
     predictions = [0.66 + i / 1000 for i in range(9)] + [0.62]
     result = regression_result(predictions)
     recs = recommend_regression(
-        result, [f"M{i:03d}" for i in range(10)], matrix_for(10),
+        result, REGRESSION_IMPORTANCES, [f"M{i:03d}" for i in range(10)], matrix_for(10),
         ["vibration", "temperature"],
     )
     counts = {}
@@ -113,7 +116,7 @@ def test_regression_nine_critical_one_elevated():
 
 def test_regression_degenerate_std_yields_no_actions(caplog):
     result = regression_result([1.0, 2.0], std=0.0)
-    recs = recommend_regression(result, ["M1", "M2"], matrix_for(2),
+    recs = recommend_regression(result, REGRESSION_IMPORTANCES, ["M1", "M2"], matrix_for(2),
                                 ["vibration", "temperature"])
     assert recs == []
 
@@ -123,7 +126,7 @@ def test_higher_prediction_never_ranks_lower(rng, monkeypatch):
     predictions = sorted(rng.uniform(0.0, 1.0, 20).tolist(), reverse=True)
     result = regression_result(predictions, mean=0.3, std=0.1)
     recs = recommend_regression(
-        result, [f"M{i:02d}" for i in range(20)], matrix_for(20),
+        result, REGRESSION_IMPORTANCES, [f"M{i:02d}" for i in range(20)], matrix_for(20),
         ["vibration", "temperature"], include_routine=True,
     )
     scores = [r.priority_score for r in recs]
@@ -135,7 +138,6 @@ def classification_result(labels, confidence=None):
         spec=ModelSpec("random_forest_clf", {}, 0),
         status="ok",
         metrics=Metrics(accuracy=0.97),
-        feature_importances={"Downtime_Cost": 0.5, "Vibration": 0.3, "Pressure": 0.2},
         test_predictions=list(labels),
         prediction_confidence=confidence,
     )
@@ -144,7 +146,7 @@ def classification_result(labels, confidence=None):
 def test_classification_mapping_and_distribution():
     labels = ["High"] * 4 + ["Medium"] * 6
     recs = recommend_classification(
-        classification_result(labels),
+        classification_result(labels), CLASSIFICATION_IMPORTANCES,
         [f"M{i:03d}" for i in range(10)],
         matrix_for(10, 3), ["Downtime_Cost", "Vibration", "Pressure"],
     )
@@ -160,24 +162,22 @@ def test_classification_mapping_and_distribution():
 
 def test_all_routine_suppressed_by_default():
     recs = recommend_classification(
-        classification_result(["Low", "Low"]), ["M1", "M2"],
+        classification_result(["Low", "Low"]), CLASSIFICATION_IMPORTANCES, ["M1", "M2"],
         matrix_for(2, 3), ["Downtime_Cost", "Vibration", "Pressure"],
     )
     assert recs == []
 
 
 def test_classification_requires_importances():
-    result = classification_result(["High"])
-    result.feature_importances = None
     with pytest.raises(MissingImportancesError):
-        recommend_classification(result, ["M1"], matrix_for(1, 3),
+        recommend_classification(classification_result(["High"]), None, ["M1"], matrix_for(1, 3),
                                  ["Downtime_Cost", "Vibration", "Pressure"])
 
 
 def test_contributing_features_are_reweighted_top_k():
     matrix = np.array([[10.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-10.0, 0.0, 0.0]])
     recs = recommend_classification(
-        classification_result(["High", "High", "High"]),
+        classification_result(["High", "High", "High"]), CLASSIFICATION_IMPORTANCES,
         ["M1", "M2", "M3"], matrix,
         ["Downtime_Cost", "Vibration", "Pressure"],
     )
@@ -190,7 +190,7 @@ def test_contributing_features_are_reweighted_top_k():
 def test_recommendation_cap():
     labels = ["High"] * 30
     recs = recommend_classification(
-        classification_result(labels), [f"M{i:03d}" for i in range(30)],
+        classification_result(labels), CLASSIFICATION_IMPORTANCES, [f"M{i:03d}" for i in range(30)],
         matrix_for(30, 3), ["Downtime_Cost", "Vibration", "Pressure"],
     )
     assert len(recs) == 10
@@ -198,7 +198,7 @@ def test_recommendation_cap():
 
 def test_duplicate_machines_keep_best_row():
     recs = recommend_classification(
-        classification_result(["High", "Low", "Medium"]),
+        classification_result(["High", "Low", "Medium"]), CLASSIFICATION_IMPORTANCES,
         ["M1", "M1", "M1"], matrix_for(3, 3),
         ["Downtime_Cost", "Vibration", "Pressure"],
     )
@@ -265,9 +265,9 @@ def test_ranking_is_stable_total_order():
     predictions = [0.7, 0.66, 0.66, 0.62]
     result = regression_result(predictions)
     ids = ["M2", "M9", "M1", "M5"]
-    first = recommend_regression(result, ids, matrix_for(4),
+    first = recommend_regression(result, REGRESSION_IMPORTANCES, ids, matrix_for(4),
                                  ["vibration", "temperature"])
-    second = recommend_regression(result, ids, matrix_for(4),
+    second = recommend_regression(result, REGRESSION_IMPORTANCES, ids, matrix_for(4),
                                   ["vibration", "temperature"])
     assert [(r.machine_id, r.priority) for r in first] == \
         [(r.machine_id, r.priority) for r in second]

@@ -4,6 +4,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+from rxmflow import runner
 from rxmflow.models import forest
 from rxmflow.perception import inspect_frame, load_csv
 from rxmflow.preprocess import features, pipeline
@@ -93,3 +94,23 @@ def test_repeated_fields_keeps_texts_that_parse_alike_apart(tmp_path):
     assert metadata.profile("zero_reading").unique_count == 2
     # the 40 exact copies, and the 4 sign-flipped rows whose zero field is blank
     assert metadata.duplicate_row_count == 44
+
+
+def test_adjusted_review_edits_a_priority_and_prints_only_its_digests(monkeypatch, capsys):
+    replay = load_replay()
+    outcomes = []
+    real = runner.review
+
+    def spy(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(runner, "review", spy)
+    assert replay.main(["adjusted_review"]) == 0
+    [outcome] = outcomes
+    assert outcome.status == "adjusted"
+    assert [field for _, field, _ in outcome.adjustments] == ["priority"]
+    # the review table and prompts stay off stdout
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+        ["adjusted_review", output]
+        for output in ("audit", "detailed_results", "recommendations", "summary")]

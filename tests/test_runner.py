@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rxmflow.runner import (
     run_workflow,
 )
 from rxmflow.synth import failure_frame, maintenance_frame, network_frame, write_csv
-from rxmflow.workflow import ANALYZE, LOAD, PREPROCESS, RECOMMEND, SUMMARIZE
+from rxmflow.workflow import ANALYZE, LOAD, PREPROCESS, RECOMMEND, SUMMARIZE, TOOLS
 
 from conftest import (
     DEGENERATE_TARGETS, UnavailableBackend, make_frame, write_target_csv,
@@ -366,6 +367,39 @@ def test_rejected_review_withholds_actions_and_sets_exit_code(
     assert payload == []
 
 
+# a blank keeps the default at the target prompt, then the review edits the
+# first recommendation's priority to Routine
+ADJUST_FIRST_TO_ROUTINE = "\nd\n1\npriority\nRoutine\n\n"
+
+
+def test_adjusted_review_reaches_the_approved_list_but_not_the_generated_one(
+        maintenance_csv, tmp_path):
+    config = config_for(maintenance_csv, tmp_path, auto_approve=False)
+    runner = WorkflowRunner(
+        config, io=ReviewIO(io.StringIO(ADJUST_FIRST_TO_ROUTINE), io.StringIO()),
+        clock=TickClock(),
+    )
+    report = runner.run()
+    art = runner.artifacts
+    assert art.exit_code == EXIT_OK and report.steps_succeeded == 5
+    document = json.loads(art.detailed_results_path.read_text())
+    section = document["recommendations"]
+    generated, approved = section["generated"], section["approved_actions"]
+    assert generated[0]["machine_id"] == approved[0]["machine_id"] == "M149"
+    assert generated[0]["priority_score"] == approved[0]["priority_score"] > 3.9
+    # the optimizer's list keeps its Critical score; only the approved copy is edited
+    assert [r["priority"] for r in generated] == ["Critical"] * 10
+    assert [r["priority"] for r in approved] == ["Routine"] + ["Critical"] * 9
+    assert generated[1:] == approved[1:]
+    assert json.loads(art.recommendations_path.read_text()) == approved
+    assert report.priority_distribution == {"Critical": 9, "Routine": 1}
+    assert document["review"]["adjustments"] == [
+        {"machine_id": "M149", "field": "priority", "new_value": "Routine"}]
+    assert "recommendations" not in document["review"]
+    assert art.records[RECOMMEND].recommendations[0].priority == "Critical"
+    assert art.records[SUMMARIZE].recommendations[0].priority == "Routine"
+
+
 def test_interactive_target_prompt_feeds_schema(maintenance_csv, tmp_path):
     config = config_for(maintenance_csv, tmp_path, auto_approve=False)
     script = "Failure_Probability\nauto\n\na\n"
@@ -433,20 +467,30 @@ def test_anomaly_run_produces_advisories(tmp_path):
     assert "Network_Latency" in flagged_features
 
 
-def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path):
+def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path, monkeypatch):
+    fits = []
+    real = runner_module.advisory_importances
+
+    def counted(*args):
+        fits.append(args[3])
+        return real(*args)
+    monkeypatch.setattr(runner_module, "advisory_importances", counted)
     path = tmp_path / "network.csv"
     write_csv(network_frame(n_rows=800, seed=13, n_outliers=8), path)
     _, anomaly = run_workflow(
         config_for(str(path), tmp_path, task="anomaly_detection"), clock=TickClock())
     prep = anomaly.records[PREPROCESS]
     assert prep.schema.chosen_target is not None
-    assert prep.feature_report.importances is None
+    assert anomaly.records[RECOMMEND].importances is None
     assert prep.feature_report.mutual_information
+    assert fits == []
 
+    _only_candidate(monkeypatch, "svm_rbf_clf")
     _, classified = run_workflow(config_for(maintenance_csv, tmp_path), clock=TickClock())
     assert classified.task == "classification"
     report = classified.records[PREPROCESS].feature_report
-    assert set(report.importances) == set(report.kept)
+    assert set(classified.records[RECOMMEND].importances) == set(report.kept)
+    assert fits == ["classification"]
 
 
 @pytest.mark.parametrize("contamination", ["auto", 0.01, 0.5])
@@ -680,7 +724,8 @@ def _sha256(data: bytes) -> str:
 
 
 # digests of the run that fitted the advisory forest inside analyze_features;
-# deferring the fit to the first read must keep every byte
+# fitting it in the recommendations stage, and keeping its importances on
+# that stage's record, must keep every byte
 @pytest.mark.parametrize("family, frame, digests", [
     ("svm_rbf_clf", lambda: maintenance_frame(n_rows=400, seed=7), (
         "d320c973f7d866d49d50ce1b8734fef8f66c759e0186c71f0148be7b3d1bd301",
@@ -702,9 +747,11 @@ def test_svm_winner_reads_the_advisory_importances(tmp_path, monkeypatch,
     assert report.steps_succeeded == 5
     best = artifacts.best_result
     assert best.spec.family == family
-    assert best.feature_importances is artifacts.records[PREPROCESS].feature_report.importances
+    assert best.feature_importances is None
+    importances = artifacts.records[RECOMMEND].importances
+    assert set(importances) == set(artifacts.records[PREPROCESS].feature_report.kept)
     assert (
-        _sha256(json.dumps(best.feature_importances).encode()),
+        _sha256(json.dumps(importances).encode()),
         _sha256(artifacts.recommendations_path.read_bytes()),
         _sha256(artifacts.detailed_results_path.read_bytes()),
     ) == digests
@@ -723,15 +770,14 @@ def _fit_no_advisory_forest(*args, **kwargs):
 def test_winner_with_own_importances_fits_no_advisory_forest(
         tmp_path, monkeypatch, family, frame):
     _only_candidate(monkeypatch, family)
-    monkeypatch.setattr(features, "_advisory_importances", _fit_no_advisory_forest)
+    monkeypatch.setattr(runner_module, "advisory_importances", _fit_no_advisory_forest)
     path = tmp_path / "own.csv"
     write_csv(frame(), path)
     report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
     assert report.steps_succeeded == 5
     assert artifacts.best_result.spec.family == family
     assert artifacts.best_result.feature_importances
-    # never read
-    assert "importances" not in vars(artifacts.records[PREPROCESS].feature_report)
+    assert artifacts.records[RECOMMEND].importances is artifacts.best_result.feature_importances
 
 
 def _maintenance():
@@ -849,3 +895,46 @@ def test_run_bytes_are_pinned(tmp_path, monkeypatch, family, winner, frame,
         _sha256(artifacts.recommendations_path.read_bytes()),
         _sha256(artifacts.detailed_results_path.read_bytes()),
     ) == digests
+
+
+def _snapshot_records(monkeypatch):
+    """Wrap each stage method so it pickles the record it returns; returns
+    the (stage, record, bytes) list the wrappers fill."""
+    snapshots = []
+
+    def snapshotting(tool, stage):
+        def run(self):
+            record, summary, insights = stage(self)
+            snapshots.append((tool, record, pickle.dumps(record)))
+            return record, summary, insights
+        return run
+    for tool in TOOLS:
+        stage = getattr(WorkflowRunner, f"_{tool}")
+        monkeypatch.setattr(WorkflowRunner, f"_{tool}", snapshotting(tool, stage))
+    return snapshots
+
+
+# a forest winner, an SVR winner that ranks by the advisory forest's
+# importances, an anomaly run and an interactive review that edits a priority
+@pytest.mark.parametrize("family, frame, options, review_input", [
+    (None, _maintenance, {}, None),
+    ("svr_rbf", _failure, {}, None),
+    (None, _small_network, ANOMALY_RUN, None),
+    (None, _maintenance, {"auto_approve": False}, ADJUST_FIRST_TO_ROUTINE),
+], ids=["forest", "svr_advisory", "anomaly", "adjusted_review"])
+def test_no_record_changes_after_its_stage(tmp_path, monkeypatch, family, frame,
+                                           options, review_input):
+    if family is not None:
+        _only_candidate(monkeypatch, family)
+    snapshots = _snapshot_records(monkeypatch)
+    path = tmp_path / "records.csv"
+    write_csv(frame(), path)
+    channel = ReviewIO(io.StringIO(review_input or ""), io.StringIO())
+    runner = WorkflowRunner(config_for(str(path), tmp_path, **options), io=channel,
+                            clock=TickClock())
+    report = runner.run()
+    assert report.steps_succeeded == 5
+    assert [tool for tool, _, _ in snapshots] == list(TOOLS)
+    for tool, record, taken in snapshots:
+        assert runner.artifacts.records[tool] is record
+        assert pickle.dumps(record) == taken, f"the {tool} record changed after its stage"
