@@ -44,6 +44,11 @@ SVM_MAX_SAMPLES = 2000
 # metric is strictly below its task's threshold
 ADAPTIVE_THRESHOLDS = {CLASSIFICATION: 0.6, REGRESSION: 0.1}
 
+# the advisory forest: trees, depth and the share of training rows it fits on
+IMPORTANCE_TREES = 25
+IMPORTANCE_DEPTH = 8
+IMPORTANCE_SUBSAMPLE = 0.5
+
 # family: (task, estimator, hyperparameters), in candidate order per task.
 # None marks a value select_candidates works out from its arguments: the
 # classification forest has n_estimators = min(100, max(10, n_samples // 10))
@@ -219,6 +224,23 @@ def _build_model(spec: ModelSpec):
     accepted = inspect.signature(estimator).parameters
     options = {**spec.hyperparameters, "seed": spec.seed}
     return estimator(**{k: v for k, v in options.items() if k in accepted})
+
+
+def advisory_importances(X_train, y_train, feature_names, task, seed) -> dict[str, float]:
+    """Importances for a selected model without its own: those of a 25-tree
+    depth-8 forest fitted on a 50% subsample (at least 10 rows, at most all)
+    of the training matrix the model was fitted on, keyed by its features."""
+    n = len(y_train)
+    take = min(max(10, int(round(IMPORTANCE_SUBSAMPLE * n))), n)
+    sub = np.random.default_rng(seed).choice(n, size=take, replace=False)
+    if task == CLASSIFICATION:
+        model, y = RandomForestClassifier, np.array([str(v) for v in y_train])
+    else:
+        model, y = RandomForestRegressor, np.asarray(y_train, dtype=float)
+    forest = model(
+        n_estimators=IMPORTANCE_TREES, max_depth=IMPORTANCE_DEPTH, seed=seed,
+    ).fit(X_train[sub], y[sub])
+    return _importances(forest, feature_names, None)
 
 
 def _importances(model, feature_names, X_train) -> dict[str, float] | None:

@@ -92,6 +92,11 @@ class PlannerGaveUpError(EngineError):
         super().__init__(detail)
 
 
+class StepCapError(PlannerGaveUpError):
+    """The run reached its step cap (`max_steps`) before the summarize step
+    succeeded, with no step failing."""
+
+
 class StageOrderError(EngineError):
     """A stage was picked before every earlier stage succeeded."""
 

@@ -141,13 +141,13 @@ def _standardized(feature_matrix: np.ndarray) -> np.ndarray:
 
 
 def _contributing(importances, feature_names, z_row, k):
-    """Top-k global importances re-weighted by the row's |z| values."""
+    """Top-k global importances, keyed by feature name, re-weighted by the
+    row's |z| values."""
     ranked = sorted(importances.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    weighted = []
-    for name, weight in ranked:
-        j = feature_names.index(name) if name in feature_names else None
-        z = abs(float(z_row[j])) if j is not None else 0.0
-        weighted.append((name, weight * z))
+    weighted = [
+        (name, weight * abs(float(z_row[feature_names.index(name)])))
+        for name, weight in ranked
+    ]
     weighted.sort(key=lambda kv: (-kv[1], kv[0]))
     return weighted
 

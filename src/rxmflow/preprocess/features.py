@@ -1,5 +1,4 @@
-"""Feature redundancy analysis: correlations, mutual information, and
-advisory importances.
+"""Feature redundancy analysis: correlations and mutual information.
 
 Mutual information uses the plug-in estimator in nats on a contingency
 table, with continuous variables discretized into 10 equal-frequency bins.
@@ -8,10 +7,10 @@ against the target; with no target, or on a tie, the later column goes.
 A column is constant when it holds at most one distinct value, and with
 no target a categorical column with more than HIGH_CARDINALITY distinct
 values is removed; both counts are read from perception's profile, not
-from another scan of the cells. Forest importances are advisory only and
-never a removal criterion: `advisory_importances` is not called here but by
-the recommendations stage, and only when the selected model has no
-importances of its own.
+from another scan of the cells. No model is fitted here, and importances
+are never a removal criterion: the advisory forest
+(`analytics.advisory_importances`) is fitted by the recommendations stage,
+on the pipeline's training matrix.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NoFeaturesError
-from ..models.forest import RandomForestClassifier, RandomForestRegressor
 from ..perception import DatasetFrame, DatasetMetadata, float_cells
-from ..workflow import CLASSIFICATION
-from .pipeline import most_frequent
 from .plan import HIGH_CARDINALITY
-from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap, target_rows
+from .schema import FEATURE_CATEGORICAL, FEATURE_NUMERIC, SchemaMap
 
 REASON_CONSTANT = "constant"
 REASON_REDUNDANT = "redundant"
@@ -34,10 +30,6 @@ REASON_HIGH_CARDINALITY = "high_cardinality_unencodable"
 
 MI_BINS = 10
 REDUNDANCY_R = 0.95                 # |r| strictly above: the pair is redundant
-# the advisory forest: trees, depth and the share of target rows it fits on
-IMPORTANCE_TREES = 25
-IMPORTANCE_DEPTH = 8
-IMPORTANCE_SUBSAMPLE = 0.5
 
 
 @dataclass(frozen=True)
@@ -98,48 +90,6 @@ def _discrete_codes(cells: list, floats: np.ndarray | None, n_bins: int) -> np.n
         vocab = {v: k for k, v in enumerate(sorted({str(cells[i]) for i in rows}))}
         codes[rows] = [vocab[str(cells[i])] for i in rows]
     return codes
-
-
-def advisory_importances(frame, kept, schema, task, seed):
-    """Importances of a 25-tree depth-8 forest fitted on a 50% subsample of
-    the target rows the run's split also uses; None under 10 such rows."""
-    target_cells = frame.column(schema.chosen_target)
-    usable_rows = target_rows(target_cells, task)
-    if len(usable_rows) < 10:
-        return None
-
-    columns = []
-    for name in kept:
-        cells = frame.column(name)
-        if schema.roles[name] == FEATURE_NUMERIC:
-            values = float_cells(cells)[0]
-            missing = np.isnan(values)
-            present = values[~missing]
-            fill = float(np.median(present)) if present.size else 0.0
-            columns.append(np.where(missing, fill, values))
-        else:
-            present = [str(c) for c in cells if c is not None]
-            vocab = {v: float(k) for k, v in enumerate(sorted(set(present)))}
-            fill = vocab.get(most_frequent(present), 0.0)
-            columns.append([
-                vocab[str(c)] if c is not None else fill for c in cells
-            ])
-    X = np.array(columns, dtype=float).T[usable_rows]
-    y_raw = [target_cells[i] for i in usable_rows]
-
-    rng = np.random.default_rng(seed)
-    take = max(10, int(round(IMPORTANCE_SUBSAMPLE * len(usable_rows))))
-    take = min(take, len(usable_rows))
-    sub = rng.choice(len(usable_rows), size=take, replace=False)
-
-    if task == CLASSIFICATION:
-        model, y = RandomForestClassifier, np.array([str(v) for v in y_raw])
-    else:
-        model, y = RandomForestRegressor, np.array(y_raw, dtype=float)
-    forest = model(
-        n_estimators=IMPORTANCE_TREES, max_depth=IMPORTANCE_DEPTH, seed=seed,
-    ).fit(X[sub], y[sub])
-    return dict(zip(kept, forest.feature_importances_.tolist()))
 
 
 def analyze_features(

@@ -4,12 +4,16 @@ Every fitted statistic (medians, modes, scaler parameters, vocabularies,
 target means, knn neighbor store) is computed from the training rows only;
 apply_pipeline then transforms any row subset with those frozen statistics.
 The target column never enters the feature matrix and identifier columns
-are passed through on a separate channel.
+are passed through on a separate channel. No importance sees a test row
+either: the advisory forest (`analytics.advisory_importances`) is fitted on
+the transformed training matrix and keyed by `feature_names`.
 
 Conventions worth pinning down:
   - standard scaling stores (mean, population std); robust scaling stores
     (median, IQR = Q3 - Q1) with linear-interpolation quantiles
   - a zero-spread column keeps spread 1 and is flagged degenerate
+  - a float category's key is its "%g" text when that parses back to the
+    same float, else its repr, so distinct values keep distinct keys
   - one-hot vocabularies are the sorted training categories; unseen test
     categories produce an all-zero block
   - target encoding stores per-category training-target means plus the
@@ -62,8 +66,12 @@ NO_PREFIX = np.empty(0, dtype=np.intp)
 
 
 def _category_key(cell) -> str:
+    """A float's `"%g"` text when that parses back to it, else its repr, so
+    distinct floats never share a key (1234567.0 and 1234568.0 are both
+    1.23457e+06 at "%g"); str of any other cell."""
     if isinstance(cell, float):
-        return "%g" % cell
+        short = "%g" % cell
+        return short if float(short) == cell else repr(cell)
     return str(cell)
 
 

@@ -160,13 +160,3 @@ def target_rows(cells: list, task: str) -> list[int]:
     is missing, as in any numeric column."""
     kept = float if task == REGRESSION else (float, str)
     return [i for i, cell in enumerate(cells) if isinstance(cell, kept)]
-
-
-def resolve_ambiguous_target(
-    frame: DatasetFrame,
-    metadata: DatasetMetadata,
-    candidates: list[str],
-) -> SchemaMap:
-    """Rule-based fallback: pick the last matching column as the target."""
-    return discover_schema(frame, metadata, target_hint=candidates[-1])
-

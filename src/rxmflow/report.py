@@ -122,8 +122,9 @@ def metrics_json(metrics) -> dict | None:
     return out
 
 
-def model_attempt_json(result, importances) -> dict:
-    """One model attempt, listed with `importances` as its feature importances."""
+def model_attempt_json(result) -> dict:
+    """One model attempt, with the model's own feature importances (None for
+    a model without them, such as SVM and SVR)."""
     out = {
         "family": result.spec.family,
         "model": result.spec.display_name,
@@ -132,7 +133,7 @@ def model_attempt_json(result, importances) -> dict:
         "status": result.status,
         "error": result.error,
         "metrics": metrics_json(result.metrics),
-        "feature_importances": importances,
+        "feature_importances": result.feature_importances,
     }
     predictions = result.test_predictions
     if predictions is not None:

@@ -17,11 +17,12 @@ data loading failure ends the loop at once.
 Every run ends in `_finalize`, which builds the completion report, writes
 the documents (the detailed results fill in the sections of the stages
 with a record), renders the summary and sets the exit code. When the last
-step failed, or the planner finished before `summarize` succeeded with no
-step failing (PlannerGaveUpError), the detailed results carry a `failure`
-entry (stage, exception class, error), no recommendations file is written
-and the exit code is EXIT_DATA_ERROR; `run()` then re-raises a data loading
-failure.
+step failed, or the loop stopped before `summarize` succeeded with no step
+failing (PlannerGaveUpError when the planner finished, its subclass
+StepCapError when the run reached `max_steps`), the detailed results carry
+a `failure` entry (stage, exception class, error), no recommendations file
+is written and the exit code is EXIT_DATA_ERROR; `run()` then re-raises a
+data loading failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .audit import AuditLog
 from .clocks import SystemClock
 from .errors import (
     AllModelsFailedError, AmbiguousTargetError, DataLoadError, EngineError,
-    PlannerGaveUpError, SinkUnwritableError, StageOrderError,
+    PlannerGaveUpError, SinkUnwritableError, StageOrderError, StepCapError,
 )
 from .models.iforest import valid_contamination
 from .orchestrator import plan_next_step, slm_advise
@@ -46,9 +47,8 @@ from .preprocess import (
     analyze_features, apply_pipeline, decide_tools, discover_schema,
     fit_pipeline, simplified_backup_plan,
 )
-from .preprocess.features import advisory_importances
 from .preprocess.plan import mark_removed
-from .preprocess.schema import resolve_ambiguous_target, target_rows
+from .preprocess.schema import target_rows
 from .report import (
     emit_detailed_results, metrics_json, model_attempt_json, render_summary,
     write_recommendations,
@@ -126,8 +126,9 @@ class Preparation:
 @dataclass(frozen=True)
 class Advice:
     """The generate_recommendations record. `importances` are those the
-    recommendations rank by: the selected model's own, else the advisory
-    forest's; None for an anomaly run."""
+    recommendations rank by, keyed by the pipeline's feature names: the
+    selected model's own, else (SVM, SVR) the advisory forest's, fitted on
+    the training matrix; None for an anomaly run."""
     recommendations: list[optimize.Recommendation]
     confidence: optimize.ConfidenceAssessment
     importances: dict[str, float] | None
@@ -210,6 +211,7 @@ class WorkflowRunner:
                     "orchestrator", "max_steps_exceeded",
                     {"max_steps": config.max_steps},
                 )
+                stop = StepCapError, f"the step cap of {config.max_steps} was reached", ""
                 break
             decision, provenance, context = plan_next_step(
                 context, self.backend,
@@ -217,10 +219,7 @@ class WorkflowRunner:
             )
             tool = decision.tool
             if decision.finish:
-                if error is None and SUMMARIZE not in records:
-                    stage = next(t for t in TOOLS if t not in records)
-                    error = PlannerGaveUpError(
-                        stage, f"the planner finished before {stage}: {decision.reason}")
+                stop = PlannerGaveUpError, "the planner finished", f": {decision.reason}"
                 break
             step_start = self.clock.now()
             try:
@@ -251,6 +250,11 @@ class WorkflowRunner:
             self._pending_lessons.clear()
             if isinstance(error, DataLoadError):
                 break
+        # a loop that stopped before summarize succeeded, with no step failing
+        if error is None and SUMMARIZE not in records:
+            kind, what, why = stop
+            stage = next(t for t in TOOLS if t not in records)
+            error = kind(stage, f"{what} before {stage}{why}")
 
         total = (self.clock.now() - start).total_seconds()
         report = self._finalize(context, total, error)
@@ -302,7 +306,7 @@ class WorkflowRunner:
             self.audit.append("preprocessing", "ambiguous_target_resolved", {
                 "candidates": candidates, "picked": candidates[-1],
             })
-            return resolve_ambiguous_target(seen.frame, seen.metadata, candidates)
+            return discover_schema(seen.frame, seen.metadata, candidates[-1])
 
     def _split_rows(self, frame, schema, task):
         target = schema.chosen_target
@@ -452,9 +456,9 @@ class WorkflowRunner:
             )
         else:
             # a model family without importances of its own ranks by the
-            # advisory forest's, fitted here
-            importances = importances or advisory_importances(
-                self.artifacts.frame, prep.feature_report.kept, prep.schema, task, self.config.seed)
+            # advisory forest's, fitted here on the model's training matrix
+            importances = importances or analytics.advisory_importances(
+                prep.X_train, prep.y_train, prep.feature_names, task, self.config.seed)
             recommend = (
                 optimize.recommend_classification
                 if task == analytics.CLASSIFICATION
@@ -530,25 +534,26 @@ class WorkflowRunner:
                 "attempt_families": [r.spec.family for r in log.attempts],
             }
         confidence = None
+        recommendations = {
+            "generated_total": len(generated),
+            "generated": generated,
+            "approved_actions": approved,
+        }
         if advice is not None:
             confidence = {
                 "level": advice.confidence.level,
                 "warning": advice.confidence.warning,
             }
+            # a winner without importances of its own ranked by the advisory forest's
+            if advice.importances is not None and winner.feature_importances is None:
+                recommendations["advisory_importances"] = advice.importances
         sections = {
             "dataset": dataset,
             "schema": schema,
             "preprocess_plan": plan,
-            # the winner lists the importances its recommendations ranked by
-            "model_attempts": [model_attempt_json(
-                r, advice.importances if advice and r is winner else r.feature_importances,
-            ) for r in attempts],
+            "model_attempts": [model_attempt_json(r) for r in attempts],
             "adaptive_log": adaptive,
-            "recommendations": {
-                "generated_total": len(generated),
-                "generated": generated,
-                "approved_actions": approved,
-            },
+            "recommendations": recommendations,
             "confidence": confidence,
             "review": outcome.to_json() if outcome else None,
             "durations": {
@@ -563,7 +568,7 @@ class WorkflowRunner:
     def _finalize(self, context, total_duration, error) -> WorkflowReport:
         """End the run: report, documents, summary and exit code. `error`
         is the exception of the last step when that step failed, or the
-        PlannerGaveUpError of a planner that finished early."""
+        PlannerGaveUpError of a loop that stopped before summarize."""
         art = self.artifacts
         art.step_durations = {
             s.tool_name: s.duration for s in context.step_history if s.outcome == SUCCEEDED}

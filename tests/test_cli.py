@@ -218,6 +218,24 @@ def test_a_planner_that_gives_up_exits_one(csv_path, tmp_path, done, stage):
     assert not list(logs.glob("recommendations_*.json"))
 
 
+@pytest.mark.parametrize("max_steps, stage", [
+    (0, "load_and_inspect_data"),
+    (3, "generate_recommendations"),
+])
+def test_a_run_that_reaches_max_steps_exits_one(csv_path, tmp_path, max_steps, stage):
+    logs = tmp_path / "logs"
+    code = main(["--data", csv_path, "--auto-approve", "--log-dir", str(logs),
+                 "--max-steps", str(max_steps)])
+    assert code == 1
+    [detailed] = logs.glob("detailed_results_*.json")
+    failure = json.loads(detailed.read_text())["failure"]
+    assert failure == {
+        "stage": stage, "reason": "StepCapError",
+        "error": f"the step cap of {max_steps} was reached before {stage}",
+    }
+    assert not list(logs.glob("recommendations_*.json"))
+
+
 def test_a_planner_that_gives_up_prints_its_failure(csv_path, tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([

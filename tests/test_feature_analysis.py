@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rxmflow.analytics import advisory_importances
 from rxmflow.errors import NoFeaturesError
 from rxmflow.models.forest import RandomForestClassifier, RandomForestRegressor
 from rxmflow.perception import float_cells, inspect_frame
-from rxmflow.preprocess import analyze_features, discover_schema
+from rxmflow.preprocess import (
+    analyze_features, apply_pipeline, decide_tools, discover_schema, fit_pipeline,
+)
 from rxmflow.preprocess.features import (
     REASON_CONSTANT, REASON_HIGH_CARDINALITY, REASON_REDUNDANT,
-    advisory_importances, equal_frequency_bins, mutual_information, pearson,
+    equal_frequency_bins, mutual_information, pearson,
 )
+from rxmflow.preprocess.plan import mark_removed
+from rxmflow.preprocess.schema import target_rows
 from rxmflow.synth import maintenance_frame
 
 from conftest import make_frame
@@ -143,13 +148,24 @@ def test_clean_maintenance_frame_keeps_all_features():
     assert report.removed == []
 
 
+def training_matrix(frame, metadata, schema, task):
+    """The pipeline's matrix, target values and feature names over every
+    row the task learns from, as the advisory forest receives them."""
+    report = analyze_features(frame, metadata, schema)
+    plan = mark_removed(decide_tools(metadata, schema), report.removed)
+    rows = target_rows(frame.column(schema.chosen_target), task)
+    pipeline = fit_pipeline(frame, plan, schema, rows)
+    X, _, y = apply_pipeline(pipeline, frame, rows)
+    return X, y, pipeline.feature_names
+
+
 def test_importances_present_with_target_and_favor_signal():
     frame = maintenance_frame(n_rows=500)
     metadata = inspect_frame(frame)
     schema = discover_schema(frame, metadata, "Maintenance_Priority")
-    report = analyze_features(frame, metadata, schema)
-    importances = advisory_importances(frame, report.kept, schema, "classification", 3)
-    assert set(importances) == set(report.kept)
+    X, y, names = training_matrix(frame, metadata, schema, "classification")
+    importances = advisory_importances(X, y, names, "classification", 3)
+    assert list(importances) == names
     top2 = sorted(importances, key=importances.get, reverse=True)[:2]
     assert set(top2) == {"Downtime_Cost", "Vibration"}
 
@@ -173,13 +189,16 @@ def test_advisory_forest_is_fitted_only_when_called(forest_fits):
     frame = maintenance_frame(n_rows=300)
     metadata = inspect_frame(frame)
     schema = discover_schema(frame, metadata, "Maintenance_Priority")
-    report = analyze_features(frame, metadata, schema)
+    X, y, names = training_matrix(frame, metadata, schema, "classification")
     assert forest_fits == []
-    importances = advisory_importances(frame, report.kept, schema, "classification", 3)
+    importances = advisory_importances(X, y, names, "classification", 3)
     assert forest_fits == ["RandomForestClassifier"]
-    assert set(importances) == set(report.kept)
+    # keyed by the pipeline's columns: one-hot names, not the raw column
+    assert list(importances) == names
+    assert "Technician_Available=Yes" in importances
+    assert "Technician_Available" not in importances
     # a value: the same inputs give the same importances
-    assert advisory_importances(frame, report.kept, schema, "classification", 3) == importances
+    assert advisory_importances(X, y, names, "classification", 3) == importances
 
 
 def test_advisory_forest_follows_the_run_task(forest_fits):
@@ -194,8 +213,9 @@ def test_advisory_forest_follows_the_run_task(forest_fits):
         "x2": [float((i * 7) % 13) for i in range(n)],
         "wear_target": wear,
     }, target_hint="wear_target")
-    report = analyze_features(frame, metadata, schema)
-    importances = advisory_importances(frame, report.kept, schema, "regression", 3)
+    X, y, names = training_matrix(frame, metadata, schema, "regression")
+    assert len(y) == n - 3
+    importances = advisory_importances(X, y, names, "regression", 3)
     assert set(importances) == {"x1", "x2"}
     assert forest_fits == ["RandomForestRegressor"]
 

@@ -504,7 +504,10 @@ def test_knn_matrices_match_golden_digest():
 
 
 def per_cell_key(cell):
-    return "%g" % cell if isinstance(cell, float) else str(cell)
+    if not isinstance(cell, float):
+        return str(cell)
+    short = "%g" % cell
+    return short if float(short) == cell else repr(cell)
 
 
 def imputed_key_per_cell(fit, cell):
@@ -515,12 +518,14 @@ def imputed_key_per_cell(fit, cell):
     return fit.impute_value
 
 
-# texts, and numbers that are equal yet key differently (0.0 and -0.0,
-# 1 and True, 10**7 and 1e7) or are unequal to themselves (NaN)
+# texts, numbers that are equal yet key differently (0.0 and -0.0, 1 and
+# True, 10**7 and 1e7) or are unequal to themselves (NaN), and floats that
+# "%g" alone would give one key (1234567.0 and 1234568.0)
 odd_cells = st.one_of(
     st.none(),
     st.sampled_from(["a", "b", "0", "1", "nan", "None", "-0"]),
-    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e7, float("nan"), 1, True, 10**7]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e7, float("nan"), 1, True, 10**7,
+                     1234567.0, 1234568.0]),
 )
 
 

@@ -4,10 +4,10 @@ import importlib.util
 import re
 from pathlib import Path
 
-from rxmflow import runner
+from rxmflow import analytics, runner
 from rxmflow.models import forest
 from rxmflow.perception import inspect_frame, load_csv
-from rxmflow.preprocess import features, pipeline
+from rxmflow.preprocess import pipeline
 from rxmflow.synth import write_csv
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "replay.py"
@@ -24,13 +24,13 @@ def test_one_case_prints_the_same_four_digests_twice(capsys):
     replay = load_replay()
     outputs = []
     for _ in range(2):
-        assert replay.main(["max_steps_3"]) == 0
+        assert replay.main(["classify_rule"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = [line.split() for line in outputs[0].splitlines()]
     assert [line[:2] for line in lines] == [
-        ["max_steps_3", "audit"], ["max_steps_3", "detailed_results"],
-        ["max_steps_3", "recommendations"], ["max_steps_3", "summary"],
+        ["classify_rule", "audit"], ["classify_rule", "detailed_results"],
+        ["classify_rule", "recommendations"], ["classify_rule", "summary"],
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line[2]) for line in lines)
 
@@ -83,7 +83,7 @@ def test_regress_nonlinear_grows_the_analytics_and_advisory_regression_forests(m
 
     monkeypatch.setattr(forest.RandomForestRegressor, "fit", spy)
     assert replay.main(["regress_nonlinear"]) == 0
-    assert seen == [(100, None), (features.IMPORTANCE_TREES, features.IMPORTANCE_DEPTH)]
+    assert seen == [(100, None), (analytics.IMPORTANCE_TREES, analytics.IMPORTANCE_DEPTH)]
 
 
 def test_repeated_fields_keeps_texts_that_parse_alike_apart(tmp_path):

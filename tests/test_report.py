@@ -134,8 +134,9 @@ def test_recommendations_writer_roundtrip(tmp_path):
 
 
 def test_model_attempt_json_caps_predictions():
-    result = replace(forest_result(), test_predictions=["High"] * 500)
-    blob = model_attempt_json(result, {"vibration": 1.0})
+    result = replace(forest_result(), test_predictions=["High"] * 500,
+                     feature_importances={"vibration": 1.0})
+    blob = model_attempt_json(result)
     assert blob["feature_importances"] == {"vibration": 1.0}
     assert len(blob["predictions_head"]) == 50
     assert blob["predictions_total"] == 500
@@ -148,7 +149,7 @@ def test_failed_attempt_serializes_error():
         spec=ModelSpec("svm_rbf_clf", {}, 0), status="training_failed",
         error="kernel matrix too large",
     )
-    blob = model_attempt_json(failed, None)
+    blob = model_attempt_json(failed)
     assert blob["status"] == "training_failed"
     assert blob["error"] == "kernel matrix too large"
     assert blob["metrics"] is None

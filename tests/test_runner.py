@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rxmflow import runner as runner_module
 from rxmflow.backends import ScriptedBackend
 from rxmflow.clocks import TickClock
 from rxmflow.errors import DataLoadError
+from rxmflow.models import forest
 from rxmflow.preprocess import features
 from rxmflow.preprocess.plan import ENCODE_DROP
 from rxmflow.review import ReviewIO
@@ -469,12 +471,12 @@ def test_anomaly_run_produces_advisories(tmp_path):
 
 def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path, monkeypatch):
     fits = []
-    real = runner_module.advisory_importances
+    real = analytics.advisory_importances
 
     def counted(*args):
         fits.append(args[3])
         return real(*args)
-    monkeypatch.setattr(runner_module, "advisory_importances", counted)
+    monkeypatch.setattr(analytics, "advisory_importances", counted)
     path = tmp_path / "network.csv"
     write_csv(network_frame(n_rows=800, seed=13, n_outliers=8), path)
     _, anomaly = run_workflow(
@@ -488,8 +490,8 @@ def test_advisory_forest_only_for_supervised_runs(maintenance_csv, tmp_path, mon
     _only_candidate(monkeypatch, "svm_rbf_clf")
     _, classified = run_workflow(config_for(maintenance_csv, tmp_path), clock=TickClock())
     assert classified.task == "classification"
-    report = classified.records[PREPROCESS].feature_report
-    assert set(classified.records[RECOMMEND].importances) == set(report.kept)
+    names = classified.records[PREPROCESS].feature_names
+    assert list(classified.records[RECOMMEND].importances) == names
     assert fits == ["classification"]
 
 
@@ -574,10 +576,17 @@ def test_dataset_without_identifier_uses_row_ids(tmp_path, rng):
 
 
 def test_max_steps_caps_the_loop(maintenance_csv, tmp_path):
+    # a cap reached before summarize is a failed run, as when the planner
+    # finishes early
     config = config_for(maintenance_csv, tmp_path, max_steps=2)
     report, artifacts = run_workflow(config, clock=TickClock())
-    assert report.steps_total == 2
-    assert artifacts.exit_code == EXIT_OK
+    assert report.steps_total == report.steps_succeeded == 2
+    assert artifacts.exit_code == EXIT_DATA_ERROR
+    assert artifacts.failure == {
+        "stage": ANALYZE, "reason": "StepCapError",
+        "error": f"the step cap of 2 was reached before {ANALYZE}",
+    }
+    assert artifacts.recommendations_path is None
 
 
 def test_insights_flow_into_report_numbers(maintenance_csv, tmp_path):
@@ -723,19 +732,19 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# digests of the run that fitted the advisory forest inside analyze_features;
-# fitting it in the recommendations stage, and keeping its importances on
-# that stage's record, must keep every byte
+# digests of the run whose advisory forest is fitted on the pipeline's
+# training matrix, and whose detailed results print the winner's own
+# importances (null) and the advisory ones under `recommendations`
 @pytest.mark.parametrize("family, frame, digests", [
     ("svm_rbf_clf", lambda: maintenance_frame(n_rows=400, seed=7), (
-        "d320c973f7d866d49d50ce1b8734fef8f66c759e0186c71f0148be7b3d1bd301",
-        "ecbf7880b19aa24094f4b1656fc6a0bc4031db4fc2228fc78e710ad0e3108328",
-        "87d19d7af5bce9842bc95e87bec4f6a59118c1b7e3e0dfd9a57e7038a21fa4c5",
+        "b871481a01f6b59dc2b0ecc59ecac665ff8bd750348450c270bf3843394d23d9",
+        "8bdcbdfc449487307932d82b32b4964ce4c174efd20b302ed74f925b4e38df60",
+        "6867a6b16cdc7e61be8bdd1564ee21e4268477b8de0758f0a383204acb8cebf3",
     )),
     ("svr_rbf", lambda: failure_frame(n_rows=600, seed=11), (
-        "5e884e561cb390d6566f450e84429e068aede7419ed139269cf2cd88df4d33ca",
-        "3c41097038814abd60e798f24b0bcbf152d373cf6abcc2e0d28f17491a445a23",
-        "fa399fefc7e15568940a24a6fecb97187073ca28260dbf6accde7dbe4f36adf4",
+        "6a32bf13d95af8c1932d73f2006ed40986a7958bab8ab14f3c58de014c5145cf",
+        "250d47a9320f0e54e9271af8f422fb2b82ef25807aaf1cee3cd420b3f41b78f2",
+        "f4cf1fc2829bbc410286a5bf9d12832ac121ce125e9c822200a9d25c627bf16f",
     )),
 ])
 def test_svm_winner_reads_the_advisory_importances(tmp_path, monkeypatch,
@@ -749,7 +758,11 @@ def test_svm_winner_reads_the_advisory_importances(tmp_path, monkeypatch,
     assert best.spec.family == family
     assert best.feature_importances is None
     importances = artifacts.records[RECOMMEND].importances
-    assert set(importances) == set(artifacts.records[PREPROCESS].feature_report.kept)
+    assert list(importances) == artifacts.records[PREPROCESS].feature_names
+    detailed = json.loads(artifacts.detailed_results_path.read_text())
+    [attempt] = detailed["model_attempts"]
+    assert attempt["feature_importances"] is None
+    assert detailed["recommendations"]["advisory_importances"] == importances
     assert (
         _sha256(json.dumps(importances).encode()),
         _sha256(artifacts.recommendations_path.read_bytes()),
@@ -770,7 +783,7 @@ def _fit_no_advisory_forest(*args, **kwargs):
 def test_winner_with_own_importances_fits_no_advisory_forest(
         tmp_path, monkeypatch, family, frame):
     _only_candidate(monkeypatch, family)
-    monkeypatch.setattr(runner_module, "advisory_importances", _fit_no_advisory_forest)
+    monkeypatch.setattr(analytics, "advisory_importances", _fit_no_advisory_forest)
     path = tmp_path / "own.csv"
     write_csv(frame(), path)
     report, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
@@ -786,6 +799,76 @@ def _maintenance():
 
 def _failure():
     return failure_frame(n_rows=600, seed=11)
+
+
+@pytest.mark.parametrize("family, frame", [
+    ("svm_rbf_clf", _maintenance), ("svr_rbf", _failure),
+])
+def test_advisory_forest_fits_rows_of_the_training_matrix(tmp_path, monkeypatch,
+                                                          family, frame):
+    _only_candidate(monkeypatch, family)
+    fitted = []
+    for model in (forest.RandomForestClassifier, forest.RandomForestRegressor):
+        def spy(self, X, y, real=model.fit):
+            fitted.append(np.array(X, dtype=float))
+            return real(self, X, y)
+        monkeypatch.setattr(model, "fit", spy)
+    path = tmp_path / "svm.csv"
+    write_csv(frame(), path)
+    _, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    [X] = fitted
+    X_train = artifacts.records[PREPROCESS].X_train
+    assert X.shape == (round(analytics.IMPORTANCE_SUBSAMPLE * len(X_train)), X_train.shape[1])
+    train = {row.tobytes() for row in X_train}
+    assert all(row.tobytes() in train for row in X)
+
+
+def _driven_by_technician(frame, target, value):
+    """`frame` with its target rewritten as value(Technician_Available, target)."""
+    columns = [list(cells) for cells in frame.columns]
+    j = frame.column_names.index(target)
+    columns[j] = [value(t, c) for t, c in zip(frame.column("Technician_Available"), columns[j])]
+    return replace(frame, columns=columns)
+
+
+@pytest.mark.parametrize("family, frame, options", [
+    ("svm_rbf_clf", lambda: _driven_by_technician(
+        _maintenance(), "Maintenance_Priority", lambda t, c: "High" if t == "No" else "Low",
+    ), {}),
+    ("svr_rbf", lambda: _driven_by_technician(
+        _failure(), "Failure_Probability", lambda t, c: c + (0.3 if t == "No" else 0.0),
+    ), {"include_routine": True}),
+])
+def test_a_categorical_driver_contributes_to_svm_recommendations(
+        tmp_path, monkeypatch, family, frame, options):
+    # the advisory importances are keyed by the one-hot names the
+    # recommender finds in the feature matrix, so the driver has weight
+    _only_candidate(monkeypatch, family)
+    path = tmp_path / "driven.csv"
+    write_csv(frame(), path)
+    _, artifacts = run_workflow(config_for(str(path), tmp_path, **options), clock=TickClock())
+    assert artifacts.best_result.spec.family == family
+    recommendations = artifacts.records[RECOMMEND].recommendations
+    assert recommendations
+    for rec in recommendations:
+        driver = {name: w for name, w in rec.contributing_features
+                  if name.startswith("Technician_Available=")}
+        assert driver and all(w > 0 for w in driver.values())
+
+
+def test_numeric_machine_ids_keep_one_recommendation_each(tmp_path):
+    # ids such as 1000123.0 all read "1.00012e+06" at "%g"
+    frame = _maintenance()
+    columns = [list(cells) for cells in frame.columns]
+    columns[frame.column_names.index("Machine_ID")] = [
+        float(1000001 + i) for i in range(frame.n_rows)]
+    path = tmp_path / "ids.csv"
+    write_csv(replace(frame, columns=columns), path)
+    _, artifacts = run_workflow(config_for(str(path), tmp_path), clock=TickClock())
+    prep = artifacts.records[PREPROCESS]
+    assert [float(key) for key in prep.ids_test] == [1000001 + i for i in prep.test_rows]
+    ids = [rec.machine_id for rec in artifacts.records[RECOMMEND].recommendations]
+    assert len(ids) == len(set(ids)) > 1
 
 
 def _noisy_maintenance():

@@ -7,7 +7,7 @@ from rxmflow.perception import (
 from rxmflow.preprocess import discover_schema
 from rxmflow.preprocess.schema import (
     FEATURE_CATEGORICAL, FEATURE_NUMERIC, IDENTIFIER, TARGET_CANDIDATE,
-    TIMESTAMP, TIMESTAMP_DATE_SHARE, resolve_ambiguous_target,
+    TIMESTAMP, TIMESTAMP_DATE_SHARE,
 )
 from rxmflow.synth import maintenance_frame, network_frame
 
@@ -114,7 +114,7 @@ def test_every_column_gets_exactly_one_role():
     try:
         schema = discover_schema(frame, inspect_frame(frame))
     except AmbiguousTargetError as exc:
-        schema = resolve_ambiguous_target(frame, inspect_frame(frame), exc.candidates)
+        schema = discover_schema(frame, inspect_frame(frame), exc.candidates[-1])
     assert sorted(schema.roles) == sorted(frame.column_names)
 
 
@@ -134,7 +134,7 @@ def test_rule_based_pick_takes_last_candidate():
         discover_schema(frame, metadata)
         raise AssertionError("expected ambiguity")
     except AmbiguousTargetError as exc:
-        schema = resolve_ambiguous_target(frame, metadata, exc.candidates)
+        schema = discover_schema(frame, metadata, exc.candidates[-1])
     assert schema.chosen_target == "Maintenance_Priority"
 
 
@@ -156,6 +156,6 @@ def test_network_frame_resolves_to_status_column():
     metadata = inspect_frame(frame)
     with pytest.raises(AmbiguousTargetError) as excinfo:
         discover_schema(frame, metadata)
-    schema = resolve_ambiguous_target(frame, metadata, excinfo.value.candidates)
+    schema = discover_schema(frame, metadata, excinfo.value.candidates[-1])
     assert schema.chosen_target == "Efficiency_Status"
     assert schema.roles["Machine_ID"] == IDENTIFIER
