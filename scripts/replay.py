@@ -20,7 +20,9 @@ planner and under scripted planners (one malformed reply that completes,
 and malformed replies with a planner that gives up after preprocessing),
 a gapped table that drives kNN imputation, a wider gapped table whose kNN
 distances sum 8 or more coordinates, a gapped table of a few distinct rows
-repeated (so each query row's kNN prefix ends in a tie), a table whose
+repeated (so each query row's kNN prefix ends in a tie), a gapped table
+whose kNN column holds only "-0.0" and "0.0" (so neighbour means of -0.0
+must come out as np.mean's +0.0), a table whose
 columns repeat field texts that parse alike ("-0.0" and "0.0", "1" and
 "1.0", padded text, "nan" and "inf" text, blanks) over duplicate rows, so
 that each distinct text must keep its own value, adaptive search
@@ -124,6 +126,19 @@ def gapped():
         cells = frame.column(name)
         for i in rng.choice(frame.n_rows, size=round(share * frame.n_rows), replace=False):
             cells[int(i)] = None
+    return frame
+
+
+def signed_zero_gapped():
+    """gapped() with its Downtime_Cost kNN column made of "-0.0" and "0.0"
+    texts in runs of 50 rows, one run in four "0.0", so many query rows'
+    neighbours are all -0.0 and their mean must come out as np.mean's
+    (+0.0)."""
+    frame = gapped()
+    cells = frame.column("Downtime_Cost")
+    for i, cell in enumerate(cells):
+        if cell is not None:
+            cells[i] = "0.0" if i // 50 % 4 == 3 else "-0.0"
     return frame
 
 
@@ -243,6 +258,7 @@ CASES = {
     "backup_gapped_knn": (gapped, {}, None, True),
     "wide_knn": (wide_network, {}, None, False),
     "tied_knn": (tied_gapped, {}, None, False),
+    "signed_zero_knn": (signed_zero_gapped, {}, None, False),
     "repeated_fields": (repeated_fields, {}, None, False),
     "skips_ahead": (maintenance, {}, skips_ahead, False),
     "repeats_a_stage": (maintenance, {}, repeats_a_stage, False),

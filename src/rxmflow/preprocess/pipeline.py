@@ -26,10 +26,16 @@ Conventions worth pinning down:
     distances to the training rows are computed once and shared by all of
     its missing knn columns; equal distances break toward the lower
     training position
+  - the neighbor mean is `np.mean`'s bit for bit: below 8 neighbors the
+    values are added left to right from +0.0 and divided by their count,
+    which is the order numpy uses there; 8 or more (and none) go through
+    `np.mean` itself
   - the distances are computed over a feature-major copy of the store, one
     contiguous row per coordinate, and the squared differences are summed
     in numpy's pairwise order for a row of m values, so each distance is
-    bit-identical to a row-major `.sum(axis=-1)` over (n_train, m)
+    bit-identical to a row-major `.sum(axis=-1)` over (n_train, m). A
+    coordinate the query lacks is skipped rather than added as a row of
+    +0.0: every term is a square, and adding +0.0 to one keeps its bits
   - each query row sorts one prefix of its distances: every training row at
     or below the PREFIX_ROWS-th smallest distance, ties included, in
     (distance, position) order. That is the head of the full order, so a
@@ -45,7 +51,9 @@ Conventions worth pinning down:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -319,9 +327,19 @@ def _nearest_value(fit, raw, candidates, d2, usable):
 
 def _neighbour_value(fit, raw, chosen):
     """The mean (numeric) or mode (categorical) of the chosen rows' values,
-    taken in the order given."""
+    taken in the order given.
+
+    The mean is `np.mean`'s bit for bit. Below 8 values numpy adds them left
+    to right from +0.0, which a plain float loop repeats without numpy's
+    per-call cost (the builtin `sum` compensates its float sums from Python
+    3.12 on, so it is not used). 8 or more values keep `np.mean`'s pairwise
+    order, and an empty choice keeps its NaN.
+    """
     if fit.numeric:
-        return float(np.mean(raw[chosen]))
+        values = raw[chosen]
+        if not 0 < values.size < 8:
+            return float(np.mean(values))
+        return reduce(operator.add, values.tolist(), 0.0) / values.size
     return most_frequent([str(v) for v in raw[chosen]])
 
 
@@ -335,40 +353,51 @@ def _sorted_prefix(d2):
     kth = np.partition(d2, PREFIX_ROWS - 1)[PREFIX_ROWS - 1]
     if not kth < np.inf:
         return NO_PREFIX
-    near = np.flatnonzero(d2 <= kth)
-    return near[np.argsort(d2[near], kind="stable")]
+    near = (d2 <= kth).nonzero()[0]
+    return near[d2[near].argsort(kind="stable")]
+
+
+def _add(total, term):
+    """total + term, in place in total; None stands for an absent term."""
+    if total is None:
+        return term
+    if term is not None:
+        total += term
+    return total
 
 
 def _pairwise_sum(terms):
     """Elementwise sum of the equal-length arrays in terms, added in the
     grouping numpy's pairwise summation gives a row of len(terms) values, so
-    it equals `np.stack(terms, axis=-1).sum(axis=-1)` bit for bit.
+    it equals `np.stack(terms, axis=-1).sum(axis=-1)` bit for bit, with a
+    row of +0.0 standing for each absent (None) term.
 
     Below 8 terms the sum runs left to right. Up to 128 terms, eight
     accumulators take every eighth term of the first multiple of 8, combine
     as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the tail is
     added left to right. Beyond 128 the terms split in two halves, the first
     a multiple of 8 long, whose sums are added.
+
+    The terms must be +0.0 or greater, or NaN, as squares are: adding +0.0
+    to such a value gives the same bits, so an absent term is skipped. The
+    sum accumulates in place into the present terms, which the caller gives
+    up; it is None when every term is absent.
     """
     m = len(terms)
     if m < 8:
-        total = terms[0].copy()
-        for term in terms[1:]:
-            total += term
-        return total
+        return reduce(_add, terms, None)
     if m <= 128:
-        r = [term.copy() for term in terms[:8]]
+        r = terms[:8]
         end = m - m % 8
         for i in range(8, end, 8):
             for j in range(8):
-                r[j] += terms[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in terms[end:]:
-            total += term
-        return total
+                r[j] = _add(r[j], terms[i + j])
+        total = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])),
+                     _add(_add(r[4], r[5]), _add(r[6], r[7])))
+        return reduce(_add, terms[end:], total)
     half = m // 2
     half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    return _add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
 
 
 def _knn_impute(pipeline, frame, rows, numeric):
@@ -377,9 +406,10 @@ def _knn_impute(pipeline, frame, rows, numeric):
 
     The store is taken feature-major, one contiguous row of n_train values
     per coordinate, with 0 where a value is missing and a 0/1 float scale
-    that zeroes such a coordinate's difference. Each query row's squared
+    that zeroes such a coordinate's difference (a gap-free coordinate's
+    scale is all 1, so it is not applied). Each query row's squared
     differences are computed only for the coordinates it has; a coordinate
-    it lacks adds a shared row of +0.0. The m rows are summed by
+    it lacks is an absent term. The m terms are summed in place by
     `_pairwise_sum`, in the order numpy sums each row of an (n_train, m)
     array: a different order rounds differently and can reorder near ties,
     so keeping numpy's makes every distance the one a row-major
@@ -388,7 +418,9 @@ def _knn_impute(pipeline, frame, rows, numeric):
     no coordinate has no usable row. The distances, and the sorted prefix
     of them (`_sorted_prefix`), are shared by the query row's missing knn
     columns; a column the prefix cannot serve falls back to
-    `_nearest_value`.
+    `_nearest_value`. The per-row loop calls array methods (`.nonzero()[0]`,
+    `.argsort`) instead of their `np.` wrappers, which cost microseconds a
+    call.
     """
     fits = [fit for fit in pipeline.column_fits if fit.imputation == IMPUTE_KNN]
     if not fits:
@@ -407,30 +439,34 @@ def _knn_impute(pipeline, frame, rows, numeric):
     query = _scaled_query_coords(pipeline, numeric, len(rows))
     store = np.ascontiguousarray(pipeline.knn_train_scaled.T)
     present = ~np.isnan(store)
-    gap_free = present.all(axis=1)      # coordinates no training row lacks
+    gap_free = present.all(axis=1).tolist()   # coordinates no training row lacks
     zeroed = np.where(present, store, 0.0)
     scale = present.astype(float)       # a float multiply beats a bool one
     n_train = store.shape[1]
-    zero = np.zeros(n_train)
     everyone = np.ones(n_train, dtype=bool)
-    for k in np.flatnonzero(np.any([missing[fit.name] for fit in fits], axis=0)):
+    lacking = np.array([missing[fit.name] for fit in fits]).T     # (rows, fits)
+    for k in lacking.any(axis=1).nonzero()[0]:
         q = query[k]
-        have = np.flatnonzero(~np.isnan(q))
-        terms = [zero] * len(store)
+        have = (~np.isnan(q)).nonzero()[0]
+        terms = [None] * len(store)
+        shared = False          # a coordinate that every training row has
         for j in have.tolist():
             diff = zeroed[j] - q[j]
-            diff *= scale[j]
+            if gap_free[j]:
+                shared = True
+            else:
+                diff *= scale[j]
             diff *= diff
             terms[j] = diff
         d2 = _pairwise_sum(terms) if len(have) else np.full(n_train, np.inf)
-        if gap_free[have].any():
+        if shared:
             usable = everyone
         else:
             usable = present[have].any(axis=0)      # shares a coordinate
             d2[~usable] = np.inf
         near = _sorted_prefix(d2)
-        for fit in fits:
-            if missing[fit.name][k]:
+        for fit, lacks in zip(fits, lacking[k].tolist()):
+            if lacks:
                 raw, mask, candidates = stores[fit.name]
                 n_neighbours = fit.knn_neighbors or 3
                 chosen = near[mask[near]][:n_neighbours]

@@ -3,6 +3,7 @@ fitted statistic must equal a brute-force recomputation over train rows
 only."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -308,11 +309,117 @@ def apply_per_cell(pipeline, frame, rows):
 @pytest.mark.parametrize(
     "width", [*range(1, 21), *range(127, 131), *range(255, 261)])
 def test_pairwise_sum_matches_numpy_row_sum(width):
-    # nonnegative values from 1e-8 to 1e8, whose sums round differently by order
+    # nonnegative values from 1e-8 to 1e8, whose sums round differently by
+    # order, and a few +0.0, inf and NaN values, which squares can also be
     rng = np.random.default_rng(width)
-    cols = [10.0 ** rng.uniform(-8.0, 8.0, 500) for _ in range(width)]
+
+    def columns():
+        cols = [10.0 ** rng.uniform(-8.0, 8.0, 500) for _ in range(width)]
+        for value in (0.0, np.inf, np.nan):
+            cols[rng.integers(width)][rng.integers(500)] = value
+        return cols
+
+    cols = columns()
     expected = np.stack(cols, axis=-1).sum(axis=-1)
     assert pipeline_module._pairwise_sum(cols).tobytes() == expected.tobytes()
+    # an absent (None) term sums as a row of +0.0: random gaps, the first
+    # term absent, and every term but the last absent
+    for absent in (rng.random(width) < 0.4, np.arange(width) == 0,
+                   np.arange(width) < width - 1):
+        if absent.all():
+            continue
+        cols = columns()
+        expected = np.stack(
+            [np.zeros(500) if gap else col for gap, col in zip(absent, cols)],
+            axis=-1).sum(axis=-1)
+        terms = [None if gap else col for gap, col in zip(absent, cols)]
+        assert pipeline_module._pairwise_sum(terms).tobytes() == expected.tobytes()
+    assert pipeline_module._pairwise_sum([None] * width) is None
+
+
+def gapped_failure_frame():
+    """A failure table with two columns 30% blank: a store of many
+    coordinates."""
+    frame = failure_frame(n_rows=300, seed=5)
+    rng = np.random.default_rng(7)
+    for name in ("Vibration", "Technician_Available"):
+        cells = frame.column(name)
+        for i in rng.choice(frame.n_rows, 90, replace=False):
+            cells[i] = None
+    return frame, "Failure_Probability"
+
+
+def one_coordinate_frame():
+    """One numeric reading and one label, both 30% blank: a store of one
+    coordinate, whose feature-major copy is a view of the store."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(0.0, 1.0, 300)
+    frame = make_frame({
+        "x": x.tolist(),
+        "c": rng.choice(list("abc"), 300).tolist(),
+        "failure_target": (2.0 * x + rng.normal(0.0, 0.1, 300)).tolist(),
+    })
+    for name in ("x", "c"):
+        cells = frame.column(name)
+        for i in rng.choice(300, 90, replace=False):
+            cells[i] = None
+    return frame, "failure_target"
+
+
+@pytest.mark.parametrize("make", [gapped_failure_frame, one_coordinate_frame])
+def test_knn_sums_in_place_without_writing_into_the_store(make):
+    frame, target = make()
+    metadata = inspect_frame(frame)
+    schema = discover_schema(frame, metadata, target)
+    plan = decide_tools(metadata, schema)
+    pipeline = fit_pipeline(frame, plan, schema, [i for i in range(300) if i % 4 != 3])
+    assert len(pipeline.knn_raw) == 2
+    store = pipeline.knn_train_scaled.tobytes()
+    for rows in (range(300), [i for i in range(300) if i % 4 == 3]):
+        first, _, _ = apply_pipeline(pipeline, frame, rows)
+        second, _, _ = apply_pipeline(pipeline, frame, rows)
+        assert first.tobytes() == second.tobytes()
+        assert pipeline.knn_train_scaled.tobytes() == store
+
+
+def assert_neighbour_mean_is_numpys(values):
+    """_neighbour_value over values, taken in order, is float(np.mean) bit
+    for bit."""
+    fit = pipeline_module.ColumnFit("x", True, "knn", "none", "passthrough")
+    raw = np.array([7.0, *values, -3.0])      # the chosen rows sit inside
+    chosen = np.arange(1, len(values) + 1)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # mean of nothing
+        expected = float(np.mean(raw[chosen]))
+        got = pipeline_module._neighbour_value(fit, raw, chosen)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+MEAN_CASES = {
+    "all_negative_zero": [-0.0],
+    "mixed_signed_zeros": [-0.0, 0.0, -0.0, -0.0, 0.0],
+    "overflow": [1e308, 1e308, -1e308, 1e308],
+    "subnormals": [5e-324, -1e-320, 2.5e-310, 5e-324],
+    "order_dependent_rounding": [1e16, 1.0, -1e16, 1.0, 3.0],
+}
+
+
+@pytest.mark.parametrize("k", range(13))
+@pytest.mark.parametrize("case", MEAN_CASES)
+def test_neighbour_mean_of_edge_values_is_numpys(case, k):
+    pattern = MEAN_CASES[case]
+    assert_neighbour_mean_is_numpys([pattern[i % len(pattern)] for i in range(k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),                     # subnormals and zeros
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 1e16, -1e16, 1.0]),
+), max_size=12))
+def test_neighbour_mean_is_numpys_bit_for_bit(values):
+    assert_neighbour_mean_is_numpys(values)
 
 
 def test_knn_near_tie_over_eight_coordinates_follows_numpy_sum_order():

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 from rxmflow import analytics, runner
 from rxmflow.models import forest
 from rxmflow.perception import inspect_frame, load_csv
@@ -70,6 +72,28 @@ def test_tied_knn_ends_each_query_rows_prefix_in_a_tie(monkeypatch):
     monkeypatch.setattr(pipeline, "_sorted_prefix", spy)
     assert replay.main(["tied_knn"]) == 0
     assert sizes and all(size > pipeline.PREFIX_ROWS for size in sizes)
+
+
+def test_signed_zero_knn_means_all_negative_zero_neighbours_to_positive_zero(
+        monkeypatch, capsys):
+    replay = load_replay()
+    means = []
+    real = pipeline._neighbour_value
+
+    def spy(fit, raw, chosen):
+        value = real(fit, raw, chosen)
+        if fit.name == "Downtime_Cost":
+            means.append((np.signbit(raw[chosen]).tolist(), value))
+        return value
+
+    monkeypatch.setattr(pipeline, "_neighbour_value", spy)
+    assert replay.main(["signed_zero_knn"]) == 0
+    # every imputed value is a signed zero, and np.mean of three -0.0 is +0.0
+    assert means and all(value == 0.0 for _, value in means)
+    assert any(signs == [True] * 3 and not np.signbit(value) for signs, value in means)
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+        ["signed_zero_knn", output]
+        for output in ("audit", "detailed_results", "recommendations", "summary")]
 
 
 def test_regress_nonlinear_grows_the_analytics_and_advisory_regression_forests(monkeypatch):
