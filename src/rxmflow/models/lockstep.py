@@ -1,5 +1,6 @@
 """What the lockstep growers share: each tree's random draws, replayed from
-its PCG64 stream, and the index helpers of their flat row buffers.
+its PCG64 stream, the index helpers of their flat row buffers, and the
+packed key that sorts a search pass.
 
 A tree's draws are what its own `numpy.random.Generator` would make. The
 forests replay them for many trees at once, so this is the one module that
@@ -174,6 +175,60 @@ def ranges(starts, lengths):
     """The positions start, start + 1, ... of each range, concatenated."""
     ends = np.cumsum(lengths)
     return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
+
+
+def packed_widths(segments, ranks, positions):
+    """The bits a `PackedSort` key gives an element's segment, rank and
+    position, for `segments` segments, `ranks` ranks and `positions`
+    elements at most; a ValueError if they add up to more than 64."""
+    widths = tuple(max(int(count) - 1, 0).bit_length() for count in (segments, ranks, positions))
+    if sum(widths) > 64:
+        raise ValueError("a sort key of {} segment, {} rank and {} position bits does not "
+                         "fit in 64 bits".format(*widths))
+    return widths
+
+
+class PackedSort:
+    """Orders the elements of a pass by (segment, rank, position) with one
+    in-place `np.sort` of uint64 keys packed in that order.
+
+    The segments lie end to end, in order. Every key holds its element's
+    position, so no two keys are equal and the sorted order is the one a
+    stable sort by rank and then a stable sort by segment give. The key
+    buffer is allocated once, for `positions` elements; the widths are
+    those of `packed_widths`.
+    """
+
+    def __init__(self, segments, ranks, positions):
+        _, self.rank_bits, self.position_bits = packed_widths(segments, ranks, positions)
+        self.mask = np.uint64((1 << self.position_bits) - 1)
+        self.key = np.empty(positions, dtype=np.uint64)
+        self.positions = np.arange(positions, dtype=np.min_scalar_type(max(positions - 1, 0)))
+
+    def sort(self, rank, seg_len):
+        """The sorted keys of the elements [0, len(rank)), whose segments
+        have the lengths `seg_len`; a view of the key buffer."""
+        key = self.key[:len(rank)]
+        np.copyto(key, rank, casting="unsafe")          # ranks are never negative
+        key <<= self.position_bits
+        shift = self.rank_bits + self.position_bits
+        tag = np.repeat(np.arange(len(seg_len), dtype=np.uint64) << shift, seg_len)
+        tag |= self.positions[:len(rank)]
+        key |= tag
+        key.sort()
+        return key
+
+    def unpack(self, key, out):
+        """Into `out`, an intp array: the position each sorted key came
+        from. Leaves in `key` its (segment, rank) part, equal exactly where
+        both are."""
+        np.bitwise_and(key, self.mask, out=out.view(np.uint64))
+        key >>= self.position_bits
+        return out
+
+    def segments(self, groups):
+        """The segment of each (segment, rank) part that `unpack` left."""
+        return (groups >> self.rank_bits).astype(np.intp)
 
 
 def stable_argsort(key, top):

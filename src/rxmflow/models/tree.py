@@ -21,14 +21,14 @@ feature). No step of a round is taken once per node in Python. A pass
 holds PASS_ELEMENTS (feature, row) elements past its first node: each pass
 has a fixed cost, and 2^14 makes about 40% fewer passes than 2^13 on a
 table of a few thousand rows. Which pass a node falls in changes no tree,
-since each node is scored in its own segments. A pass's working set is
-kept small (each array freed once read, Gini terms summed a class column
-at a time): the C allocator hands the free top of its heap back to the
-system once it passes a trim threshold, and a pass that outgrows it takes
-a page fault on every page it touches again. The two
-kinds, `_Gini` and `_Variance`, share the group (`_Lockstep`) and differ
-only in what a tree's buffer holds, how a boundary is scored, how a split
-orders its rows and what a node keeps.
+since each node is scored in its own segments. A pass's large arrays are
+views of buffers the group allocates once, for the largest pass it can
+make: the C allocator hands the free top of its heap back to the system
+once it passes a trim threshold, and a pass that took its arrays anew
+would then fault again on every page it touches. The two kinds, `_Gini`
+and `_Variance`, share the group (`_Lockstep`) and differ only in what a
+tree's buffer holds, how a boundary is scored, how a split orders its rows
+and what a node keeps.
 
 - Draws. A tree's feature draws are the successive calls
   `default_rng(seed).choice(n_features, k, replace=False)`. With n_features
@@ -50,11 +50,12 @@ bootstrap, copies and all:
 
 - a tree's stack pops its searched nodes in the same depth-first order, so
   it spends its draws in the same order;
-- values are replaced by their dense rank over the whole table, so one
-  stable 16-bit radix sort by rank and a second by segment order every
-  segment at once; copies of a row share its rank, so the boundaries
-  between ranks are the same, in the same order, and the first best one
-  and its midpoint threshold do not change;
+- values are replaced by their dense rank over the whole table, and one
+  in-place sort of 64-bit keys that pack segment, rank and position
+  (`lockstep.PackedSort`) orders every segment of a pass at once, ties by
+  position as a stable sort by rank leaves them; copies of a row share its
+  rank, so the boundaries between ranks are the same, in the same order,
+  and the first best one and its midpoint threshold do not change;
 - every score is the same float expression on the same numbers.
 
 Classification. A tree holds the distinct rows of its bootstrap, each once,
@@ -63,9 +64,10 @@ search and the split skip them (scikit-learn's `n_node_samples` counts
 distinct rows; matching it would change the trees). Class counts are
 prefix sums of the weights per class over the pass, relative to each
 segment's start: integers, so exact and equal to counts of the copies, kept
-element-major so that a boundary reads one contiguous row. The Gini terms
-are summed over a tree's own classes in the order a per-node `.sum()`
-takes (left to right below 8 classes, numpy's pairwise order from 8 on).
+element-major so that a boundary reads one contiguous row; a last column
+sums all weights, the size left of the boundary. The Gini terms are summed
+over a tree's own classes in the order a per-node `.sum()` takes (left to
+right below 8 classes, numpy's pairwise order from 8 on).
 The search returns each splitting node's rows sorted by its winning
 feature, and the split writes them back, weights alongside: over ascending
 values x <= threshold is a prefix, so the children are its two parts. Row
@@ -95,7 +97,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lockstep import Choices, ranges, stable_argsort
+from .lockstep import Choices, PackedSort, ranges, stable_argsort
 
 PASS_ELEMENTS = 1 << 14   # (feature, row) elements per pass, past its first node
 
@@ -132,10 +134,13 @@ def _square_sums(counts, size, owner, own):
     that order does not depend on the tree, `owner` is not read, and the sum
     goes a class column at a time, with no (row, class) float array.
     """
+    size = size.astype(float)       # as a true division of two integers takes it
     if counts.shape[1] < 8:         # left to right; a class the tree lacks adds +0.0
-        out = np.zeros(len(size))
-        for c in range(counts.shape[1]):
-            p = counts[:, c] / size
+        out = np.divide(counts[:, 0], size)
+        out *= out                  # no square is -0.0, so adding it to +0.0 gives itself
+        p = np.empty_like(out)
+        for c in range(1, counts.shape[1]):
+            np.divide(counts[:, c], size, out=p)
             p *= p
             out += p
         return out
@@ -175,7 +180,7 @@ class _Lockstep:
     """Grows a group of trees, one searched node per tree per round.
 
     Tree g's rows are at `rows[offsets[g]:offsets[g + 1]]`, with `weights`
-    beside them. A node is a [start, end) range of these buffers. The nodes
+    beside them, unless the kind weighs every row 1. A node is a [start, end) range of these buffers. The nodes
     of the group are numbered as they are made, roots first; a node is made
     a leaf, its class counts or mean in `values`, and turned into a split
     when its search finds one. `stack[g, :top[g]]` holds the nodes tree g
@@ -207,7 +212,8 @@ class _Lockstep:
             at, weights, root = self._bootstrap(r)
             end = self.offsets[g] + len(at)
             self.rows[self.offsets[g]:end] = at
-            self.weights[self.offsets[g]:end] = weights
+            if weights is not None:
+                self.weights[self.offsets[g]:end] = weights
             stats.append(root)
             self.offsets[g + 1] = end
         # a tree over d rows has 2d - 1 nodes at most, as each leaf holds
@@ -215,9 +221,16 @@ class _Lockstep:
         bound = 2 * int(self.offsets[-1]) - n_trees
         roots, self.n_rows, impurity = self._roots(stats, bound)
         # a pass searches one node per tree at most, so its cumulative counts
-        # stay below every bootstrap's length times the features drawn
+        # stay below every bootstrap's length times the features drawn, and
+        # its elements below every buffer's length times the features drawn;
+        # it outgrows PASS_ELEMENTS only by its first node
         drawn = n_features if self.draws is None else max_features
         self.count_type = np.int32 if self.n_rows.sum() * drawn < 2**31 else np.int64
+        lengths = np.diff(self.offsets)
+        elements = min(int(lengths.sum()) * drawn,
+                       max(PASS_ELEMENTS, int(lengths.max()) * drawn))
+        self.packed = PackedSort(n_trees * drawn, table.n_ranks, elements)
+        self.buffers = self._buffers(elements)
         self.importances = np.zeros((n_trees, n_features))
         self.n_nodes = 0
         self.feature = np.empty(bound, dtype=np.int32)
@@ -231,6 +244,13 @@ class _Lockstep:
                    np.column_stack([self._add(roots), self.offsets[:-1], self.offsets[1:],
                                     np.zeros(n_trees, dtype=np.intp), self.n_rows]),
                    impurity)
+
+    def _buffers(self, elements):
+        """A pass's large arrays, for `elements` elements at most; a pass
+        works in views of their first elements."""
+        return {"at": np.empty(elements, dtype=np.intp),
+                "rank": np.empty(elements, dtype=self.table.ranks.dtype),
+                "rows": np.empty(elements, dtype=self.rows.dtype)}
 
     def _add(self, values):
         """Make a leaf of each of `values` and return their ids."""
@@ -267,7 +287,7 @@ class _Lockstep:
             if not len(trees):
                 # only the nodes and the importances are read from here on
                 self.rows = self.weights = self.stack = self.stack_impurity = None
-                self.draws = None
+                self.draws = self.packed = self.buffers = None
                 return self
             top = self.top[trees] - 1
             self.top[trees] = top
@@ -294,57 +314,69 @@ class _Lockstep:
 
         Node i belongs to tree[i], is the row pending[i] of its stack and
         draws the features feats[i]. Returns the arguments of `_split` for
-        the nodes that split, or None. The pass's arrays are freed before
-        the split allocates its own.
+        the nodes that split, or None. The pass's large arrays are views of
+        the group's buffers; what it returns is copied out of them.
         """
         table = self.table
         n_table = table.XT.shape[1]
         start, end, size = pending[:, 1], pending[:, 2], pending[:, 4]
         drawn = feats.shape[1]
 
-        # one segment per (node, drawn feature), in draw order
+        # one segment per (node, drawn feature), in draw order, end to end
         seg_node = np.repeat(np.arange(len(pending)), drawn)
         seg_feat = feats.reshape(-1)
         seg_len = (end - start)[seg_node]
         seg_end = np.cumsum(seg_len)
         seg_start = seg_end - seg_len
-        seg = np.repeat(np.arange(len(seg_len)), seg_len)
-        where = ranges(start[seg_node], seg_len)
-        rows = self.rows[where]
-        rank = table.ranks.reshape(-1)[seg_feat[seg] * n_table + rows]
-        order = stable_argsort(rank, table.n_ranks)
-        order = order[stable_argsort(seg[order], len(seg_len))]
-        rows, rank, weight = rows[order], rank[order], self.weights[where[order]]
-        del where, order        # each array is freed once read: a smaller pass faults less
+        n = int(seg_end[-1])
+        # element i of the pass sits at i + lag[i] in the row buffer
+        lag = np.repeat(start[seg_node] - seg_start, seg_len)
+        where = np.add(self.packed.positions[:n], lag, out=self.buffers["at"][:n])
+        rows = np.take(self.rows, where, out=self.buffers["rows"][:n])
+        flat = np.repeat(seg_feat * n_table, seg_len)
+        flat += rows
+        rank = np.take(table.ranks.reshape(-1), flat, out=self.buffers["rank"][:n])
+        del flat
+        group = self.packed.sort(rank, seg_len)
+        where = self.packed.unpack(group, out=where)
+        where += lag
+        del lag
+        rows = np.take(self.rows, where, out=rows)
 
-        # sums left of each position, relative to its segment's start
-        sums = self._prefix(rows, weight, seg_start, seg_len, seg_end)
-        cum_size = np.cumsum(weight, dtype=self.count_type)
-        base_size = cum_size[seg_start - 1]
-        base_size[0] = 0
-        # a boundary: the next row is in the same segment and has a larger value
-        at = np.flatnonzero((rank[1:] != rank[:-1]) & (seg[1:] == seg[:-1]))
+        # sums left of each position, relative to its segment's start; the
+        # kind may overwrite `where` once it has read it
+        sums = self._prefix(rows, where, seg_start, seg_len, seg_end)
+        # a boundary: the next element has a larger rank in the same segment
+        step = group[1:] != group[:-1]
+        step[seg_start[1:] - 1] = False
+        at = np.flatnonzero(step)
+        del step
         if not len(at):
             return None
-        at_seg = seg[at]
-        del rank, seg
-        n_left = cum_size[at] - base_size[at_seg]
-        del cum_size
-        at_size = size[seg_node[at_seg]]
-        n_right = at_size - n_left
-        imp_left, imp_right = self._score(sums, at, at_seg, n_left, n_right, tree[seg_node])
-        weighted = (n_left * imp_left + n_right * imp_right) / at_size
+        at_seg = self.packed.segments(group[at])
+        seg_size = size[seg_node]
+        n_left, n_right, imp_left, imp_right = self._score(sums, at, at_seg, seg_size,
+                                                           tree[seg_node])
+        weighted = imp_left
+        weighted *= n_left
+        imp_right *= n_right
+        weighted += imp_right
+        del n_left, n_right, imp_right
+        weighted /= seg_size[at_seg]
 
         # the first best boundary of each segment, then each node's first best segment
         starts = _run_starts(at_seg)
         firsts = np.flatnonzero(starts)
         scored = at_seg[firsts]
-        low = np.minimum.reduceat(weighted, firsts)
-        hits = np.flatnonzero(weighted == low[np.cumsum(starts) - 1])
+        low = np.empty(len(seg_len))
+        low[scored] = np.minimum.reduceat(weighted, firsts)
+        hits = np.flatnonzero(weighted == low[at_seg])
+        del starts, weighted
         gain = np.full(len(seg_len), -np.inf)
-        gain[scored] = impurity[seg_node[scored]] - low
+        gain[scored] = impurity[seg_node[scored]] - low[scored]
         best_at = np.zeros(len(seg_len), dtype=np.intp)
         best_at[scored] = at[_first_per_group(hits, at_seg)]
+        del at, at_seg, hits
         best = np.maximum.reduceat(gain, np.arange(0, len(seg_len), drawn))
         winner = _first_per_group(np.flatnonzero(gain == best[seg_node]), seg_node)
         split = np.flatnonzero(best > 1e-15)
@@ -356,9 +388,9 @@ class _Lockstep:
         XT = table.XT.reshape(-1)
         threshold = (XT[feature * n_table + rows[b]] + XT[feature * n_table + rows[b + 1]]) / 2.0
         return (tree[split], pending[split], best[split], feature, threshold,
-                *self._hand_off(sums, b, segs, seg_start, seg_len, rows, weight))
+                *self._hand_off(sums, b, segs, seg_start, seg_len, rows))
 
-    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows, weight):
+    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows):
         """What the kind's `_split` takes besides the winners' thresholds."""
         return ()
 
@@ -411,6 +443,7 @@ class _Lockstep:
             below = size[lefts]
             at[lefts], at[rights] = at[level] + 1, at[level] + 1 + below
             pre[lefts], pre[rights] = pre[level] + 1, pre[level] + 1 + below
+        del size, levels
         order = np.empty(n, dtype=np.int32)
         order[at] = np.arange(n, dtype=np.int32)
         return order, pre, offset
@@ -458,7 +491,8 @@ class _Gini(_Lockstep):
 
     def _impurity(self, counts, size, owner):
         """Gini impurity of each row of class counts, of `size` rows of tree `owner`."""
-        return 1.0 - _square_sums(counts, size, owner, self.own)
+        impurity = _square_sums(counts, size, owner, self.own)
+        return np.subtract(1.0, impurity, out=impurity)
 
     def _class_counts(self, starts, lengths):
         """Element-major class counts of the rows [start, start + length)."""
@@ -469,35 +503,51 @@ class _Gini(_Lockstep):
                            weights=self.weights[where], minlength=len(starts) * n_classes
                            ).astype(np.intp).reshape(len(starts), n_classes)
 
-    def _prefix(self, rows, weight, seg_start, seg_len, seg_end):
-        """Weighted class counts left of each position and each segment's
-        total; element-major, so a boundary reads one row."""
+    def _buffers(self, elements):
         n_classes = len(self.table.classes)
-        cum = np.zeros((len(rows), n_classes), dtype=self.count_type)
-        cum.reshape(-1)[np.arange(0, len(rows) * n_classes, n_classes) + self.table.y[rows]] = weight
+        return {**super()._buffers(elements),
+                "weights": np.empty(elements, dtype=self.weights.dtype),
+                "counts": np.empty((elements, n_classes + 1), dtype=self.count_type),
+                "row_at": np.arange(0, elements * (n_classes + 1), n_classes + 1,
+                                    dtype=np.min_scalar_type(elements * (n_classes + 1)))}
+
+    def _prefix(self, rows, where, seg_start, seg_len, seg_end):
+        """Weighted class counts left of each position, then their sum in a
+        last column, and each segment's totals; element-major, so a boundary
+        reads one row. Also the weights of the pass's rows."""
+        n = len(rows)
+        weight = np.take(self.weights, where, out=self.buffers["weights"][:n])
+        cum = self.buffers["counts"][:n]
+        cum.fill(0)
+        cum[:, -1] = weight
+        at = np.take(self.table.y, rows, out=where)
+        at += self.buffers["row_at"][:n]
+        cum.reshape(-1)[at] = weight
         np.cumsum(cum, axis=0, out=cum)
         base = cum.take(seg_start - 1, axis=0)      # take: faster row gathers
         base[0] = 0
-        return cum, base, cum.take(seg_end - 1, axis=0) - base
+        return cum, base, cum.take(seg_end - 1, axis=0) - base, weight
 
-    def _score(self, sums, at, at_seg, n_left, n_right, seg_tree):
-        cum, base, total = sums
-        owner = seg_tree[at_seg] if total.shape[1] >= 8 else None
+    def _score(self, sums, at, at_seg, seg_size, seg_tree):
+        cum, base, total, _ = sums
+        owner = seg_tree[at_seg] if total.shape[1] > 8 else None     # 8 classes or more, and sizes
         left = cum.take(at, axis=0)
         left -= base.take(at_seg, axis=0)
-        imp_left = self._impurity(left, n_left, owner)
+        n_left = left[:, -1].copy()
+        imp_left = self._impurity(left[:, :-1], n_left, owner)
         right = total.take(at_seg, axis=0)
         right -= left
         del left
-        return imp_left, self._impurity(right, n_right, owner)
+        n_right = right[:, -1].copy()
+        return n_left, n_right, imp_left, self._impurity(right[:, :-1], n_right, owner)
 
-    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows, weight):
+    def _hand_off(self, sums, b, segs, seg_start, seg_len, rows):
         """The distinct rows below each winning boundary, the class counts on
         either side of it, and the winners' rows and weights in order."""
-        cum, base, total = sums
+        cum, base, total, weight = sums
         left = cum.take(b, axis=0) - base.take(segs, axis=0)
         won = ranges(seg_start[segs], seg_len[segs])
-        return (b + 1 - seg_start[segs], left, total.take(segs, axis=0) - left,
+        return (b + 1 - seg_start[segs], left[:, :-1], (total.take(segs, axis=0) - left)[:, :-1],
                 rows[won], weight[won])
 
     def _split(self, tree, pending, gains, feature, threshold, n_left, left, right,
@@ -549,7 +599,7 @@ class _Variance(_Lockstep):
 
     def _bootstrap(self, r):
         y = self.table.y[r]
-        return r, 1, (y.mean(), y.var())
+        return r, None, (y.mean(), y.var())
 
     def _roots(self, stats, bound):
         mean, var = np.array(stats).T
@@ -564,21 +614,24 @@ class _Variance(_Lockstep):
             mean[ids], var[ids] = block.mean(axis=1), block.var(axis=1)
         return mean, var
 
-    def _prefix(self, rows, weight, seg_start, seg_len, seg_end):
-        """Running sums of y and y*y within each segment, and its totals."""
+    def _prefix(self, rows, where, seg_start, seg_len, seg_end):
+        """Running sums of y and y*y within each segment, its totals, and
+        where it starts."""
         y = self.table.y[rows]
         s1, s2 = np.empty(len(y)), np.empty(len(y))
         for _, at in _by_length(seg_start, seg_len):
             block = y[at]
             s1[at] = np.cumsum(block, axis=1)
             s2[at] = np.cumsum(block * block, axis=1)
-        return s1, s2, s1[seg_end - 1], s2[seg_end - 1]
+        return s1, s2, s1[seg_end - 1], s2[seg_end - 1], seg_start
 
-    def _score(self, sums, at, at_seg, n_left, n_right, seg_tree):
-        s1, s2, total1, total2 = sums
+    def _score(self, sums, at, at_seg, seg_size, seg_tree):
+        s1, s2, total1, total2, seg_start = sums
+        n_left = at + 1 - seg_start[at_seg]         # every row has weight 1
+        n_right = seg_size[at_seg] - n_left
         lmean = s1[at] / n_left
         rmean = (total1[at_seg] - s1[at]) / n_right
-        return (s2[at] / n_left - lmean * lmean,
+        return (n_left, n_right, s2[at] / n_left - lmean * lmean,
                 (total2[at_seg] - s2[at]) / n_right - rmean * rmean)
 
     def _split(self, tree, pending, gains, feature, threshold):

@@ -592,6 +592,38 @@ def test_pass_bound_changes_no_tree_of_a_hundred_tree_forest():
     assert fits[0] == fits[1] == fits[2]
 
 
+def _fitted_digest(forest):
+    """sha256 over every fitted array of every tree, in tree order, then the
+    forest's importances."""
+    digest = hashlib.sha256()
+    for tree in forest.trees_:
+        for values in (tree.feature_, tree.threshold_, tree.left_, tree.right_, tree.value_,
+                       tree.feature_importances_):
+            digest.update(np.ascontiguousarray(values).tobytes())
+    digest.update(forest.feature_importances_.tobytes())
+    return digest.hexdigest()
+
+
+def test_fitted_arrays_of_two_forests_match_golden_digests():
+    # digests taken from the grower that sorted each pass by two stable radix
+    # sorts; they pin the bytes of the trees, not only what the trees predict
+    frame = network_frame(n_rows=1500, seed=5)
+    X = np.column_stack([np.array(frame.column(name), dtype=float)
+                         for name in frame.column_names[2:-1]])
+    y = np.array(frame.column("Efficiency_Status"))
+    clf = RandomForestClassifier(n_estimators=100, seed=1).fit(X, y)
+    assert _fitted_digest(clf) == (
+        "51056be5537c346ca8500883b5485fa56667b16d0619636226997c0eff29c21f")
+
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(400, 6))
+    X[:, 2] = np.round(X[:, 2] * 2.0)     # ties
+    target = X[:, 0] * X[:, 1] + np.sin(X[:, 3]) + rng.normal(0, 0.1, 400)
+    reg = RandomForestRegressor(n_estimators=25, seed=2).fit(X, target)
+    assert _fitted_digest(reg) == (
+        "ec889b3c96143bfb5547b5e6a8fa0fbeb769d36d438e0c51a3b75d7db94161d7")
+
+
 def test_split_minimum_counts_bootstrap_copies_not_distinct_rows():
     # seed 2 draws rows 0, 2, 3 and 6 twice each: 4 distinct rows, 8 draws
     X = np.column_stack([np.arange(8.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]])
@@ -766,6 +798,47 @@ def test_fit_on_an_empty_table_raises_an_error_that_names_what_is_missing(model,
         warnings.simplefilter("error")          # no numpy warning on the way
         with pytest.raises(ValueError, match=named):
             model().fit(np.zeros(shape), np.arange(shape[0]) % 2)
+
+
+@st.composite
+def packed_passes(draw):
+    """Segment lengths, ranks, a rank bound and spare buffer room for one pass."""
+    n = draw(st.one_of(st.integers(1, 300),
+                       st.sampled_from([(1 << k) + d for k in range(1, 12) for d in (-1, 0, 1)])))
+    if draw(st.booleans()) or n == 1:
+        cuts = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=30)) - {n}
+    else:
+        cuts = range(1, n)                                  # every segment of length 1
+    seg_len = np.diff([0, *sorted(cuts), n])
+    n_ranks = draw(st.sampled_from([1, 2, 3, 40, 1 << 16, (1 << 16) + 1]))   # few: ties
+    rank = draw(arrays(np.int32, n, elements=st.integers(0, n_ranks - 1)))
+    return seg_len, rank, n_ranks, draw(st.integers(0, 5))
+
+
+@given(packed_passes())
+def test_packed_sort_orders_as_a_stable_sort_by_rank_then_by_segment(case):
+    seg_len, rank, n_ranks, spare = case
+    n, n_seg = len(rank), len(seg_len)
+    seg = np.repeat(np.arange(n_seg), seg_len)
+    order = lockstep.stable_argsort(rank, n_ranks)
+    expected = order[lockstep.stable_argsort(seg[order], n_seg)]
+    packed = lockstep.PackedSort(n_seg + spare, n_ranks, n + spare)
+    for _ in range(2):                      # the same buffers serve pass after pass
+        group = packed.sort(rank, seg_len)
+        assert packed.unpack(group, np.empty(n, dtype=np.intp)).tolist() == expected.tolist()
+        assert packed.segments(group).tolist() == seg.tolist()
+        ranked = rank[expected]
+        assert ((group[1:] != group[:-1]).tolist()
+                == ((seg[1:] != seg[:-1]) | (ranked[1:] != ranked[:-1])).tolist())
+
+
+def test_packed_sort_refuses_sizes_whose_key_passes_64_bits():
+    assert lockstep.packed_widths(300, 80_000, 152_000) == (9, 17, 18)
+    assert lockstep.packed_widths(1 << 30, 1 << 17, 1 << 17) == (30, 17, 17)     # 64 bits
+    with pytest.raises(ValueError, match="31 segment, 17 rank and 17 position bits"):
+        lockstep.packed_widths((1 << 30) + 1, 1 << 17, 1 << 17)
+    with pytest.raises(ValueError, match="60 segment, 4 rank and 2 position bits"):
+        lockstep.PackedSort(1 << 60, 16, 4)
 
 
 n_and_k = st.one_of(
